@@ -34,6 +34,7 @@ from .graph import (
     center,
     diameter_path,
     distance,
+    distance_matrix,
     distance_sum,
     eccentricity_profile,
     leaf_removal_center,
@@ -59,7 +60,6 @@ from .quasi import (
     QuasiIsometryConstants,
     VertexMapping,
     center_shift,
-    distance_matrix,
     identity_mapping,
     minimal_additive_for_stretch,
     minimal_constants,

@@ -189,9 +189,8 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
 
     if args.method == "mis":
         result = mis_derived(g, greedy_mis(g))
-        fileio.write_edge_list(result.derived, f"{prefix}.quotient.el")
+        quotient = result.derived
         image_orig = [result.mis[i] for i in result.mapping.image]
-        fileio.write_mapping(image_orig, f"{prefix}.mapping.txt")
         mapping = result.mapping
         fields["compression_ratio"] = fileio.fraction_str(
             Fraction(result.derived.vertex_count, g.vertex_count)
@@ -208,9 +207,8 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
             g.check_vertex(args.root)
             partition = outward_contraction(g, args.root)
         pg = build_partition_graph(g, partition)
+        quotient = pg.quotient
         mapping = pg.mapping
-        fileio.write_edge_list(pg.quotient, f"{prefix}.quotient.el")
-        fileio.write_partition(partition, f"{prefix}.partition.txt")
         rep = sharpness_report(g, partition)
         fields["sharpness"] = rep.sharpness
         fields["coarseness"] = rep.coarseness
@@ -235,6 +233,13 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
     report = fileio.build_report(
         input=args.input, method=args.method, checks=checks, **fields
     )
+    # Every field is computed before the first write, so a failure above
+    # leaves no partial output behind.
+    fileio.write_edge_list(quotient, f"{prefix}.quotient.el")
+    if args.method == "mis":
+        fileio.write_mapping(image_orig, f"{prefix}.mapping.txt")
+    else:
+        fileio.write_partition(partition, f"{prefix}.partition.txt")
     fileio.write_report(report, f"{prefix}.report.json")
     return 0
 

@@ -155,5 +155,5 @@ def unbounded_shift_family(t: int) -> tuple[Graph, Partition]:
     partition-trees is unbounded even at sharpness two.
     """
     if t < 1:
-        raise ValueError(f"family parameter must be >= 1, got {t}")
+        raise InvalidComposition(f"family parameter must be >= 1, got {t}")
     return composition_partition([3] * t + [1] * (t + 1))

@@ -1,15 +1,22 @@
 """Immutable simple undirected graphs and exact hop-distance metrics.
 
-Distances are shortest-path hop counts computed by breadth-first search.
-A :class:`Graph` never changes after construction, so every query here is
-pure and safe to call concurrently.
+Distances are shortest-path hop counts. A :class:`Graph` never changes
+after construction, so its all-pairs matrix is built once, on first use,
+and cached read-only; every all-pairs metric here is a reduction over
+that matrix. Jobs that need only one or a few sources run the single
+breadth-first search :func:`_bfs` instead.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     Disconnected,
@@ -44,7 +51,7 @@ class Graph:
     are stored sorted, which keeps every traversal deterministic.
     """
 
-    __slots__ = ("_adj", "_edge_count")
+    __slots__ = ("_adj", "_edge_count", "_dist")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 1:
@@ -64,22 +71,9 @@ class Graph:
             adj[v].append(u)
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         self._edge_count = len(seen)
-        if self._reached_from_zero() != vertex_count:
+        self._dist: np.ndarray | None = None
+        if min(_bfs(self._adj, (0,))) < 0:
             raise Disconnected("graph is not connected")
-
-    def _reached_from_zero(self) -> int:
-        seen = bytearray(len(self._adj))
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for u in self._adj[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    count += 1
-                    queue.append(u)
-        return count
 
     @property
     def vertex_count(self) -> int:
@@ -144,24 +138,54 @@ def require_tree(g: Graph) -> None:
         raise NotATree(f"expected a tree, got n={g.vertex_count}, m={g.edge_count}")
 
 
+def _bfs(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> list[int]:
+    """Hop distance from the nearest source to every vertex of ``adj``.
+
+    Unreached vertices read -1. ``adj`` may be any adjacency list on
+    ``0..len(adj)-1``, such as the relabelled subgraph of a block.
+    """
+    dist = [-1] * len(adj)
+    queue = deque()
+    for s in sources:
+        if dist[s] < 0:
+            dist[s] = 0
+            queue.append(s)
+    while queue:
+        v = queue.popleft()
+        dv = dist[v] + 1
+        for u in adj[v]:
+            if dist[u] < 0:
+                dist[u] = dv
+                queue.append(u)
+    return dist
+
+
+def distance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs hop distances as a read-only int64 matrix, cached per graph."""
+    if g._dist is None:
+        n = g.vertex_count
+        adj = g.adjacency
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum([len(a) for a in adj], out=indptr[1:])
+        indices = np.fromiter(
+            chain.from_iterable(adj), dtype=np.int32, count=2 * g.edge_count
+        )
+        csr = csr_matrix(
+            (np.ones(len(indices), dtype=np.float64), indices, indptr), shape=(n, n)
+        )
+        dist = dijkstra(csr, unweighted=True).astype(np.int64)
+        dist.flags.writeable = False
+        g._dist = dist
+    return g._dist
+
+
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distance from ``source`` to every vertex, indexed by vertex id.
 
     All entries are finite because graphs are connected by construction.
     """
     g.check_vertex(source)
-    adj = g.adjacency
-    dist = [-1] * g.vertex_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        for u in adj[v]:
-            if dist[u] < 0:
-                dist[u] = dv + 1
-                queue.append(u)
-    return dist
+    return _bfs(g.adjacency, (source,))
 
 
 def distance(g: Graph, u: int, v: int) -> int:
@@ -185,26 +209,9 @@ def set_distance(g: Graph, s1: Sequence[int], s2: Sequence[int]) -> int:
     Zero exactly when the sets intersect.
     """
     a = _checked_set(g, s1, "s1")
-    b = set(_checked_set(g, s2, "s2"))
-    adj = g.adjacency
-    dist = [-1] * g.vertex_count
-    queue = deque()
-    for v in a:
-        if v in b:
-            return 0
-        if dist[v] < 0:
-            dist[v] = 0
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        for u in adj[v]:
-            if dist[u] < 0:
-                if u in b:
-                    return dv + 1
-                dist[u] = dv + 1
-                queue.append(u)
-    raise AssertionError("unreachable: connected graph")
+    b = _checked_set(g, s2, "s2")
+    dist = _bfs(g.adjacency, a)
+    return min(dist[v] for v in b)
 
 
 @dataclass(frozen=True)
@@ -221,44 +228,38 @@ class EccentricityProfile:
     diameter: int
 
 
-def _ecc_list(g: Graph) -> list[int]:
-    return [max(bfs_distances(g, v)) for v in g.vertices()]
-
-
 def eccentricity_profile(g: Graph) -> EccentricityProfile:
-    """Eccentricity of every vertex, computed by one BFS per source."""
-    eccs: list[int] = []
-    wits: list[tuple[int, ...]] = []
-    for v in g.vertices():
-        dist = bfs_distances(g, v)
-        e = max(dist)
-        eccs.append(e)
-        wits.append(tuple(x for x, d in enumerate(dist) if d == e))
+    """Eccentricity of every vertex, with witnesses, from the distance matrix."""
+    dist = distance_matrix(g)
+    ecc = dist.max(axis=1)
     return EccentricityProfile(
-        eccentricity=tuple(eccs),
-        witnesses=tuple(wits),
-        radius=min(eccs),
-        diameter=max(eccs),
+        eccentricity=tuple(ecc.tolist()),
+        witnesses=tuple(
+            tuple(np.flatnonzero(row == e).tolist()) for row, e in zip(dist, ecc)
+        ),
+        radius=int(ecc.min()),
+        diameter=int(ecc.max()),
     )
+
+
+def _argmin_all(values: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(values == values.min()).tolist())
 
 
 def center(g: Graph) -> tuple[int, ...]:
     """Vertices of minimum eccentricity, ascending."""
-    eccs = _ecc_list(g)
-    rad = min(eccs)
-    return tuple(v for v, e in enumerate(eccs) if e == rad)
+    return _argmin_all(distance_matrix(g).max(axis=1))
 
 
 def distance_sum(g: Graph, v: int) -> int:
     """Sum of hop distances from ``v`` to every vertex."""
-    return sum(bfs_distances(g, v))
+    g.check_vertex(v)
+    return int(distance_matrix(g)[v].sum())
 
 
 def median(g: Graph) -> tuple[int, ...]:
     """Vertices of minimum distance-sum, ascending."""
-    sums = [distance_sum(g, v) for v in g.vertices()]
-    best = min(sums)
-    return tuple(v for v, s in enumerate(sums) if s == best)
+    return _argmin_all(distance_matrix(g).sum(axis=1))
 
 
 def leaf_removal_center(t: Graph) -> tuple[int, ...]:
@@ -289,22 +290,6 @@ def leaf_removal_center(t: Graph) -> tuple[int, ...]:
     return tuple(v for v in t.vertices() if not removed[v])
 
 
-def _bfs_with_parents(g: Graph, source: int) -> tuple[list[int], list[int]]:
-    adj = g.adjacency
-    dist = [-1] * g.vertex_count
-    parent = [-1] * g.vertex_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                parent[u] = v
-                queue.append(u)
-    return dist, parent
-
-
 def diameter_path(t: Graph) -> list[int]:
     """A path of a tree whose length equals the diameter (double BFS).
 
@@ -312,13 +297,16 @@ def diameter_path(t: Graph) -> list[int]:
     deterministic.
     """
     require_tree(t)
-    d0 = bfs_distances(t, 0)
+    adj = t.adjacency
+    d0 = _bfs(adj, (0,))
     u = d0.index(max(d0))
-    dist, parent = _bfs_with_parents(t, u)
+    dist = _bfs(adj, (u,))
     w = dist.index(max(dist))
+    # Walk back toward u; in a tree exactly one neighbor is one step closer.
     path = [w]
     while path[-1] != u:
-        path.append(parent[path[-1]])
+        v = path[-1]
+        path.append(next(x for x in adj[v] if dist[x] == dist[v] - 1))
     path.reverse()
     return path
 
@@ -329,23 +317,11 @@ def uni_ecc_holds(g: Graph) -> CheckResult:
     The property holds for every tree but fails on some graphs; the first
     violating vertex (ascending) is returned as the witness.
     """
-    eccs = _ecc_list(g)
-    rad = min(eccs)
-    ctr = [v for v, e in enumerate(eccs) if e == rad]
-    # One multi-source BFS from the whole center.
-    adj = g.adjacency
-    dist = [-1] * g.vertex_count
-    queue = deque()
-    for v in ctr:
-        dist[v] = 0
-        queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    for v in g.vertices():
-        if dist[v] != eccs[v] - rad:
-            return CheckResult(False, v)
+    dist = distance_matrix(g)
+    ecc = dist.max(axis=1)
+    rad = ecc.min()
+    to_center = dist[:, ecc == rad].min(axis=1)
+    bad = np.flatnonzero(to_center != ecc - rad)
+    if len(bad):
+        return CheckResult(False, int(bad[0]))
     return CheckResult(True)

@@ -8,13 +8,14 @@ its smallest-id neighbor inside the set.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import InvalidMapping, InvalidVertex, NotIndependent, NotMaximal
-from .graph import CheckResult, Graph, bfs_distances
-from .quasi import VertexMapping
+from .graph import CheckResult, Graph, distance_matrix
+from .quasi import VertexMapping, _image_distances, _pair_check
 
 
 def greedy_mis(g: Graph, order: Optional[Sequence[int]] = None) -> tuple[int, ...]:
@@ -71,21 +72,6 @@ class MisResult:
     mapping: VertexMapping
 
 
-def _distances_within(g: Graph, source: int, limit: int) -> dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        d = dist[v]
-        if d == limit:
-            continue
-        for u in g.adjacency[v]:
-            if u not in dist:
-                dist[u] = d + 1
-                queue.append(u)
-    return dist
-
-
 def mis_derived(
     g: Graph, s: Sequence[int], image: Optional[Sequence[int]] = None
 ) -> MisResult:
@@ -99,13 +85,8 @@ def mis_derived(
     check_maximal_independent(g, s)
     mis = tuple(sorted(set(s)))
     index = {v: i for i, v in enumerate(mis)}
-    edges = []
-    for v in mis:
-        near = _distances_within(g, v, 3)
-        for u, d in near.items():
-            if u > v and u in index and d >= 1:
-                edges.append((index[v], index[u]))
-    derived = Graph(len(mis), edges)
+    near = _image_distances(g, mis) <= 3
+    derived = Graph(len(mis), np.argwhere(np.triu(near, 1)).tolist())
 
     if image is None:
         img = []
@@ -141,18 +122,7 @@ def verify_mis_bounds(r: MisResult) -> CheckResult:
     original path vertex by vertex gives a derived walk of the same
     length. Pairs sharing an image coincide in the derived graph.
     """
-    g = r.mapping.source
-    img = r.mapping.image
-    n = g.vertex_count
-    derived_rows = [bfs_distances(r.derived, i) for i in r.derived.vertices()]
-    for x in range(n):
-        row = bfs_distances(g, x)
-        drow = derived_rows[img[x]]
-        for y in range(x + 1, n):
-            if img[x] == img[y]:
-                continue
-            d1 = row[y]
-            d2 = drow[img[y]]
-            if not (max(1, d1 // 3) <= d2 <= d1):
-                return CheckResult(False, (x, y))
-    return CheckResult(True)
+    d1 = distance_matrix(r.mapping.source)
+    d2 = _image_distances(r.derived, r.mapping.image)
+    # Distinct images are exactly the pairs at positive derived distance.
+    return _pair_check((d2 > 0) & ((d2 > d1) | (d2 < d1 // 3)))

@@ -8,14 +8,13 @@ coarseness bounds them from below and drives compression.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import BlockNotConnected, InvalidVertex, NotAPartition
-from .graph import Graph, bfs_distances
-from .quasi import VertexMapping, verify_q1
+from .graph import Graph, _bfs, distance_matrix
+from .quasi import VertexMapping, _image_distances, verify_q1
 
 
 class Partition:
@@ -61,17 +60,14 @@ class Partition:
         return f"Partition({len(self.blocks)} blocks over {self.graph!r})"
 
 
+def _induced_adjacency(g: Graph, members: Sequence[int]) -> list[list[int]]:
+    """Adjacency of the subgraph induced by ``members``, relabelled ``0..k-1``."""
+    index = {v: i for i, v in enumerate(sorted(set(members)))}
+    return [[index[u] for u in g.adjacency[v] if u in index] for v in index]
+
+
 def _block_connected(g: Graph, members: Sequence[int]) -> bool:
-    inside = set(members)
-    seen = {members[0]}
-    queue = deque([members[0]])
-    while queue:
-        v = queue.popleft()
-        for u in g.adjacency[v]:
-            if u in inside and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(inside)
+    return min(_bfs(_induced_adjacency(g, members), (0,))) >= 0
 
 
 def singleton_partition(g: Graph) -> Partition:
@@ -107,19 +103,8 @@ def build_partition_graph(g: Graph, p: Partition) -> PartitionGraph:
 
 def induced_diameter(g: Graph, members: Sequence[int]) -> int:
     """Diameter of the subgraph induced by a connected vertex set."""
-    inside = set(members)
-    best = 0
-    for s in members:
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.adjacency[v]:
-                if u in inside and u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        best = max(best, max(dist.values()))
-    return best
+    adj = _induced_adjacency(g, members)
+    return max((max(_bfs(adj, (s,))) for s in range(len(adj))), default=0)
 
 
 @dataclass(frozen=True)
@@ -188,13 +173,11 @@ def collapse_modified(g: Graph, order: Optional[Sequence[int]] = None) -> Partit
     blocks: list[list[int]] = []
     block_of = [-1] * n
 
-    def completely_free(v: int) -> bool:
-        return not assigned[v] and all(not assigned[u] for u in g.adjacency[v])
-
-    while True:
-        seed = next((v for v in sweep if completely_free(v)), -1)
-        if seed < 0:
-            break
+    # A vertex that stops being completely free never becomes free again,
+    # so one forward pass meets the seeds in the order a restart scan would.
+    for seed in sweep:
+        if assigned[seed] or any(assigned[u] for u in g.adjacency[seed]):
+            continue
         blk = [seed]
         assigned[seed] = 1
         block_of[seed] = len(blocks)
@@ -222,16 +205,8 @@ def verify_partition_qiso(pg: PartitionGraph) -> bool:
     at stretch ``c + 1`` with additive 1, and quotient distances must
     never exceed the original ones.
     """
-    g = pg.mapping.source
-    c = sharpness_report(g, pg.partition).sharpness
-    if not verify_q1(pg.mapping, c + 1, 1):
+    m = pg.mapping
+    c = sharpness_report(m.source, pg.partition).sharpness
+    if not verify_q1(m, c + 1, 1):
         return False
-    quotient_rows = [bfs_distances(pg.quotient, i) for i in pg.quotient.vertices()]
-    block_of = pg.partition.block_of
-    for x in g.vertices():
-        row = bfs_distances(g, x)
-        qrow = quotient_rows[block_of[x]]
-        for y in range(x + 1, g.vertex_count):
-            if qrow[block_of[y]] > row[y]:
-                return False
-    return True
+    return not (_image_distances(m.target, m.image) > distance_matrix(m.source)).any()

@@ -6,23 +6,20 @@ additive distortion, and the density of the image in the target. All
 comparisons are exact (integer cross-multiplication or rationals); no
 floating point enters any verdict.
 
-The all-pairs sweeps over larger instances are vectorized with
-numpy/scipy, while the witness-reporting checks stay in plain Python.
+Every check is a reduction over the graphs' cached distance matrices
+(:func:`qiso.graph.distance_matrix`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import InvalidConstants, NotSurjective, PreconditionViolated, TooLarge
-from .graph import CheckResult, Graph, _ecc_list, bfs_distances
+from .graph import CheckResult, Graph, _bfs, center, distance_matrix
 
 
 @dataclass(frozen=True)
@@ -92,33 +89,55 @@ def _check_q1_constants(stretch: int, additive: int) -> None:
     QuasiIsometryConstants(stretch, additive, 0)
 
 
+def _image_distances(target: Graph, image: Sequence[int]) -> np.ndarray:
+    """Target distance between the images of every source pair, as a matrix."""
+    img = np.asarray(image, dtype=np.intp)
+    return distance_matrix(target)[np.ix_(img, img)]
+
+
+def _pair_check(bad: np.ndarray) -> CheckResult:
+    """Verdict over all pairs ``x < y`` of a symmetric violation mask.
+
+    The witness is the first violating pair in row-major order.
+    """
+    upper = np.triu(bad, 1)
+    k = int(upper.argmax())
+    if not upper.flat[k]:
+        return CheckResult(True)
+    x, y = divmod(k, bad.shape[1])
+    return CheckResult(False, (x, y))
+
+
+def _outside_band(
+    d1: np.ndarray, d2: np.ndarray, stretch: int, additive: int
+) -> np.ndarray:
+    """Where ``d2`` leaves ``[d1/stretch - additive, stretch*d1 + additive]``.
+
+    The lower side is cross-multiplied by ``stretch`` to stay in integers.
+    """
+    bad = d1 > stretch * (d2 + additive)
+    bad |= d2 > stretch * d1 + additive
+    return bad
+
+
 def verify_q1(m: VertexMapping, stretch: int, additive: int) -> CheckResult:
     """Exhaustively check the two-sided distance inequality.
 
     For every source pair ``x, y`` the target distance must lie within
-    ``[d(x,y)/stretch - additive, stretch*d(x,y) + additive]``. The scan
-    stops at the first violating pair and reports it.
+    ``[d(x,y)/stretch - additive, stretch*d(x,y) + additive]``. The first
+    violating pair in row-major order is reported.
     """
     _check_q1_constants(stretch, additive)
+    # Every distance is below n, so clamping to n is exact and int64 cannot wrap.
     n = m.source.vertex_count
-    img = m.image
-    target_rows: dict[int, list[int]] = {}
-    for x in range(n):
-        row = bfs_distances(m.source, x)
-        fx = img[x]
-        trow = target_rows.get(fx)
-        if trow is None:
-            trow = bfs_distances(m.target, fx)
-            target_rows[fx] = trow
-        for y in range(x + 1, n):
-            d1 = row[y]
-            d2 = trow[img[y]]
-            # Lower side cross-multiplied by stretch to stay in integers.
-            if d1 - stretch * additive > stretch * d2:
-                return CheckResult(False, (x, y))
-            if d2 > stretch * d1 + additive:
-                return CheckResult(False, (x, y))
-    return CheckResult(True)
+    return _pair_check(
+        _outside_band(
+            distance_matrix(m.source),
+            _image_distances(m.target, m.image),
+            min(stretch, n),
+            min(additive, n),
+        )
+    )
 
 
 def verify_q2_raw(target: Graph, images: Sequence[int], density: int) -> bool:
@@ -132,18 +151,7 @@ def verify_q2_raw(target: Graph, images: Sequence[int], density: int) -> bool:
     hit = set(images)
     for v in hit:
         target.check_vertex(v)
-    dist = [-1] * target.vertex_count
-    queue = deque()
-    for v in hit:
-        dist[v] = 0
-        queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for u in target.adjacency[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return all(0 <= d <= density for d in dist)
+    return all(0 <= d <= density for d in _bfs(target.adjacency, hit))
 
 
 def verify_q2(m: VertexMapping, density: int) -> bool:
@@ -151,44 +159,7 @@ def verify_q2(m: VertexMapping, density: int) -> bool:
     return verify_q2_raw(m.target, m.image, density)
 
 
-def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs hop distances as an integer matrix (BFS at C speed)."""
-    n = g.vertex_count
-    if g.edge_count == 0:
-        return np.zeros((n, n), dtype=np.int64)
-    rows = []
-    cols = []
-    for u, v in g.edges():
-        rows.append(u)
-        cols.append(v)
-        rows.append(v)
-        cols.append(u)
-    adj = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
-    )
-    dist = shortest_path(adj, method="D", unweighted=True)
-    return dist.astype(np.int64)
-
-
-def _pair_matrices(
-    m: VertexMapping,
-    dist_source: Optional[np.ndarray],
-    dist_target: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    d1 = distance_matrix(m.source) if dist_source is None else dist_source
-    d2 = distance_matrix(m.target) if dist_target is None else dist_target
-    img = np.asarray(m.image, dtype=np.int64)
-    d2f = d2[np.ix_(img, img)]
-    return d1, d2, d2f
-
-
-def minimal_additive_for_stretch(
-    m: VertexMapping,
-    stretch: int,
-    *,
-    dist_source: Optional[np.ndarray] = None,
-    dist_target: Optional[np.ndarray] = None,
-) -> int:
+def minimal_additive_for_stretch(m: VertexMapping, stretch: int) -> int:
     """Smallest additive distortion making the distance inequality hold.
 
     Closed form from the pairwise maximum violations of both sides; the
@@ -196,19 +167,18 @@ def minimal_additive_for_stretch(
     below (unless already zero).
     """
     _check_q1_constants(stretch, 0)
-    d1, _, d2f = _pair_matrices(m, dist_source, dist_target)
-    upper = int((d2f - stretch * d1).max())
-    diff = int((d1 - stretch * d2f).max())
+    # Every distance is below n, so clamping to n is exact and int64 cannot wrap.
+    stretch = min(stretch, m.source.vertex_count)
+    d1 = distance_matrix(m.source)
+    d2 = _image_distances(m.target, m.image)
+    upper = int((d2 - stretch * d1).max())
+    diff = int((d1 - stretch * d2).max())
     lower = -((-diff) // stretch)  # ceil(diff / stretch)
     return max(0, upper, lower)
 
 
 def minimal_constants(
-    m: VertexMapping,
-    *,
-    max_vertices: int = 2000,
-    dist_source: Optional[np.ndarray] = None,
-    dist_target: Optional[np.ndarray] = None,
+    m: VertexMapping, *, max_vertices: int = 2000
 ) -> QuasiIsometryConstants:
     """Lexicographically minimal constants, stretch first, then additive.
 
@@ -223,12 +193,9 @@ def minimal_constants(
             f"all-pairs search guarded at {max_vertices} vertices, "
             f"got {m.source.vertex_count}"
         )
-    d1, d2, _ = _pair_matrices(m, dist_source, dist_target)
-    additive = minimal_additive_for_stretch(
-        m, 1, dist_source=d1, dist_target=d2
-    )
-    hit = np.unique(np.asarray(m.image, dtype=np.int64))
-    density = int(d2[:, hit].min(axis=1).max())
+    additive = minimal_additive_for_stretch(m, 1)
+    hit = np.unique(np.asarray(m.image, dtype=np.intp))
+    density = int(distance_matrix(m.target)[:, hit].min(axis=1).max())
     return QuasiIsometryConstants(1, additive, density)
 
 
@@ -243,14 +210,11 @@ def verify_ecc_transfer(m: VertexMapping, stretch: int, additive: int) -> bool:
         raise PreconditionViolated(
             f"constants ({stretch}, {additive}) fail the distance inequality"
         )
-    ecc1 = _ecc_list(m.source)
-    ecc2 = _ecc_list(m.target)
-    for v, fv in enumerate(m.image):
-        if ecc1[v] - stretch * additive > stretch * ecc2[fv]:
-            return False
-        if ecc2[fv] > stretch * ecc1[v] + additive:
-            return False
-    return True
+    # Every eccentricity is below n, so clamping to n is exact.
+    n = m.source.vertex_count
+    ecc1 = distance_matrix(m.source).max(axis=1)
+    ecc2 = distance_matrix(m.target).max(axis=1)[np.asarray(m.image, dtype=np.intp)]
+    return not _outside_band(ecc1, ecc2, min(stretch, n), min(additive, n)).any()
 
 
 def shift_bound_two_sided(stretch: int, additive: int, radius: int) -> Fraction:
@@ -286,33 +250,24 @@ class CenterShiftReport:
 
 
 def center_shift(
-    m: VertexMapping,
-    constants: Optional[QuasiIsometryConstants] = None,
-    *,
-    dist_source: Optional[np.ndarray] = None,
-    dist_target: Optional[np.ndarray] = None,
+    m: VertexMapping, constants: Optional[QuasiIsometryConstants] = None
 ) -> CenterShiftReport:
     """Measure the center-shift of a mapping and evaluate its bounds.
 
     When ``constants`` is omitted the minimal constants are computed
     first (subject to the all-pairs size guard).
     """
-    d1 = distance_matrix(m.source) if dist_source is None else dist_source
-    d2 = distance_matrix(m.target) if dist_target is None else dist_target
-    ecc1 = d1.max(axis=1)
-    ecc2 = d2.max(axis=1)
-    src_center = np.flatnonzero(ecc1 == ecc1.min())
-    tgt_center = np.flatnonzero(ecc2 == ecc2.min())
-    radius_t = int(ecc2.min())
-    img = np.asarray(m.image, dtype=np.int64)
-    pre = np.flatnonzero(np.isin(img, tgt_center))
-    shift = int(d1[np.ix_(src_center, pre)].min())
+    src_center = center(m.source)
+    tgt_center = center(m.target)
+    radius_t = int(distance_matrix(m.target)[tgt_center[0]].max())
+    pre = m.preimage(tgt_center)
+    shift = int(distance_matrix(m.source)[np.ix_(src_center, pre)].min())
     if constants is None:
-        constants = minimal_constants(m, dist_source=d1, dist_target=d2)
+        constants = minimal_constants(m)
     return CenterShiftReport(
         shift=shift,
-        source_center=tuple(int(v) for v in src_center),
-        target_center_preimage=tuple(int(v) for v in pre),
+        source_center=src_center,
+        target_center_preimage=pre,
         two_sided_bound=shift_bound_two_sided(
             constants.stretch, constants.additive, radius_t
         ),

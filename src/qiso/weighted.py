@@ -8,13 +8,14 @@ median be located from the quotient alone.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import InvalidWeight, NotAdjacent
-from .graph import Graph, bfs_distances, require_tree
+from .graph import Graph, bfs_distances, distance_matrix, require_tree
 from .partition import Partition, PartitionGraph, build_partition_graph
 from .quasi import VertexMapping
 
@@ -53,7 +54,8 @@ def weighted_distance_sum(wg: WeightedGraph, x: int) -> Weight:
 
 def weighted_median(wg: WeightedGraph) -> tuple[int, ...]:
     """Vertices minimizing the weighted distance-sum, ascending."""
-    sums = [weighted_distance_sum(wg, v) for v in wg.graph.vertices()]
+    # Object dtype keeps the sums exact Python ints and Fractions.
+    sums = distance_matrix(wg.graph).dot(np.array(wg.weights, dtype=object)).tolist()
     best = min(sums)
     return tuple(v for v, s in enumerate(sums) if s == best)
 
@@ -89,23 +91,14 @@ def locate_median_via_partition(t: Graph, p: Partition) -> tuple[int, ...]:
 def subtree_side(g: Graph, x: int, y: int) -> tuple[int, ...]:
     """Vertices whose path to ``y`` passes through ``x`` (including ``x``).
 
-    Computed by removing the edge ``{x, y}`` from the tree and flooding
-    from ``x``.
+    These are exactly the vertices closer to ``x`` than to ``y``.
     """
     require_tree(g)
     if not g.adjacent(x, y):
         raise NotAdjacent(f"{x} and {y} are not adjacent")
-    seen = {x}
-    queue = deque([x])
-    while queue:
-        v = queue.popleft()
-        for u in g.adjacency[v]:
-            if (v, u) == (x, y):
-                continue
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return tuple(sorted(seen))
+    dx = bfs_distances(g, x)
+    dy = bfs_distances(g, y)
+    return tuple(v for v in g.vertices() if dx[v] < dy[v])
 
 
 def subtree_split_check(wg: WeightedGraph, x: int, y: int) -> bool:

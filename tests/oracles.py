@@ -1,0 +1,168 @@
+"""Independent brute-force oracles used by the test suites.
+
+Everything here is deliberately naive: alternate routes to answers the
+main library computes more directly, kept simple enough to trust.
+"""
+
+from __future__ import annotations
+
+from qiso.errors import TooLarge
+from qiso.graph import Graph
+
+
+def floyd_warshall(g: Graph) -> list[list[int]]:
+    """All-pairs distances by the classic triple loop. Small graphs only."""
+    n = g.vertex_count
+    inf = n + 1
+    dist = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    for u, v in g.edges():
+        dist[u][v] = 1
+        dist[v][u] = 1
+    for k in range(n):
+        dk = dist[k]
+        for i in range(n):
+            dik = dist[i][k]
+            if dik >= inf:
+                continue
+            di = dist[i]
+            for j in range(n):
+                alt = dik + dk[j]
+                if alt < di[j]:
+                    di[j] = alt
+    return dist
+
+
+def longest_simple_cycle(g: Graph, max_vertices: int = 12) -> int:
+    """Length of the longest simple cycle, 0 when acyclic.
+
+    Exhaustive DFS over simple paths, exponential in the worst case,
+    hence the size guard.
+    """
+    if g.vertex_count > max_vertices:
+        raise TooLarge(
+            f"cycle enumeration guarded at {max_vertices} vertices, got {g.vertex_count}"
+        )
+    adj = g.adjacency
+    best = 0
+
+    def extend(start: int, v: int, on_path: set[int], length: int) -> None:
+        nonlocal best
+        for u in adj[v]:
+            if u == start:
+                if length >= 3 and length > best:
+                    best = length
+            elif u > start and u not in on_path:
+                on_path.add(u)
+                extend(start, u, on_path, length + 1)
+                on_path.discard(u)
+
+    for s in g.vertices():
+        extend(s, s, {s}, 1)
+    return best
+
+
+def is_chordal(g: Graph) -> bool:
+    """Chordality via repeated simplicial elimination.
+
+    A graph is chordal exactly when deleting simplicial vertices (those
+    whose neighborhood is a clique) can empty it; induced subgraphs of a
+    chordal graph stay chordal, so greedy removal is safe.
+    """
+    alive: set[int] = set(g.vertices())
+    nbrs = {v: set(g.neighbors(v)) for v in g.vertices()}
+    while alive:
+        found = -1
+        for v in sorted(alive):
+            around = nbrs[v] & alive
+            if all(b in nbrs[a] for a in around for b in around if a < b):
+                found = v
+                break
+        if found < 0:
+            return False
+        alive.discard(found)
+    return True
+
+
+def q1_witness(m, stretch: int, additive: int):
+    """First pair (row-major, ``x < y``) breaking the distance inequality, or None.
+
+    The per-pair loop in Python ints that ``verify_q1`` vectorizes.
+    """
+    d1 = floyd_warshall(m.source)
+    d2 = floyd_warshall(m.target)
+    img = m.image
+    n = m.source.vertex_count
+    for x in range(n):
+        for y in range(x + 1, n):
+            a, b = d1[x][y], d2[img[x]][img[y]]
+            if a - stretch * additive > stretch * b or b > stretch * a + additive:
+                return (x, y)
+    return None
+
+
+def minimal_additive(m, stretch: int) -> int:
+    """Tight additive for a stretch, by a per-pair loop in Python ints."""
+    d1 = floyd_warshall(m.source)
+    d2 = floyd_warshall(m.target)
+    img = m.image
+    best = 0
+    for x in range(m.source.vertex_count):
+        for y in range(m.source.vertex_count):
+            a, b = d1[x][y], d2[img[x]][img[y]]
+            best = max(best, b - stretch * a, -((stretch * b - a) // stretch))
+    return best
+
+
+def ecc_transfer_holds(m, stretch: int, additive: int) -> bool:
+    """The eccentricity inequality, per vertex in Python ints."""
+    ecc1 = [max(row) for row in floyd_warshall(m.source)]
+    ecc2 = [max(row) for row in floyd_warshall(m.target)]
+    for e, f in zip(ecc1, m.image):
+        if e - stretch * additive > stretch * ecc2[f] or ecc2[f] > stretch * e + additive:
+            return False
+    return True
+
+
+def mis_bounds_witness(r):
+    """First pair (row-major, ``x < y``) with distinct images whose derived
+    distance leaves ``[max(1, d // 3), d]``, or None."""
+    d1 = floyd_warshall(r.mapping.source)
+    d2 = floyd_warshall(r.derived)
+    img = r.mapping.image
+    n = r.mapping.source.vertex_count
+    for x in range(n):
+        for y in range(x + 1, n):
+            if img[x] != img[y] and not (
+                max(1, d1[x][y] // 3) <= d2[img[x]][img[y]] <= d1[x][y]
+            ):
+                return (x, y)
+    return None
+
+
+def collapse_modified_blocks(g: Graph, sweep) -> list[list[int]]:
+    """Blocks of the two-phase collapse, rescanning the sweep for every seed.
+
+    The quadratic restart scan that ``collapse_modified`` replaced by one
+    forward pass; its blocks in their order of creation.
+    """
+    assigned = [False] * g.vertex_count
+    blocks: list[list[int]] = []
+    block_of = {}
+
+    def completely_free(v: int) -> bool:
+        return not assigned[v] and not any(assigned[u] for u in g.adjacency[v])
+
+    while True:
+        seed = next((v for v in sweep if completely_free(v)), -1)
+        if seed < 0:
+            break
+        blk = [seed] + [u for u in g.adjacency[seed] if not assigned[u]]
+        for v in blk:
+            assigned[v] = True
+            block_of[v] = len(blocks)
+        blocks.append(blk)
+    for w in sweep:
+        if w not in block_of:
+            host = min(u for u in g.adjacency[w] if assigned[u])
+            blocks[block_of[host]].append(w)
+    return blocks

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from helpers import seeded_weights
+from oracles import longest_simple_cycle
 from qiso.cli import main
 from qiso.contraction import (
     composition_center_shift,
@@ -35,7 +36,6 @@ from qiso.graph import (
     uni_ecc_holds,
 )
 from qiso.mis import greedy_mis, mis_derived, verify_mis_bounds
-from qiso.oracles import longest_simple_cycle
 from qiso.partition import (
     build_partition_graph,
     collapse_basic,
@@ -45,7 +45,6 @@ from qiso.partition import (
 )
 from qiso.quasi import (
     center_shift,
-    distance_matrix,
     minimal_constants,
     verify_q1,
     verify_q2,
@@ -94,15 +93,11 @@ def suite7_records():
         rng = random.Random(seed)
         n = rng.randrange(2, 1001)
         t = random_tree(n, seed)
-        d1 = distance_matrix(t)
         for _ in range(5):
             root = rng.randrange(n)
             pg = build_partition_graph(t, outward_contraction(t, root))
-            d2 = distance_matrix(pg.quotient)
-            constants = minimal_constants(pg.mapping, dist_source=d1, dist_target=d2)
-            rep = center_shift(
-                pg.mapping, constants, dist_source=d1, dist_target=d2
-            )
+            constants = minimal_constants(pg.mapping)
+            rep = center_shift(pg.mapping, constants)
             records.append(
                 (seed, root, rep.shift, rep.two_sided_bound, rep.one_sided_bound)
             )

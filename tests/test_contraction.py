@@ -51,12 +51,11 @@ def direct_shift(g, p):
 
 def tree_path(t, a, b):
     """The unique simple path between two vertices of a tree."""
-    from qiso.graph import _bfs_with_parents
-
-    _, parent = _bfs_with_parents(t, a)
+    dist = bfs_distances(t, a)
     path = [b]
     while path[-1] != a:
-        path.append(parent[path[-1]])
+        v = path[-1]
+        path.append(next(u for u in t.neighbors(v) if dist[u] == dist[v] - 1))
     path.reverse()
     return path
 
@@ -246,7 +245,7 @@ class TestUnboundedShiftFamily:
             assert sharpness_report(g, p).sharpness == 2
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidComposition):
             unbounded_shift_family(0)
 
 

@@ -161,6 +161,12 @@ class TestCliGenerate:
     def test_bad_family_usage(self, tmp_path):
         assert main(["generate", "moebius", "-o", str(tmp_path / "x.el")]) == 2
 
+    def test_shift_family_zero_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "fam.el"
+        assert main(["generate", "shift-family", "--t", "0", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_seeded_reruns_are_byte_identical(self, tmp_path):
         a = tmp_path / "a.el"
         b = tmp_path / "b.el"
@@ -216,6 +222,16 @@ class TestCliSimplify:
         assert main(
             ["simplify", str(gfile), "--method", "outward", "-o", str(tmp_path / "x")]
         ) == 2
+
+    def test_size_guard_writes_nothing(self, tmp_path):
+        gfile = tmp_path / "p.el"
+        fileio.write_edge_list(path_graph(2001), gfile)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert main(
+            ["simplify", str(gfile), "--method", "collapse", "-o", str(outdir / "s")]
+        ) == 2
+        assert list(outdir.iterdir()) == []
 
     def test_mis_writes_mapping(self, tmp_path):
         gfile = tmp_path / "star.el"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import floyd_warshall, is_chordal, longest_simple_cycle
 from qiso.errors import EmptyGraph, InvalidEdgeCount, TooLarge
 from qiso.generators import (
     NON_UNIECC_CHORDAL_EDGES,
@@ -15,7 +16,6 @@ from qiso.generators import (
     star_graph,
 )
 from qiso.graph import bfs_distances, center, eccentricity_profile, uni_ecc_holds
-from qiso.oracles import floyd_warshall, is_chordal, longest_simple_cycle
 
 seeds = st.integers(min_value=0, max_value=10_000)
 

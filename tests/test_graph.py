@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import seeded_graph, seeded_tree
+from oracles import floyd_warshall
 from qiso.errors import (
     Disconnected,
     EmptyGraph,
@@ -21,6 +22,7 @@ from qiso.generators import (
     star_graph,
 )
 from qiso.graph import (
+    EccentricityProfile,
     Graph,
     bfs_distances,
     center,
@@ -32,7 +34,6 @@ from qiso.graph import (
     set_distance,
     uni_ecc_holds,
 )
-from qiso.oracles import floyd_warshall
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -194,6 +195,26 @@ class TestCenterMedian:
         assert len(c) in (1, 2)
         if len(c) == 2:
             assert t.adjacent(*c)
+
+
+class TestMatrixReductions:
+    @given(seeds, st.booleans())
+    def test_match_floyd_warshall(self, seed, tree):
+        g = seeded_tree(seed, max_n=30) if tree else seeded_graph(seed, max_n=25)
+        d = floyd_warshall(g)
+        ecc = [max(row) for row in d]
+        rad = min(ecc)
+        wits = tuple(tuple(x for x, dx in enumerate(row) if dx == e) for row, e in zip(d, ecc))
+        assert eccentricity_profile(g) == EccentricityProfile(tuple(ecc), wits, rad, max(ecc))
+        ctr = tuple(v for v, e in enumerate(ecc) if e == rad)
+        assert center(g) == ctr
+        sums = [sum(row) for row in d]
+        assert median(g) == tuple(v for v, s in enumerate(sums) if s == min(sums))
+        assert [distance_sum(g, v) for v in g.vertices()] == sums
+        bad = [v for v in g.vertices() if min(d[c][v] for c in ctr) != ecc[v] - rad]
+        res = uni_ecc_holds(g)
+        assert res.ok == (not bad)
+        assert res.witness == (bad[0] if bad else None)
 
 
 class TestLeafRemoval:

@@ -5,17 +5,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import seeded_graph
+from oracles import floyd_warshall, mis_bounds_witness
 from qiso.errors import InvalidMapping, InvalidVertex, NotIndependent, NotMaximal
-from qiso.generators import path_graph, star_graph
+from qiso.generators import complete_graph, path_graph, star_graph
 from qiso.graph import Graph, bfs_distances
 from qiso.mis import (
+    MisResult,
     check_maximal_independent,
     greedy_mis,
     mis_derived,
     verify_mis_bounds,
 )
-from qiso.oracles import floyd_warshall
 from qiso.quasi import (
+    VertexMapping,
     minimal_additive_for_stretch,
     minimal_constants,
     verify_q1,
@@ -132,6 +134,17 @@ class TestBounds:
                 else:
                     d = dg[x][y]
                     assert max(1, d // 3) <= ds[img[x]][img[y]] <= d
+
+    @given(seeds, st.sampled_from([path_graph, star_graph, complete_graph]))
+    def test_wrong_derived_graph_reports_reference_witness(self, seed, family):
+        g = seeded_graph(seed, max_n=20)
+        good = mis_derived(g, greedy_mis(g))
+        wrong = family(good.derived.vertex_count)
+        r = MisResult(good.mis, wrong, VertexMapping(g, wrong, good.mapping.image))
+        expected = mis_bounds_witness(r)
+        res = verify_mis_bounds(r)
+        assert res.ok == (expected is None)
+        assert res.witness == expected
 
     @given(seeds)
     def test_bounds_hold_on_ensemble(self, seed):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import seeded_graph, seeded_tree
+from oracles import collapse_modified_blocks, longest_simple_cycle
 from qiso.errors import BlockNotConnected, InvalidVertex, NotAPartition
 from qiso.generators import (
     cycle_graph,
@@ -13,7 +15,6 @@ from qiso.generators import (
     star_graph,
 )
 from qiso.graph import bfs_distances
-from qiso.oracles import longest_simple_cycle
 from qiso.partition import (
     Partition,
     build_partition_graph,
@@ -160,6 +161,16 @@ class TestCollapseModified:
         g = seeded_graph(seed, max_n=35)
         p = collapse_modified(g)
         assert all(induced_diameter(g, blk) <= 4 for blk in p.blocks)
+
+    @given(seeds, st.booleans())
+    def test_matches_restart_scan(self, seed, shuffled):
+        g = seeded_graph(seed, max_n=35)
+        order = list(g.vertices())
+        if shuffled:
+            random.Random(seed).shuffle(order)
+        expected = collapse_modified_blocks(g, order)
+        got = collapse_modified(g, order if shuffled else None)
+        assert got.blocks == Partition(g, expected).blocks
 
 
 class TestQuasiIsometryGuarantee:

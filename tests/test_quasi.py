@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import seeded_graph, seeded_tree
+from oracles import ecc_transfer_holds, minimal_additive, q1_witness
 from qiso.contraction import outward_contraction
 from qiso.errors import (
     InvalidConstants,
@@ -13,13 +14,19 @@ from qiso.errors import (
     TooLarge,
 )
 from qiso.generators import path_graph
-from qiso.graph import Graph, bfs_distances, center, eccentricity_profile, set_distance
+from qiso.graph import (
+    Graph,
+    bfs_distances,
+    center,
+    distance_matrix,
+    eccentricity_profile,
+    set_distance,
+)
 from qiso.partition import build_partition_graph, collapse_basic
 from qiso.quasi import (
     QuasiIsometryConstants,
     VertexMapping,
     center_shift,
-    distance_matrix,
     identity_mapping,
     minimal_additive_for_stretch,
     minimal_constants,
@@ -104,6 +111,15 @@ class TestQ1:
         if verify_q1(m, a, b).ok:
             assert verify_q1(m, a + da, b + db).ok
 
+    @given(seeds, st.integers(1, 3), st.integers(0, 1), st.booleans())
+    def test_witness_matches_pair_loop(self, seed, a, b, tree):
+        g = seeded_tree(seed, min_n=2, max_n=20) if tree else seeded_graph(seed, max_n=20)
+        m = build_partition_graph(g, collapse_basic(g)).mapping
+        res = verify_q1(m, a, b)
+        expected = q1_witness(m, a, b)
+        assert res.ok == (expected is None)
+        assert res.witness == expected
+
     def test_zero_additive_forces_injectivity(self):
         # A mapping merging adjacent vertices fails with additive 0 at any stretch.
         m = collapse_mapping(23)
@@ -165,6 +181,17 @@ class TestMinimalConstants:
         with pytest.raises(TooLarge):
             minimal_constants(identity_mapping(path_graph(10)), max_vertices=9)
 
+    @pytest.mark.parametrize("big", [2**62, 2**70])
+    def test_huge_constants_stay_exact(self, big):
+        # int64 arithmetic at these constants would wrap or overflow.
+        g = path_graph(10)
+        m = build_partition_graph(g, collapse_basic(g)).mapping
+        assert minimal_additive_for_stretch(m, big) == minimal_additive(m, big) == 1
+        for a, b in [(big, 0), (1, big), (big, big), (2, big)]:
+            assert verify_q1(m, a, b).witness == q1_witness(m, a, b)
+        assert verify_ecc_transfer(m, big, 1) == ecc_transfer_holds(m, big, 1)
+        assert verify_ecc_transfer(m, 1, big) == ecc_transfer_holds(m, 1, big)
+
 
 class TestEccTransfer:
     def test_identity_equality(self):
@@ -219,6 +246,14 @@ class TestDistanceMatrix:
     def test_single_vertex(self):
         assert distance_matrix(Graph(1)).tolist() == [[0]]
 
+    def test_cached_and_read_only(self):
+        g = seeded_graph(5)
+        mat = distance_matrix(g)
+        assert distance_matrix(g) is mat
+        assert mat.dtype == "int64"
+        with pytest.raises(ValueError):
+            mat[0, 1] = 7
+
 
 class TestCenterShift:
     def test_identity_shift_zero(self):
@@ -248,11 +283,3 @@ class TestCenterShift:
         rad = eccentricity_profile(m.target).radius
         assert rep.two_sided_bound == shift_bound_two_sided(3, 1, rad)
         assert rep.one_sided_bound == shift_bound_one_sided(3, 1, rad)
-
-    def test_precomputed_matrices_agree(self):
-        m = collapse_mapping(12)
-        d1 = distance_matrix(m.source)
-        d2 = distance_matrix(m.target)
-        a = center_shift(m)
-        b = center_shift(m, dist_source=d1, dist_target=d2)
-        assert a == b
