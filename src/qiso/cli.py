@@ -1,8 +1,8 @@
 """Command-line interface: generate, simplify, analyze, verify.
 
 Exit codes: 0 on success (all checks passing), 1 when a requested check
-fails, 2 on usage or input errors. Outputs are deterministic for fixed
-arguments, so reruns can be byte-compared.
+fails, 2 on usage or input errors, 3 on an internal error. Outputs are
+deterministic for fixed arguments, so reruns can be byte-compared.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -26,9 +27,10 @@ from .generators import (
     star_graph,
 )
 from .graph import Graph, center, eccentricity_profile, median
-from .mis import greedy_mis, mis_derived, verify_mis_bounds
+from .mis import MisResult, greedy_mis, mis_derived, verify_mis_bounds
 from .partition import (
     Partition,
+    PartitionGraph,
     build_partition_graph,
     collapse_basic,
     collapse_modified,
@@ -42,18 +44,6 @@ from .quasi import (
     verify_q2,
 )
 from .weighted import WeightedGraph, weighted_median, weighted_partition_tree
-
-CLAIMS = (
-    "q1",
-    "q2",
-    "ecc-transfer",
-    "mis-bounds",
-    "tree-retention",
-    "compression",
-    "shift-bounds",
-    "median-preservation",
-)
-
 
 class UsageError(QisoError):
     """Bad flags or inconsistent inputs; maps to exit code 2."""
@@ -154,24 +144,112 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _graph_metrics(g: Graph) -> dict:
-    prof = eccentricity_profile(g)
-    return {
-        "radius": prof.radius,
-        "diameter": prof.diameter,
-        "center": list(center(g)),
-        "median": list(median(g)),
-    }
+class _Subject:
+    """A graph and the mapping whose guarantees the claims check.
+
+    That is the partition's quotient mapping when there is a partition,
+    else the independent-set derived graph's (``--mapping`` or greedy).
+    """
+
+    def __init__(
+        self,
+        g: Graph,
+        partition: Optional[Partition] = None,
+        mapping_path: Optional[str] = None,
+        report_mis: bool = False,
+    ):
+        self.g = g
+        self.pg = self.sharp = None
+        if partition is not None:
+            self.pg = build_partition_graph(g, partition)
+            self.sharp = sharpness_report(g, partition)
+        self._mapping_path = mapping_path
+        self._report_mis = report_mis
+
+    @cached_property
+    def mis(self) -> MisResult:
+        if self._mapping_path is None:
+            return mis_derived(self.g, greedy_mis(self.g))
+        image = fileio.read_mapping(self._mapping_path, self.g)
+        return mis_derived(self.g, sorted(set(image)), image)
+
+    def guaranteed(self) -> tuple[VertexMapping, int, int]:
+        """The mapping under test with its guaranteed stretch and additive."""
+        if self.pg is not None:
+            return self.pg.mapping, self.sharp.sharpness + 1, 1
+        return self.mis.mapping, 3, 1
+
+    def partition_graph(self, claim: str) -> PartitionGraph:
+        if self.pg is None:
+            raise UsageError(f"{claim} needs --partition")
+        return self.pg
+
+    def fields(self) -> dict:
+        """Graph metrics plus the block diameters and compression, if any."""
+        prof = eccentricity_profile(self.g)
+        fields: dict[str, object] = {
+            "radius": prof.radius,
+            "diameter": prof.diameter,
+            "center": list(center(self.g)),
+            "median": list(median(self.g)),
+        }
+        if self.sharp is not None:
+            fields["sharpness"] = self.sharp.sharpness
+            fields["coarseness"] = self.sharp.coarseness
+        if self.sharp is not None or self._report_mis:
+            target = self.guaranteed()[0].target
+            ratio = Fraction(target.vertex_count, self.g.vertex_count)
+            fields["compression_ratio"] = fileio.fraction_str(ratio)
+        return fields
 
 
-def _constants_field(constants) -> dict:
-    return {"A": constants.stretch, "B": constants.additive, "C": constants.density}
+def _compression(s: _Subject) -> bool:
+    blocks = s.partition_graph("compression").quotient.vertex_count
+    return blocks * (s.sharp.coarseness + 1) <= s.g.vertex_count
+
+
+def _shift_bounds(s: _Subject) -> bool:
+    report = center_shift(s.guaranteed()[0])
+    ok = report.shift <= report.two_sided_bound
+    return ok and (s.pg is None or report.shift <= report.one_sided_bound)
+
+
+def _median_preservation(s: _Subject) -> bool:
+    p = s.partition_graph("median-preservation").partition
+    if not s.g.is_tree:
+        return True
+    wq, _ = weighted_partition_tree(s.g, p)
+    true_median = set(median(s.g))
+    return all(true_median.intersection(p.blocks[b]) for b in weighted_median(wq))
+
+
+# Entries look the library up by its module-global name at call time, so
+# rebinding those names (as tracing does) reaches every check.
+_CHECKS = {
+    "q1": lambda s: verify_q1(*s.guaranteed()),
+    "q2": lambda s: verify_q2(s.guaranteed()[0], 0),
+    "ecc-transfer": lambda s: verify_ecc_transfer(*s.guaranteed()),
+    "mis-bounds": lambda s: verify_mis_bounds(s.mis),
+    "tree-retention": lambda s: (
+        s.partition_graph("tree-retention").quotient.is_tree or not s.g.is_tree
+    ),
+    "compression": _compression,
+    "shift-bounds": _shift_bounds,
+    "median-preservation": _median_preservation,
+}
+CLAIMS = tuple(_CHECKS)
+
+
+def _run_checks(subject: _Subject, claims) -> dict[str, dict]:
+    """Each claim's entry, run once, in order of first mention."""
+    return {c: fileio.check_entry(_CHECKS[c](subject)) for c in dict.fromkeys(claims)}
 
 
 def _shift_fields(mapping: VertexMapping) -> tuple[dict, object]:
     report = center_shift(mapping)
+    c = report.constants
     fields = {
-        "constants": _constants_field(report.constants),
+        "constants": {"A": c.stretch, "B": c.additive, "C": c.density},
         "center_shift": report.shift,
         "bounds": {
             "two_sided": fileio.fraction_str(report.two_sided_bound),
@@ -182,22 +260,17 @@ def _shift_fields(mapping: VertexMapping) -> tuple[dict, object]:
 
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
-    g = fileio.read_edge_list(args.input)
-    prefix = args.output
-    checks: dict[str, dict] = {}
-    fields: dict[str, object] = dict(_graph_metrics(g))
+    """Build, check and write one simplification.
 
+    The shift fields come first, so the ``minimal_constants`` size guard
+    runs before any all-pairs matrix is built, except that ``mis_derived``
+    builds the source matrix itself.
+    """
+    g = fileio.read_edge_list(args.input)
+    claims: tuple[str, ...] = ("q1", "q2")
     if args.method == "mis":
-        result = mis_derived(g, greedy_mis(g))
-        quotient = result.derived
-        image_orig = [result.mis[i] for i in result.mapping.image]
-        mapping = result.mapping
-        fields["compression_ratio"] = fileio.fraction_str(
-            Fraction(result.derived.vertex_count, g.vertex_count)
-        )
-        checks["q1"] = fileio.check_entry(verify_q1(mapping, 3, 1))
-        checks["q2"] = fileio.check_entry(verify_q2(mapping, 0))
-        checks["mis-bounds"] = fileio.check_entry(verify_mis_bounds(result))
+        subject = _Subject(g, report_mis=True)
+        claims += ("mis-bounds",)
     else:
         if args.method == "collapse":
             partition = collapse_basic(g)
@@ -206,62 +279,56 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
         else:
             g.check_vertex(args.root)
             partition = outward_contraction(g, args.root)
-        pg = build_partition_graph(g, partition)
-        quotient = pg.quotient
-        mapping = pg.mapping
-        rep = sharpness_report(g, partition)
-        fields["sharpness"] = rep.sharpness
-        fields["coarseness"] = rep.coarseness
-        fields["compression_ratio"] = fileio.fraction_str(rep.compression_ratio)
-        checks["q1"] = fileio.check_entry(
-            verify_q1(mapping, rep.sharpness + 1, 1)
-        )
-        checks["q2"] = fileio.check_entry(verify_q2(mapping, 0))
-        if args.method == "outward" and args.all_roots:
-            bad_root = None
-            for root in g.vertices():
-                pg_root = build_partition_graph(g, outward_contraction(g, root))
-                if center_shift(pg_root.mapping).shift != 0:
-                    bad_root = root
-                    break
-            checks["center-shift-zero-all-roots"] = fileio.check_entry(
-                bad_root is None, bad_root
-            )
+        subject = _Subject(g, partition)
+    mapping = subject.guaranteed()[0]
+    fields, _ = _shift_fields(mapping)
+    fields.update(subject.fields())
 
-    shift_fields, _ = _shift_fields(mapping)
-    fields.update(shift_fields)
+    checks = _run_checks(subject, claims)
+    if args.method == "outward" and args.all_roots:
+        bad_root = None
+        for root in g.vertices():
+            pg_root = build_partition_graph(g, outward_contraction(g, root))
+            if center_shift(pg_root.mapping).shift != 0:
+                bad_root = root
+                break
+        checks["center-shift-zero-all-roots"] = fileio.check_entry(
+            bad_root is None, bad_root
+        )
+
     report = fileio.build_report(
         input=args.input, method=args.method, checks=checks, **fields
     )
     # Every field is computed before the first write, so a failure above
     # leaves no partial output behind.
-    fileio.write_edge_list(quotient, f"{prefix}.quotient.el")
-    if args.method == "mis":
-        fileio.write_mapping(image_orig, f"{prefix}.mapping.txt")
+    prefix = args.output
+    fileio.write_edge_list(mapping.target, f"{prefix}.quotient.el")
+    if subject.pg is None:
+        mis = subject.mis.mis
+        fileio.write_mapping([mis[i] for i in mapping.image], f"{prefix}.mapping.txt")
     else:
-        fileio.write_partition(partition, f"{prefix}.partition.txt")
+        fileio.write_partition(subject.pg.partition, f"{prefix}.partition.txt")
     fileio.write_report(report, f"{prefix}.report.json")
     return 0
 
 
+def _partition_arg(args: argparse.Namespace, g: Graph) -> Optional[Partition]:
+    return None if args.partition is None else fileio.read_partition(args.partition, g)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = fileio.read_edge_list(args.input)
-    fields: dict[str, object] = dict(_graph_metrics(g))
+    extra: dict[str, object] = {}
     checks: dict[str, dict] = {}
 
     if args.weights is not None:
         weights = fileio.read_weights(args.weights, g)
-        fields["weighted_median"] = list(weighted_median(WeightedGraph(g, tuple(weights))))
+        extra["weighted_median"] = list(weighted_median(WeightedGraph(g, tuple(weights))))
 
-    if args.partition is not None:
-        partition = fileio.read_partition(args.partition, g)
-        pg = build_partition_graph(g, partition)
-        rep = sharpness_report(g, partition)
-        fields["sharpness"] = rep.sharpness
-        fields["coarseness"] = rep.coarseness
-        fields["compression_ratio"] = fileio.fraction_str(rep.compression_ratio)
-        shift_fields, shift_report = _shift_fields(pg.mapping)
-        fields.update(shift_fields)
+    subject = _Subject(g, _partition_arg(args, g))
+    if subject.pg is not None:
+        shift_fields, shift_report = _shift_fields(subject.pg.mapping)
+        extra.update(shift_fields)
         checks["shift-within-two-sided"] = fileio.check_entry(
             shift_report.shift <= shift_report.two_sided_bound
         )
@@ -270,7 +337,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
 
     report = fileio.build_report(
-        input=args.input, method="analyze", checks=checks, **fields
+        input=args.input, method="analyze", checks=checks, **subject.fields(), **extra
     )
     fileio.write_report(report, args.output)
     return 0
@@ -281,91 +348,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not claims:
         raise UsageError("no claims given")
     for claim in claims:
-        if claim not in CLAIMS:
+        if claim not in _CHECKS:
             raise UsageError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
 
     g = fileio.read_edge_list(args.input)
-    partition: Optional[Partition] = None
-    pg = None
-    sharp = None
-    if args.partition is not None:
-        partition = fileio.read_partition(args.partition, g)
-        pg = build_partition_graph(g, partition)
-        sharp = sharpness_report(g, partition)
-
-    mis_result = None
-
-    def need_mis():
-        nonlocal mis_result
-        if mis_result is None:
-            if args.mapping is not None:
-                image = fileio.read_mapping(args.mapping, g)
-                mis = sorted({w for w in image})
-                mis_result = mis_derived(g, mis, image)
-            else:
-                mis_result = mis_derived(g, greedy_mis(g))
-        return mis_result
-
-    def guaranteed_mapping() -> tuple[VertexMapping, int, int]:
-        """The mapping under test with its guaranteed constants."""
-        if pg is not None:
-            return pg.mapping, sharp.sharpness + 1, 1
-        return need_mis().mapping, 3, 1
-
-    checks: dict[str, dict] = {}
-    for claim in claims:
-        if claim == "q1":
-            mapping, a, b = guaranteed_mapping()
-            checks[claim] = fileio.check_entry(verify_q1(mapping, a, b))
-        elif claim == "q2":
-            mapping, _, _ = guaranteed_mapping()
-            checks[claim] = fileio.check_entry(verify_q2(mapping, 0))
-        elif claim == "ecc-transfer":
-            mapping, a, b = guaranteed_mapping()
-            checks[claim] = fileio.check_entry(verify_ecc_transfer(mapping, a, b))
-        elif claim == "mis-bounds":
-            checks[claim] = fileio.check_entry(verify_mis_bounds(need_mis()))
-        elif claim == "tree-retention":
-            if pg is None:
-                raise UsageError("tree-retention needs --partition")
-            checks[claim] = fileio.check_entry(
-                not g.is_tree or pg.quotient.is_tree
-            )
-        elif claim == "compression":
-            if pg is None:
-                raise UsageError("compression needs --partition")
-            b = sharp.coarseness
-            checks[claim] = fileio.check_entry(
-                len(partition.blocks) * (b + 1) <= g.vertex_count
-            )
-        elif claim == "shift-bounds":
-            mapping, _, _ = guaranteed_mapping()
-            report = center_shift(mapping)
-            ok = report.shift <= report.two_sided_bound
-            if pg is not None:
-                ok = ok and report.shift <= report.one_sided_bound
-            checks[claim] = fileio.check_entry(ok)
-        elif claim == "median-preservation":
-            if pg is None:
-                raise UsageError("median-preservation needs --partition")
-            if not g.is_tree:
-                checks[claim] = fileio.check_entry(True)
-            else:
-                wq, _ = weighted_partition_tree(g, partition)
-                true_median = set(median(g))
-                ok = all(
-                    true_median.intersection(partition.blocks[b])
-                    for b in weighted_median(wq)
-                )
-                checks[claim] = fileio.check_entry(ok)
-
-    fields = dict(_graph_metrics(g))
-    if sharp is not None:
-        fields["sharpness"] = sharp.sharpness
-        fields["coarseness"] = sharp.coarseness
-        fields["compression_ratio"] = fileio.fraction_str(sharp.compression_ratio)
+    subject = _Subject(g, _partition_arg(args, g), args.mapping)
+    checks = _run_checks(subject, claims)
     report = fileio.build_report(
-        input=args.input, method="verify", checks=checks, **fields
+        input=args.input, method="verify", checks=checks, **subject.fields()
     )
     fileio.write_report(report, args.output)
     return 0 if all(entry["ok"] for entry in checks.values()) else 1
@@ -393,12 +383,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         _check_thread_cap()
         return args.handler(args)
-    except QisoError as exc:
+    except (QisoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

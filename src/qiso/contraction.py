@@ -109,6 +109,15 @@ def _center_indices(k: int) -> tuple[int, ...]:
     return (k // 2, k // 2 + 1)
 
 
+def _composition(parts: Sequence[int]) -> list[int]:
+    sizes = list(parts)
+    if not sizes:
+        raise EmptyComposition("composition must have at least one part")
+    if any(x < 1 for x in sizes):
+        raise InvalidComposition(f"parts must be positive: {sizes}")
+    return sizes
+
+
 def composition_center_shift(parts: Sequence[int]) -> int:
     """Center displacement of a partitioned path, from block sizes alone.
 
@@ -116,11 +125,7 @@ def composition_center_shift(parts: Sequence[int]) -> int:
     sigma, lam and rho, the shift is 0 when sigma >= |lam - rho| and
     ceil((|lam - rho| - sigma) / 2) otherwise.
     """
-    sizes = list(parts)
-    if not sizes:
-        raise EmptyComposition("composition must have at least one part")
-    if any(x < 1 for x in sizes):
-        raise InvalidComposition(f"parts must be positive: {sizes}")
+    sizes = _composition(parts)
     centers = _center_indices(len(sizes))
     sigma = sum(sizes[i - 1] for i in centers)
     lam = sum(sizes[: centers[0] - 1])
@@ -131,11 +136,7 @@ def composition_center_shift(parts: Sequence[int]) -> int:
 
 def composition_partition(parts: Sequence[int]) -> tuple[Graph, Partition]:
     """The path graph and consecutive-block partition a composition encodes."""
-    sizes = list(parts)
-    if not sizes:
-        raise EmptyComposition("composition must have at least one part")
-    if any(x < 1 for x in sizes):
-        raise InvalidComposition(f"parts must be positive: {sizes}")
+    sizes = _composition(parts)
     n = sum(sizes)
     g = Graph(n, ((i, i + 1) for i in range(n - 1)))
     blocks = []

@@ -40,11 +40,14 @@ def _atomic_write(path: PathLike, text: str) -> None:
 def _content_lines(path: PathLike) -> list[tuple[int, str]]:
     """Non-comment, non-blank lines with their 1-based line numbers."""
     out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                out.append((lineno, line))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    out.append((lineno, line))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
     return out
 
 
@@ -65,6 +68,8 @@ def read_edge_list(path: PathLike) -> Graph:
         raise FormatError(f"{path}: empty file")
     lineno, header = lines[0]
     n, m = _ints(header, lineno, 2)
+    if n > m + 1:  # before Graph allocates n adjacency lists
+        raise FormatError(f"{path}: {m} edges cannot connect {n} vertices")
     if len(lines) - 1 != m:
         raise FormatError(f"{path}: header says {m} edges, found {len(lines) - 1}")
     edges = []
@@ -104,7 +109,10 @@ def write_partition(p: Partition, path: PathLike) -> None:
 def _parse_weight(token: str, lineno: int) -> Fraction:
     if not _WEIGHT_RE.match(token):
         raise FormatError(f"line {lineno}: weight must be an integer or p/q, got {token!r}")
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except (ZeroDivisionError, ValueError):  # zero denominator, too many digits
+        raise FormatError(f"line {lineno}: weight {token!r} is not a rational") from None
 
 
 def read_weights(path: PathLike, g: Graph) -> list[Fraction]:

@@ -13,8 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidMapping, InvalidVertex, NotIndependent, NotMaximal
+from .errors import InvalidMapping, NotIndependent, NotMaximal
 from .graph import CheckResult, Graph, distance_matrix
+from .partition import _sweep_order
 from .quasi import VertexMapping, _image_distances, _pair_check
 
 
@@ -25,15 +26,9 @@ def greedy_mis(g: Graph, order: Optional[Sequence[int]] = None) -> tuple[int, ..
     a vertex whenever none of its neighbors has been added before it.
     """
     n = g.vertex_count
-    if order is None:
-        sweep: Sequence[int] = range(n)
-    else:
-        sweep = list(order)
-        if sorted(sweep) != list(range(n)):
-            raise InvalidVertex("order must be a permutation of all vertices")
     chosen = bytearray(n)
     blocked = bytearray(n)
-    for v in sweep:
+    for v in _sweep_order(g, order):
         if not blocked[v]:
             chosen[v] = 1
             blocked[v] = 1

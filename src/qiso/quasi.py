@@ -177,26 +177,25 @@ def minimal_additive_for_stretch(m: VertexMapping, stretch: int) -> int:
     return max(0, upper, lower)
 
 
-def minimal_constants(
-    m: VertexMapping, *, max_vertices: int = 2000
-) -> QuasiIsometryConstants:
+_MAX_VERTICES = 2000
+
+
+def minimal_constants(m: VertexMapping) -> QuasiIsometryConstants:
     """Lexicographically minimal constants, stretch first, then additive.
 
     Every stretch admits a large enough additive, so the least feasible
     stretch is 1 and the minimum is reached at stretch 1 with its tight
     additive. Use :func:`minimal_additive_for_stretch` to explore the
-    rest of the frontier. Density is the exact maximum distance from a
-    target vertex to the image, which is 0 for (surjective) mappings.
+    rest of the frontier. Sources above 2000 vertices raise
+    :class:`TooLarge` before any distance is computed.
     """
-    if m.source.vertex_count > max_vertices:
+    if m.source.vertex_count > _MAX_VERTICES:
         raise TooLarge(
-            f"all-pairs search guarded at {max_vertices} vertices, "
+            f"all-pairs search guarded at {_MAX_VERTICES} vertices, "
             f"got {m.source.vertex_count}"
         )
-    additive = minimal_additive_for_stretch(m, 1)
-    hit = np.unique(np.asarray(m.image, dtype=np.intp))
-    density = int(distance_matrix(m.target)[:, hit].min(axis=1).max())
-    return QuasiIsometryConstants(1, additive, density)
+    # A VertexMapping is surjective, so every target vertex is an image: density 0.
+    return QuasiIsometryConstants(1, minimal_additive_for_stretch(m, 1), 0)
 
 
 def verify_ecc_transfer(m: VertexMapping, stretch: int, additive: int) -> bool:
@@ -255,15 +254,15 @@ def center_shift(
     """Measure the center-shift of a mapping and evaluate its bounds.
 
     When ``constants`` is omitted the minimal constants are computed
-    first (subject to the all-pairs size guard).
+    first, so their all-pairs size guard runs before any other work.
     """
+    if constants is None:
+        constants = minimal_constants(m)
     src_center = center(m.source)
     tgt_center = center(m.target)
     radius_t = int(distance_matrix(m.target)[tgt_center[0]].max())
     pre = m.preimage(tgt_center)
     shift = int(distance_matrix(m.source)[np.ix_(src_center, pre)].min())
-    if constants is None:
-        constants = minimal_constants(m)
     return CenterShiftReport(
         shift=shift,
         source_center=src_center,

@@ -2,11 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import seeded_graph
-from qiso import fileio
-from qiso.cli import main
-from qiso.errors import FormatError
+from helpers import seeded_graph, seeded_tree
+from qiso import cli, fileio
+from qiso.cli import CLAIMS, main
+from qiso.errors import FormatError, QisoError
 from qiso.generators import (
     non_uniecc_chordal,
     path_graph,
@@ -41,17 +43,19 @@ class TestEdgeListFormat:
     @pytest.mark.parametrize(
         "text",
         [
-            "",
-            "3\n0 1\n1 2\n",
-            "3 2\n0 1\n",
-            "3 1\n0 1\n1 2\n",
-            "3 2\n1 0\n1 2\n",
-            "3 2\n0 x\n1 2\n",
+            b"",
+            b"3\n0 1\n1 2\n",
+            b"3 2\n0 1\n",
+            b"3 1\n0 1\n1 2\n",
+            b"3 2\n1 0\n1 2\n",
+            b"3 2\n0 x\n1 2\n",
+            b"3 1\n0 1\n",
+            b"\xff 3 2\n",
         ],
     )
     def test_malformed_rejected(self, tmp_path, text):
         path = tmp_path / "bad.el"
-        path.write_text(text)
+        path.write_bytes(text)
         with pytest.raises(FormatError):
             fileio.read_edge_list(path)
 
@@ -80,11 +84,18 @@ class TestWeightsFormat:
 
     @pytest.mark.parametrize(
         "text",
-        ["0 1\n", "0 1\n0 2\n1 1\n2 1\n", "0 1.5\n1 1\n2 1\n", "9 1\n"],
+        [
+            b"0 1\n",
+            b"0 1\n0 2\n1 1\n2 1\n",
+            b"0 1.5\n1 1\n2 1\n",
+            b"9 1\n",
+            b"0 1\n1 1/0\n2 1\n",
+            b"0 1\n1 \xff\n2 1\n",
+        ],
     )
     def test_malformed_rejected(self, tmp_path, text):
         path = tmp_path / "w.txt"
-        path.write_text(text)
+        path.write_bytes(text)
         with pytest.raises(FormatError):
             fileio.read_weights(path, path_graph(3))
 
@@ -103,6 +114,36 @@ class TestMappingFormat:
         path.write_text("0 0\n1 0\n")
         with pytest.raises(FormatError):
             fileio.read_mapping(path, path_graph(3))
+
+
+# Tokens that make up well-formed files, plus the ones that break them.
+_TOKENS = [b"0", b"1", b"2", b"3", b"9" * 25, b"-1", b"1/0", b"2/3", b"x", b"#"]
+_TOKENS += [b" ", b"\n", b"\r", b"\t", b"\xff", b"\xc3", b"\x00"]
+
+
+class TestReadersFuzz:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.one_of(
+            st.binary(max_size=40),
+            st.lists(st.sampled_from(_TOKENS), max_size=40).map(b"".join),
+        )
+    )
+    def test_any_bytes_give_an_object_or_a_qiso_error(self, tmp_path, data):
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        g = path_graph(3)
+        readers = [
+            fileio.read_edge_list,
+            lambda p: fileio.read_partition(p, g),
+            lambda p: fileio.read_weights(p, g),
+            lambda p: fileio.read_mapping(p, g),
+        ]
+        for read in readers:
+            try:
+                read(path)
+            except QisoError:
+                pass
 
 
 class TestReports:
@@ -223,11 +264,15 @@ class TestCliSimplify:
             ["simplify", str(gfile), "--method", "outward", "-o", str(tmp_path / "x")]
         ) == 2
 
-    def test_size_guard_writes_nothing(self, tmp_path):
+    def test_size_guard_writes_nothing(self, tmp_path, monkeypatch):
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built before the size guard")
+
         gfile = tmp_path / "p.el"
         fileio.write_edge_list(path_graph(2001), gfile)
         outdir = tmp_path / "out"
         outdir.mkdir()
+        monkeypatch.setattr("qiso.graph.dijkstra", no_matrix)
         assert main(
             ["simplify", str(gfile), "--method", "collapse", "-o", str(outdir / "s")]
         ) == 2
@@ -441,6 +486,62 @@ class TestCliVerify:
                 str(tmp_path / "v.json"),
             ]
         ) == 2
+
+
+class TestClaimTable:
+    @pytest.mark.parametrize("method", ["mis", "collapse", "collapse-modified", "outward"])
+    def test_simplify_checks_equal_verify(self, tmp_path, method):
+        graphs = [seeded_tree(seed) for seed in range(6)]
+        if method != "outward":
+            graphs += [seeded_graph(seed) for seed in range(6)]
+        for i, g in enumerate(graphs):
+            gfile = tmp_path / f"g{i}.el"
+            fileio.write_edge_list(g, gfile)
+            prefix = tmp_path / f"s{i}"
+            assert main(
+                ["simplify", str(gfile), "--method", method, "-o", str(prefix)]
+            ) == 0
+            simplified = json.loads((tmp_path / f"s{i}.report.json").read_text())
+            if method == "mis":
+                given = ["--mapping", f"{prefix}.mapping.txt"]
+                claims = "q1,q2,mis-bounds"
+            else:
+                given = ["--partition", f"{prefix}.partition.txt"]
+                claims = "q1,q2"
+            out = tmp_path / f"v{i}.json"
+            assert main(
+                ["verify", str(gfile), *given, "--claims", claims, "-o", str(out)]
+            ) == 0
+            verified = json.loads(out.read_text())
+            assert list(verified["checks"].items()) == list(
+                simplified["checks"].items()
+            )
+
+    def test_claims_are_the_names_verify_accepts(self, tmp_path, capsys):
+        gfile = tmp_path / "t.el"
+        fileio.write_edge_list(seeded_tree(3, min_n=10), gfile)
+        prefix = tmp_path / "s"
+        assert main(["simplify", str(gfile), "--method", "outward", "-o", str(prefix)]) == 0
+        given = ["--partition", f"{prefix}.partition.txt"]
+        out = str(tmp_path / "v.json")
+        for claim in CLAIMS:
+            assert main(["verify", str(gfile), *given, "--claims", claim, "-o", out]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(gfile), *given, "--claims", "q3", "-o", out]) == 2
+        known = capsys.readouterr().err.strip().split("known: ")[1]
+        assert tuple(known.split(", ")) == CLAIMS
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_three(self, tmp_path, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_generate", broken)
+        out = tmp_path / "x.el"
+        assert main(["generate", "path", "--n", "3", "-o", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("internal error: ")
+        assert not out.exists()
 
 
 class TestThreadCap:

@@ -179,7 +179,7 @@ class TestMinimalConstants:
 
     def test_size_guard(self):
         with pytest.raises(TooLarge):
-            minimal_constants(identity_mapping(path_graph(10)), max_vertices=9)
+            minimal_constants(identity_mapping(path_graph(2001)))
 
     @pytest.mark.parametrize("big", [2**62, 2**70])
     def test_huge_constants_stay_exact(self, big):
