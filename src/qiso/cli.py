@@ -38,6 +38,7 @@ from .partition import (
 )
 from .quasi import (
     VertexMapping,
+    _check_size,
     center_shift,
     verify_ecc_transfer,
     verify_q1,
@@ -262,11 +263,13 @@ def _shift_fields(mapping: VertexMapping) -> tuple[dict, object]:
 def _cmd_simplify(args: argparse.Namespace) -> int:
     """Build, check and write one simplification.
 
-    The shift fields come first, so the ``minimal_constants`` size guard
-    runs before any all-pairs matrix is built, except that ``mis_derived``
-    builds the source matrix itself.
+    The all-pairs size guard runs as soon as the input is read, before
+    any construction or all-pairs matrix.
     """
+    if args.all_roots and args.method != "outward":
+        raise UsageError("--all-roots needs --method outward")
     g = fileio.read_edge_list(args.input)
+    _check_size(g)
     claims: tuple[str, ...] = ("q1", "q2")
     if args.method == "mis":
         subject = _Subject(g, report_mis=True)
@@ -285,11 +288,14 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
     fields.update(subject.fields())
 
     checks = _run_checks(subject, claims)
-    if args.method == "outward" and args.all_roots:
+    if args.all_roots:
+        # A root shifts the center exactly when the source center misses
+        # the preimage of the quotient's center.
+        src_center = set(center(g))
         bad_root = None
         for root in g.vertices():
-            pg_root = build_partition_graph(g, outward_contraction(g, root))
-            if center_shift(pg_root.mapping).shift != 0:
+            m = build_partition_graph(g, outward_contraction(g, root)).mapping
+            if src_center.isdisjoint(m.preimage(center(m.target))):
                 bad_root = root
                 break
         checks["center-shift-zero-all-roots"] = fileio.check_entry(

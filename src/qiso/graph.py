@@ -3,7 +3,9 @@
 Distances are shortest-path hop counts. A :class:`Graph` never changes
 after construction, so its all-pairs matrix is built once, on first use,
 and cached read-only; every all-pairs metric here is a reduction over
-that matrix. Jobs that need only one or a few sources run the single
+that matrix. A tree's matrix is filled row by row in preorder, and its
+center and median come from leaf removal and subtree weights without
+any matrix. Jobs that need only one or a few sources run the single
 breadth-first search :func:`_bfs` instead.
 """
 
@@ -163,20 +165,82 @@ def _bfs(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> list[int]:
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs hop distances as a read-only int64 matrix, cached per graph."""
     if g._dist is None:
-        n = g.vertex_count
-        adj = g.adjacency
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum([len(a) for a in adj], out=indptr[1:])
-        indices = np.fromiter(
-            chain.from_iterable(adj), dtype=np.int32, count=2 * g.edge_count
-        )
-        csr = csr_matrix(
-            (np.ones(len(indices), dtype=np.float64), indices, indptr), shape=(n, n)
-        )
-        dist = dijkstra(csr, unweighted=True).astype(np.int64)
+        dist = _build_distances(g)
         dist.flags.writeable = False
         g._dist = dist
     return g._dist
+
+
+def _build_distances(g: Graph) -> np.ndarray:
+    """The int64 all-pairs matrix: preorder propagation on a tree, else Dijkstra."""
+    adj = g.adjacency
+    n = len(adj)
+    if g.is_tree:
+        order, parent = _preorder(adj)
+        size = [1] * n
+        for v in order[:0:-1]:
+            size[parent[v]] += size[v]
+        # rows[v, i] is the distance from v to order[i]; a subtree is the
+        # contiguous preorder range starting at its root.
+        rows = np.empty((n, n), dtype=np.int64)
+        depth = _bfs(adj, (0,))
+        rows[0] = [depth[v] for v in order]
+        for i in range(1, n):
+            v = order[i]
+            row = rows[v]
+            np.add(rows[parent[v]], 1, out=row)
+            row[i : i + size[v]] -= 2
+        pos = np.empty(n, dtype=np.intp)
+        pos[order] = np.arange(n)
+        return rows.take(pos, axis=1)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum([len(a) for a in adj], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=2 * g.edge_count)
+    csr = csr_matrix(
+        (np.ones(len(indices), dtype=np.float64), indices, indptr), shape=(n, n)
+    )
+    return dijkstra(csr, unweighted=True).astype(np.int64)
+
+
+def _preorder(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Depth-first preorder of a tree from vertex 0, and each vertex's parent.
+
+    The root's parent reads -1. Every subtree occupies a contiguous range
+    of the order, starting at its root.
+    """
+    parent = [-1] * len(adj)
+    order = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                stack.append(u)
+    return order, parent
+
+
+def _tree_median(adj: Sequence[Sequence[int]], weights: Sequence) -> tuple[int, ...]:
+    """Weighted median of a tree with positive weights, ascending.
+
+    A vertex is a median exactly when no component of the tree minus that
+    vertex carries more than half the total weight (Goldman 1971); the
+    comparison ``2 * heaviest <= total`` is exact for ints and Fractions.
+    """
+    order, parent = _preorder(adj)
+    below = list(weights)  # weight of the subtree under each vertex
+    heaviest = [0] * len(adj)  # heaviest child subtree
+    for v in order[:0:-1]:
+        p = parent[v]
+        below[p] += below[v]
+        heaviest[p] = max(heaviest[p], below[v])
+    total = below[0]
+    return tuple(
+        v
+        for v in range(len(adj))
+        if 2 * max(heaviest[v], total - below[v]) <= total
+    )
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -247,7 +311,9 @@ def _argmin_all(values: np.ndarray) -> tuple[int, ...]:
 
 
 def center(g: Graph) -> tuple[int, ...]:
-    """Vertices of minimum eccentricity, ascending."""
+    """Vertices of minimum eccentricity, ascending (leaf removal on a tree)."""
+    if g.is_tree:
+        return leaf_removal_center(g)
     return _argmin_all(distance_matrix(g).max(axis=1))
 
 
@@ -258,36 +324,39 @@ def distance_sum(g: Graph, v: int) -> int:
 
 
 def median(g: Graph) -> tuple[int, ...]:
-    """Vertices of minimum distance-sum, ascending."""
+    """Vertices of minimum distance-sum, ascending (subtree sizes on a tree)."""
+    if g.is_tree:
+        return _tree_median(g.adjacency, [1] * g.vertex_count)
     return _argmin_all(distance_matrix(g).sum(axis=1))
 
 
 def leaf_removal_center(t: Graph) -> tuple[int, ...]:
     """Locate a tree's center by repeatedly deleting all current leaves.
 
-    Returns the one or two surviving vertices; agrees with :func:`center`
-    on every tree.
+    Returns the one or two surviving vertices, ascending: the vertices of
+    minimum eccentricity (Jordan).
     """
     require_tree(t)
-    n = t.vertex_count
+    adj = t.adjacency
+    n = len(adj)
     if n <= 2:
         return tuple(range(n))
-    degree = [t.degree(v) for v in t.vertices()]
+    degree = [len(a) for a in adj]
     removed = bytearray(n)
-    layer = [v for v in t.vertices() if degree[v] == 1]
+    layer = [v for v in range(n) if degree[v] == 1]
     alive = n
     while alive > 2:
         nxt = []
         for v in layer:
             removed[v] = 1
-            for u in t.neighbors(v):
+            for u in adj[v]:
                 if not removed[u]:
                     degree[u] -= 1
                     if degree[u] == 1:
                         nxt.append(u)
         alive -= len(layer)
         layer = nxt
-    return tuple(v for v in t.vertices() if not removed[v])
+    return tuple(v for v in range(n) if not removed[v])
 
 
 def diameter_path(t: Graph) -> list[int]:

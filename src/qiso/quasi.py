@@ -180,6 +180,15 @@ def minimal_additive_for_stretch(m: VertexMapping, stretch: int) -> int:
 _MAX_VERTICES = 2000
 
 
+def _check_size(g: Graph) -> None:
+    """Raise :class:`TooLarge` for graphs above the all-pairs size guard."""
+    if g.vertex_count > _MAX_VERTICES:
+        raise TooLarge(
+            f"all-pairs search guarded at {_MAX_VERTICES} vertices, "
+            f"got {g.vertex_count}"
+        )
+
+
 def minimal_constants(m: VertexMapping) -> QuasiIsometryConstants:
     """Lexicographically minimal constants, stretch first, then additive.
 
@@ -189,11 +198,7 @@ def minimal_constants(m: VertexMapping) -> QuasiIsometryConstants:
     rest of the frontier. Sources above 2000 vertices raise
     :class:`TooLarge` before any distance is computed.
     """
-    if m.source.vertex_count > _MAX_VERTICES:
-        raise TooLarge(
-            f"all-pairs search guarded at {_MAX_VERTICES} vertices, "
-            f"got {m.source.vertex_count}"
-        )
+    _check_size(m.source)
     # A VertexMapping is surjective, so every target vertex is an image: density 0.
     return QuasiIsometryConstants(1, minimal_additive_for_stretch(m, 1), 0)
 

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import InvalidWeight, NotAdjacent
-from .graph import Graph, bfs_distances, distance_matrix, require_tree
+from .graph import Graph, _tree_median, bfs_distances, distance_matrix, require_tree
 from .partition import Partition, PartitionGraph, build_partition_graph
 from .quasi import VertexMapping
 
@@ -53,7 +53,12 @@ def weighted_distance_sum(wg: WeightedGraph, x: int) -> Weight:
 
 
 def weighted_median(wg: WeightedGraph) -> tuple[int, ...]:
-    """Vertices minimizing the weighted distance-sum, ascending."""
+    """Vertices minimizing the weighted distance-sum, ascending.
+
+    On a tree the median comes from subtree weights in linear time.
+    """
+    if wg.graph.is_tree:
+        return _tree_median(wg.graph.adjacency, wg.weights)
     # Object dtype keeps the sums exact Python ints and Fractions.
     sums = distance_matrix(wg.graph).dot(np.array(wg.weights, dtype=object)).tolist()
     best = min(sums)

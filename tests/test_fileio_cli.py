@@ -16,7 +16,8 @@ from qiso.generators import (
     random_partition,
 )
 from qiso.mis import greedy_mis, mis_derived
-from qiso.partition import collapse_basic, singleton_partition
+from qiso.partition import build_partition_graph, collapse_basic, singleton_partition
+from qiso.quasi import center_shift
 
 
 class TestEdgeListFormat:
@@ -257,6 +258,31 @@ class TestCliSimplify:
         report = json.loads((tmp_path / "all.report.json").read_text())
         assert report["checks"]["center-shift-zero-all-roots"]["ok"]
 
+    def test_all_roots_witness_matches_center_shift(self, tmp_path, monkeypatch):
+        # Outward contraction never moves a tree's center, so a rotated
+        # collapse, which often does, stands in for it to reach failing roots.
+        def rotated_collapse(g, root):
+            return collapse_basic(g, [(root + i) % g.vertex_count for i in g.vertices()])
+
+        monkeypatch.setattr(cli, "outward_contraction", rotated_collapse)
+        for seed in range(30):
+            t = seeded_tree(seed, min_n=3, max_n=30)
+            gfile = tmp_path / f"t{seed}.el"
+            fileio.write_edge_list(t, gfile)
+            prefix = tmp_path / f"s{seed}"
+            argv = ["simplify", str(gfile), "--method", "outward", "--all-roots"]
+            assert main(argv + ["-o", str(prefix)]) == 0
+            report = json.loads((tmp_path / f"s{seed}.report.json").read_text())
+            shifts = (
+                center_shift(build_partition_graph(t, rotated_collapse(t, r)).mapping).shift
+                for r in t.vertices()
+            )
+            first_bad = next((r for r, s in enumerate(shifts) if s), None)
+            assert report["checks"]["center-shift-zero-all-roots"] == {
+                "ok": first_bad is None,
+                "witness": first_bad,
+            }
+
     def test_outward_rejects_non_tree(self, tmp_path):
         gfile = tmp_path / "g.el"
         main(["generate", "random-graph", "--n", "8", "--m", "12", "-o", str(gfile)])
@@ -264,7 +290,14 @@ class TestCliSimplify:
             ["simplify", str(gfile), "--method", "outward", "-o", str(tmp_path / "x")]
         ) == 2
 
-    def test_size_guard_writes_nothing(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _simplify_guarded(tmp_path, monkeypatch, method):
+        """Exit code of ``simplify`` on a path above the size guard.
+
+        Building any all-pairs matrix, by either kernel, raises; the
+        output directory must stay empty.
+        """
+
         def no_matrix(*args, **kwargs):
             raise RuntimeError("all-pairs matrix built before the size guard")
 
@@ -272,10 +305,28 @@ class TestCliSimplify:
         fileio.write_edge_list(path_graph(2001), gfile)
         outdir = tmp_path / "out"
         outdir.mkdir()
-        monkeypatch.setattr("qiso.graph.dijkstra", no_matrix)
-        assert main(
-            ["simplify", str(gfile), "--method", "collapse", "-o", str(outdir / "s")]
-        ) == 2
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        code = main(["simplify", str(gfile), "--method", method, "-o", str(outdir / "s")])
+        assert list(outdir.iterdir()) == []
+        return code
+
+    def test_size_guard_writes_nothing(self, tmp_path, monkeypatch):
+        assert self._simplify_guarded(tmp_path, monkeypatch, "collapse") == 2
+
+    def test_mis_size_guard_writes_nothing(self, tmp_path, monkeypatch):
+        assert self._simplify_guarded(tmp_path, monkeypatch, "mis") == 2
+
+    @pytest.mark.parametrize("method", ["mis", "collapse", "collapse-modified"])
+    def test_all_roots_needs_outward(self, tmp_path, monkeypatch, capsys, method):
+        def unread(*args, **kwargs):
+            raise AssertionError("input read before the usage check")
+
+        monkeypatch.setattr(fileio, "read_edge_list", unread)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        argv = ["simplify", "t.el", "--method", method, "--all-roots"]
+        assert main(argv + ["-o", str(outdir / "s")]) == 2
+        assert capsys.readouterr().err == "error: --all-roots needs --method outward\n"
         assert list(outdir.iterdir()) == []
 
     def test_mis_writes_mapping(self, tmp_path):

@@ -234,7 +234,10 @@ class TestLeafRemoval:
     def test_matches_center_on_random_trees(self):
         for seed in range(200):
             t = seeded_tree(seed)
-            assert leaf_removal_center(t) == center(t)
+            ecc = [max(row) for row in floyd_warshall(t)]
+            expected = tuple(v for v, e in enumerate(ecc) if e == min(ecc))
+            assert leaf_removal_center(t) == expected
+            assert center(t) == expected
 
 
 class TestDiameterPath:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import seeded_graph, seeded_tree
-from oracles import ecc_transfer_holds, minimal_additive, q1_witness
+from oracles import ecc_transfer_holds, floyd_warshall, minimal_additive, q1_witness
 from qiso.contraction import outward_contraction
 from qiso.errors import (
     InvalidConstants,
@@ -13,7 +13,7 @@ from qiso.errors import (
     PreconditionViolated,
     TooLarge,
 )
-from qiso.generators import path_graph
+from qiso.generators import path_graph, star_graph
 from qiso.graph import (
     Graph,
     bfs_distances,
@@ -246,13 +246,19 @@ class TestDistanceMatrix:
     def test_single_vertex(self):
         assert distance_matrix(Graph(1)).tolist() == [[0]]
 
+    def test_tree_kernel_matches_floyd_warshall(self):
+        trees = [seeded_tree(seed) for seed in range(80)]
+        trees += [Graph(1), path_graph(2), path_graph(23), star_graph(23)]
+        for t in trees:
+            assert distance_matrix(t).tolist() == floyd_warshall(t)
+
     def test_cached_and_read_only(self):
-        g = seeded_graph(5)
-        mat = distance_matrix(g)
-        assert distance_matrix(g) is mat
-        assert mat.dtype == "int64"
-        with pytest.raises(ValueError):
-            mat[0, 1] = 7
+        for g in (seeded_graph(5), seeded_tree(5, min_n=2)):
+            mat = distance_matrix(g)
+            assert distance_matrix(g) is mat
+            assert mat.dtype == "int64" and mat.flags.c_contiguous
+            with pytest.raises(ValueError):
+                mat[0, 1] = 7
 
 
 class TestCenterShift:

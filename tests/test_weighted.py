@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import seeded_tree, seeded_weights
+from helpers import seeded_graph, seeded_tree, seeded_weights
 from qiso.errors import InvalidWeight, NotAdjacent, NotATree
 from qiso.generators import complete_graph, path_graph, random_partition
 from qiso.graph import Graph, bfs_distances, distance_sum, median
@@ -89,6 +90,21 @@ class TestWeightedMedian:
         assert weighted_distance_sum(wg, 1) == 11
         assert weighted_distance_sum(wg, 2) == 21
         assert weighted_median(wg) == (0,)
+
+    def test_fraction_weights_match_distance_sum_argmin(self):
+        # Trees take the subtree-weight path, graphs with cycles the matrix.
+        cases = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            for g in (seeded_tree(seed, min_n=1, max_n=30), seeded_graph(seed, max_n=20)):
+                weights = [Fraction(rng.randrange(1, 9), rng.randrange(1, 5)) for _ in g.vertices()]
+                cases.append(WeightedGraph(g, tuple(weights)))
+            wg, _, _ = mirrored_tree(seed)
+            cases.append(WeightedGraph(wg.graph, tuple(Fraction(w, 3) for w in wg.weights)))
+        for wg in cases:
+            sums = [weighted_distance_sum(wg, v) for v in wg.graph.vertices()]
+            argmin = tuple(v for v, s in enumerate(sums) if s == min(sums))
+            assert weighted_median(wg) == argmin
 
     @given(seeds)
     def test_tree_median_small_and_adjacent(self, seed):
