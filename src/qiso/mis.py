@@ -84,26 +84,23 @@ def mis_derived(
     derived = Graph(len(mis), np.argwhere(np.triu(near, 1)).tolist())
 
     if image is None:
-        img = []
-        for v in g.vertices():
-            if v in index:
-                img.append(index[v])
-            else:
-                w = next(u for u in g.adjacency[v] if u in index)
-                img.append(index[w])
-    else:
-        if len(image) != g.vertex_count:
-            raise InvalidMapping("image must assign every vertex")
-        img = []
-        for v, w in enumerate(image):
-            if w not in index:
-                raise InvalidMapping(f"f({v}) = {w} is not in the set")
-            if v in index:
-                if w != v:
-                    raise InvalidMapping(f"set member {v} must map to itself")
-            elif w not in g.adjacency[v]:
-                raise InvalidMapping(f"f({v}) = {w} is not adjacent to {v}")
-            img.append(index[w])
+        # Adjacency lists are sorted, so this is the smallest-id neighbor.
+        image = [
+            v if v in index else next(u for u in g.adjacency[v] if u in index)
+            for v in g.vertices()
+        ]
+    if len(image) != g.vertex_count:
+        raise InvalidMapping("image must assign every vertex")
+    img = []
+    for v, w in enumerate(image):
+        if w not in index:
+            raise InvalidMapping(f"f({v}) = {w} is not in the set")
+        if v in index:
+            if w != v:
+                raise InvalidMapping(f"set member {v} must map to itself")
+        elif w not in g.adjacency[v]:
+            raise InvalidMapping(f"f({v}) = {w} is not adjacent to {v}")
+        img.append(index[w])
     return MisResult(mis=mis, derived=derived, mapping=VertexMapping(g, derived, img))
 
 

@@ -46,9 +46,17 @@ class Partition:
         missing = block_of.count(-1)
         if missing:
             raise NotAPartition(f"{missing} vertices not covered by any block")
-        for i, members in enumerate(cleaned):
-            if not _block_connected(graph, members):
-                raise BlockNotConnected(f"block {i} does not induce a connected subgraph")
+        # One search over the intra-block edges, from every block's first
+        # member: those edges never leave a block, so a vertex stays
+        # unreached exactly when its block is disconnected.
+        inner = [
+            [u for u in nbrs if block_of[u] == b]
+            for nbrs, b in zip(graph.adjacency, block_of)
+        ]
+        reached = _bfs(inner, [members[0] for members in cleaned])
+        if -1 in reached:
+            first = min(block_of[v] for v, d in enumerate(reached) if d < 0)
+            raise BlockNotConnected(f"block {first} does not induce a connected subgraph")
         self.graph = graph
         self.blocks: tuple[tuple[int, ...], ...] = tuple(cleaned)
         self.block_of: tuple[int, ...] = tuple(block_of)
@@ -58,16 +66,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({len(self.blocks)} blocks over {self.graph!r})"
-
-
-def _induced_adjacency(g: Graph, members: Sequence[int]) -> list[list[int]]:
-    """Adjacency of the subgraph induced by ``members``, relabelled ``0..k-1``."""
-    index = {v: i for i, v in enumerate(sorted(set(members)))}
-    return [[index[u] for u in g.adjacency[v] if u in index] for v in index]
-
-
-def _block_connected(g: Graph, members: Sequence[int]) -> bool:
-    return min(_bfs(_induced_adjacency(g, members), (0,))) >= 0
 
 
 def singleton_partition(g: Graph) -> Partition:
@@ -103,7 +101,8 @@ def build_partition_graph(g: Graph, p: Partition) -> PartitionGraph:
 
 def induced_diameter(g: Graph, members: Sequence[int]) -> int:
     """Diameter of the subgraph induced by a connected vertex set."""
-    adj = _induced_adjacency(g, members)
+    index = {v: i for i, v in enumerate(sorted(set(members)))}
+    adj = [[index[u] for u in g.adjacency[v] if u in index] for v in index]
     return max((max(_bfs(adj, (s,))) for s in range(len(adj))), default=0)
 
 

@@ -166,3 +166,25 @@ def collapse_modified_blocks(g: Graph, sweep) -> list[list[int]]:
             host = min(u for u in g.adjacency[w] if assigned[u])
             blocks[block_of[host]].append(w)
     return blocks
+
+
+def first_disconnected_block(g: Graph, blocks) -> int | None:
+    """Index of the first block whose induced subgraph is disconnected, or None.
+
+    A separate search per block over plain sets, grown from the block's
+    smallest member along edges that stay inside the block.
+    """
+    for i, blk in enumerate(blocks):
+        members = set(blk)
+        start = min(members)
+        seen = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in g.neighbors(v):
+                if u in members and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if seen != members:
+            return i
+    return None

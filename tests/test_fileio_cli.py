@@ -524,6 +524,41 @@ class TestCliVerify:
             ]
         ) == 2
 
+    def test_disconnected_partition_block(self, tmp_path, capsys):
+        gfile = tmp_path / "p.el"
+        fileio.write_edge_list(path_graph(6), gfile)
+        pfile = tmp_path / "p.txt"
+        pfile.write_text("0 1\n2 4\n3 5\n")
+        out = tmp_path / "v.json"
+        argv = ["verify", str(gfile), "--partition", str(pfile), "--claims", "q1"]
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: block 1 does not induce a connected subgraph\n"
+        )
+        assert not out.exists()
+
+    def test_shift_bounds_size_guard_runs_first(self, tmp_path, monkeypatch, capsys):
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built before the size guard")
+
+        gfile = tmp_path / "p.el"
+        fileio.write_edge_list(path_graph(2001), gfile)
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        out = tmp_path / "v.json"
+        argv = ["verify", str(gfile), "--claims", "q1,ecc-transfer,shift-bounds"]
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: all-pairs search guarded at 2000 vertices, got 2001\n"
+        )
+        assert not out.exists()
+
+    def test_q1_runs_above_size_guard(self, tmp_path):
+        gfile = tmp_path / "p.el"
+        fileio.write_edge_list(path_graph(2001), gfile)
+        out = tmp_path / "v.json"
+        assert main(["verify", str(gfile), "--claims", "q1", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["checks"]["q1"]["ok"]
+
     def test_claim_needing_partition_without_one(self, tmp_path):
         gfile = tmp_path / "p.el"
         main(["generate", "path", "--n", "5", "-o", str(gfile)])
@@ -594,12 +629,3 @@ class TestInternalError:
         assert capsys.readouterr().err.startswith("internal error: ")
         assert not out.exists()
 
-
-class TestThreadCap:
-    def test_invalid_value_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QISO_THREADS", "many")
-        assert main(["generate", "path", "--n", "3", "-o", str(tmp_path / "x.el")]) == 2
-
-    def test_positive_value_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QISO_THREADS", "4")
-        assert main(["generate", "path", "--n", "3", "-o", str(tmp_path / "x.el")]) == 0

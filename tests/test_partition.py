@@ -6,7 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import seeded_graph, seeded_tree
-from oracles import collapse_modified_blocks, longest_simple_cycle
+from oracles import (
+    collapse_modified_blocks,
+    first_disconnected_block,
+    longest_simple_cycle,
+)
 from qiso.errors import BlockNotConnected, InvalidVertex, NotAPartition
 from qiso.generators import (
     cycle_graph,
@@ -49,6 +53,45 @@ class TestPartitionValidation:
     def test_rejects_disconnected_block(self):
         with pytest.raises(BlockNotConnected):
             Partition(path_graph(3), [[0, 2], [1]])
+
+    @staticmethod
+    def _labelled_blocks(g, rng):
+        """Blocks from a random labelling, or from a random partition with one
+        vertex moved; listed in shuffled order with shuffled members."""
+        if rng.random() < 0.5:
+            k = rng.randint(1, g.vertex_count)
+            labels = [rng.randrange(k) for _ in g.vertices()]
+        else:
+            p = random_partition(g, rng.randrange(10**6))
+            labels = list(p.block_of)
+            if len(p.blocks) > 1:
+                labels[rng.randrange(g.vertex_count)] = rng.randrange(len(p.blocks))
+        groups = {}
+        for v, b in enumerate(labels):
+            groups.setdefault(b, []).append(v)
+        blocks = list(groups.values())
+        rng.shuffle(blocks)
+        for blk in blocks:
+            rng.shuffle(blk)
+        return blocks
+
+    def test_connectivity_matches_per_block_oracle(self):
+        outcomes = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            g = seeded_tree(seed, min_n=2) if seed % 2 else seeded_graph(seed)
+            blocks = self._labelled_blocks(g, rng)
+            first = first_disconnected_block(g, blocks)
+            outcomes.add(first is None)
+            if first is None:
+                p = Partition(g, blocks)
+                assert p.blocks == tuple(tuple(sorted(blk)) for blk in blocks)
+            else:
+                with pytest.raises(BlockNotConnected) as exc:
+                    Partition(g, blocks)
+                message = f"block {first} does not induce a connected subgraph"
+                assert str(exc.value) == message
+        assert outcomes == {True, False}
 
     def test_block_of_is_consistent(self):
         p = Partition(path_graph(4), [[2, 3], [0, 1]])
