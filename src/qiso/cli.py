@@ -323,6 +323,10 @@ def _partition_arg(args: argparse.Namespace, g: Graph) -> Optional[Partition]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = fileio.read_edge_list(args.input)
+    if args.partition is not None:
+        # The shift fields need the guarded minimal constants; fail before
+        # the weighted median or any other all-pairs work.
+        _check_size(g)
     extra: dict[str, object] = {}
     checks: dict[str, dict] = {}
 

@@ -3,10 +3,11 @@
 Distances are shortest-path hop counts. A :class:`Graph` never changes
 after construction, so its all-pairs matrix is built once, on first use,
 and cached read-only; every all-pairs metric here is a reduction over
-that matrix. A tree's matrix is filled row by row in preorder, and its
-center and median come from leaf removal and subtree weights without
-any matrix. Jobs that need only one or a few sources run the single
-breadth-first search :func:`_bfs` instead.
+that matrix. A tree's matrix is filled row by row in preorder, any
+other graph's by a bit-parallel multi-source breadth-first search; a
+tree's center and median come from leaf removal and subtree weights
+without any matrix. Jobs that need only one or a few sources run the
+single breadth-first search :func:`_bfs` instead.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     Disconnected,
@@ -162,6 +161,11 @@ def _bfs(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> list[int]:
     return dist
 
 
+# Sources per multi-source BFS pass. A pass holds a few n x _CHUNK bit
+# arrays and, each level, gathers one _CHUNK-bit row per adjacency entry.
+_CHUNK = 1024
+
+
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs hop distances as a read-only int64 matrix, cached per graph."""
     if g._dist is None:
@@ -172,7 +176,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
 
 def _build_distances(g: Graph) -> np.ndarray:
-    """The int64 all-pairs matrix: preorder propagation on a tree, else Dijkstra."""
+    """The int64 all-pairs matrix: preorder on a tree, else multi-source BFS."""
     adj = g.adjacency
     n = len(adj)
     if g.is_tree:
@@ -193,13 +197,47 @@ def _build_distances(g: Graph) -> np.ndarray:
         pos = np.empty(n, dtype=np.intp)
         pos[order] = np.arange(n)
         return rows.take(pos, axis=1)
-    indptr = np.zeros(n + 1, dtype=np.int32)
+    # Multi-source BFS (Then et al., PVLDB 2014): bit j of word w in a row
+    # stands for source lo + 64 * w + j, so one level of up to _CHUNK
+    # searches is one gather and one OR-reduction over the CSR arrays.
+    # Level d is OR-ed into bit plane i for every set bit i of d, which
+    # writes each distance in binary.
+    indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum([len(a) for a in adj], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=2 * g.edge_count)
-    csr = csr_matrix(
-        (np.ones(len(indices), dtype=np.float64), indices, indptr), shape=(n, n)
-    )
-    return dijkstra(csr, unweighted=True).astype(np.int64)
+    indices = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=2 * g.edge_count)
+    starts = indptr[:-1]  # no empty row: connected with a cycle, so n >= 3
+    dist = np.empty((n, n), dtype=np.int64)
+    for lo in range(0, n, _CHUNK):
+        k = min(_CHUNK, n - lo)
+        bit = np.arange(k, dtype=np.uint64)
+        frontier = np.zeros((n, -(-k // 64)), dtype=np.uint64)
+        frontier[lo + bit, bit // 64] = np.uint64(1) << bit % 64
+        seen = frontier.copy()
+        planes: list[np.ndarray] = []
+        d = 0
+        while True:
+            nxt = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+            nxt &= ~seen
+            if not nxt.any():
+                break
+            seen |= nxt
+            d += 1
+            if d.bit_length() > len(planes):
+                planes.append(np.zeros_like(nxt))
+            for i, plane in enumerate(planes):
+                if d >> i & 1:
+                    plane |= nxt
+            frontier = nxt
+        # Every distance is below n, so the smallest type that holds n can
+        # assemble them; by symmetry the sources' columns equal their rows.
+        acc = np.zeros((n, k), dtype=np.min_scalar_type(n))
+        for i, plane in enumerate(planes):
+            # Little-endian words list source bits in order on any host.
+            bits = plane.astype("<u8", copy=False).view(np.uint8)
+            bits = np.unpackbits(bits, axis=1, count=k, bitorder="little")
+            acc |= np.left_shift(bits, i, dtype=acc.dtype)
+        dist[:, lo : lo + k] = acc
+    return dist
 
 
 def _preorder(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:

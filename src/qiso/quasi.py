@@ -92,7 +92,7 @@ def _check_q1_constants(stretch: int, additive: int) -> None:
 def _image_distances(target: Graph, image: Sequence[int]) -> np.ndarray:
     """Target distance between the images of every source pair, as a matrix."""
     img = np.asarray(image, dtype=np.intp)
-    return distance_matrix(target)[np.ix_(img, img)]
+    return distance_matrix(target).take(img, axis=0).take(img, axis=1)
 
 
 def _pair_check(bad: np.ndarray) -> CheckResult:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +14,7 @@ from qiso import cli, fileio
 from qiso.cli import CLAIMS, main
 from qiso.errors import FormatError, QisoError
 from qiso.generators import (
+    cycle_graph,
     non_uniecc_chordal,
     path_graph,
     random_connected_graph,
@@ -401,6 +406,26 @@ class TestCliAnalyze:
         assert report["weighted_median"] == report["median"]
         assert report["checks"]["shift-within-two-sided"]["ok"]
 
+    def test_partition_size_guard_runs_first(self, tmp_path, monkeypatch, capsys):
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built before the size guard")
+
+        g = cycle_graph(2001)
+        gfile = tmp_path / "c.el"
+        fileio.write_edge_list(g, gfile)
+        pfile = tmp_path / "p.txt"
+        fileio.write_partition(singleton_partition(g), pfile)
+        wfile = tmp_path / "w.txt"
+        fileio.write_weights([1] * g.vertex_count, wfile)
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        out = tmp_path / "rep.json"
+        argv = ["analyze", str(gfile), "--partition", str(pfile), "--weights", str(wfile)]
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: all-pairs search guarded at 2000 vertices, got 2001\n"
+        )
+        assert not out.exists()
+
     def test_outward_partition_round_trip(self, tmp_path):
         gfile = tmp_path / "t.el"
         main(["generate", "random-tree", "--n", "40", "--seed", "9", "-o", str(gfile)])
@@ -629,3 +654,16 @@ class TestInternalError:
         assert capsys.readouterr().err.startswith("internal error: ")
         assert not out.exists()
 
+
+class TestImports:
+    def test_cli_imports_no_scipy(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys, qiso.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-c", code]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"

@@ -13,7 +13,13 @@ from qiso.errors import (
     PreconditionViolated,
     TooLarge,
 )
-from qiso.generators import path_graph, star_graph
+from qiso.generators import (
+    complete_graph,
+    cycle_graph,
+    non_uniecc_chordal,
+    path_graph,
+    star_graph,
+)
 from qiso.graph import (
     Graph,
     bfs_distances,
@@ -22,7 +28,7 @@ from qiso.graph import (
     eccentricity_profile,
     set_distance,
 )
-from qiso.partition import build_partition_graph, collapse_basic
+from qiso.partition import build_partition_graph, collapse_basic, collapse_modified
 from qiso.quasi import (
     QuasiIsometryConstants,
     VertexMapping,
@@ -48,6 +54,30 @@ def singleton_mapping(g):
 def collapse_mapping(seed, max_n=30):
     g = seeded_graph(seed, max_n=max_n)
     return build_partition_graph(g, collapse_basic(g)).mapping
+
+
+def grid_graph(rows, cols):
+    """The rows x cols grid; two rows make a ladder with ``cols`` rungs."""
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    edges = [(r * cols + c, r * cols + c + 1) for r, c in cells if c + 1 < cols]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r, c in cells if r + 1 < rows]
+    return Graph(rows * cols, edges)
+
+
+@pytest.fixture(scope="module")
+def cyclic_cases():
+    """Graphs with cycles, each with its Floyd-Warshall matrix."""
+    graphs = [seeded_graph(seed, min_n=4, max_n=150) for seed in range(40)]
+    graphs += [cycle_graph(n) for n in range(3, 131)]
+    graphs += [grid_graph(2, rungs) for rungs in range(2, 41)]
+    graphs += [grid_graph(a, b) for a in range(3, 9) for b in range(a, 10)]
+    graphs += [complete_graph(n) for n in (3, 4, 9, 70)]
+    graphs.append(non_uniecc_chordal())
+    for seed in range(40):
+        g = seeded_graph(seed, min_n=20, max_n=120, density=4)
+        for partition in (collapse_basic(g), collapse_modified(g)):
+            graphs.append(build_partition_graph(g, partition).quotient)
+    return [(g, floyd_warshall(g)) for g in graphs if not g.is_tree]
 
 
 class TestConstants:
@@ -251,6 +281,24 @@ class TestDistanceMatrix:
         trees += [Graph(1), path_graph(2), path_graph(23), star_graph(23)]
         for t in trees:
             assert distance_matrix(t).tolist() == floyd_warshall(t)
+
+    @pytest.mark.parametrize("chunk", [1, 63, 64, 65, "n-1"])
+    def test_bfs_kernel_matches_floyd_warshall(self, cyclic_cases, monkeypatch, chunk):
+        for g, oracle in cyclic_cases:
+            n = g.vertex_count
+            monkeypatch.setattr("qiso.graph._CHUNK", n - 1 if chunk == "n-1" else chunk)
+            mat = distance_matrix(Graph(n, g.edges()))  # a fresh, uncached copy
+            assert mat.dtype == "int64" and mat.flags.c_contiguous
+            assert not mat.flags.writeable
+            assert mat.tolist() == oracle, (g, chunk)
+
+    def test_bfs_kernel_long_distances(self):
+        # Distances above 255 take more than eight bit planes to assemble.
+        for g in (cycle_graph(1100), grid_graph(2, 300)):
+            mat = distance_matrix(g)
+            assert [mat[v].tolist() for v in g.vertices()] == [
+                bfs_distances(g, v) for v in g.vertices()
+            ]
 
     def test_cached_and_read_only(self):
         for g in (seeded_graph(5), seeded_tree(5, min_n=2)):
