@@ -10,6 +10,7 @@ from .contraction import (
     RootedTree,
     composition_center_shift,
     composition_partition,
+    first_center_shifting_root,
     outward_contraction,
     restrict_to_path,
     root_tree,

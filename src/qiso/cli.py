@@ -15,7 +15,11 @@ from pathlib import Path
 from typing import Optional
 
 from . import fileio
-from .contraction import outward_contraction, unbounded_shift_family
+from .contraction import (
+    first_center_shifting_root,
+    outward_contraction,
+    unbounded_shift_family,
+)
 from .errors import QisoError
 from .generators import (
     complete_graph,
@@ -25,7 +29,7 @@ from .generators import (
     random_tree,
     star_graph,
 )
-from .graph import Graph, center, distance_matrix, median
+from .graph import Graph, _leaf_removal, center, distance_matrix, median
 from .mis import MisResult, greedy_mis, mis_derived, verify_mis_bounds
 from .partition import (
     Partition,
@@ -186,11 +190,17 @@ class _Subject:
 
     def fields(self) -> dict:
         """Graph metrics plus the block diameters and compression, if any."""
-        ecc = distance_matrix(self.g).max(axis=1)
+        if self.g.is_tree:
+            # Leaf removal finds the center and both extremes without a matrix.
+            cen, rounds = _leaf_removal(self.g.adjacency)
+            radius, diameter = rounds + len(cen) - 1, 2 * rounds + len(cen) - 1
+        else:
+            ecc = distance_matrix(self.g).max(axis=1)
+            cen, radius, diameter = center(self.g), int(ecc.min()), int(ecc.max())
         fields: dict[str, object] = {
-            "radius": int(ecc.min()),
-            "diameter": int(ecc.max()),
-            "center": list(center(self.g)),
+            "radius": radius,
+            "diameter": diameter,
+            "center": list(cen),
             "median": list(median(self.g)),
         }
         if self.sharp is not None:
@@ -288,15 +298,7 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
 
     checks = _run_checks(subject, claims)
     if args.all_roots:
-        # A root shifts the center exactly when the source center misses
-        # the preimage of the quotient's center.
-        src_center = set(center(g))
-        bad_root = None
-        for root in g.vertices():
-            m = build_partition_graph(g, outward_contraction(g, root)).mapping
-            if src_center.isdisjoint(m.preimage(center(m.target))):
-                bad_root = root
-                break
+        bad_root = first_center_shifting_root(g)
         checks["center-shift-zero-all-roots"] = fileio.check_entry(
             bad_root is None, bad_root
         )
@@ -323,9 +325,9 @@ def _partition_arg(args: argparse.Namespace, g: Graph) -> Optional[Partition]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = fileio.read_edge_list(args.input)
-    if args.partition is not None:
-        # The shift fields need the guarded minimal constants; fail before
-        # the weighted median or any other all-pairs work.
+    if args.partition is not None or (args.weights is not None and not g.is_tree):
+        # The shift fields need the guarded minimal constants, and off a
+        # tree the weighted median needs the matrix; fail before either.
         _check_size(g)
     extra: dict[str, object] = {}
     checks: dict[str, dict] = {}

@@ -3,9 +3,11 @@
 Rooting a tree assigns each vertex a level (its distance to the root).
 Outward contraction groups every even-level vertex with its strictly
 deeper neighbors, yielding blocks of diameter at most two whose quotient
-keeps the tree's center in place. Restricting a partition to a path
-turns it into an integer composition, for which the center displacement
-has a closed form.
+keeps the tree's center in place. Checking that for every root builds
+no partition: one search per root assigns the blocks, and the heights of
+the quotient's blocks locate its center. Restricting a partition to a
+path turns it into an integer composition, for which the center
+displacement has a closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (
     InvalidPath,
     NotContiguous,
 )
-from .graph import Graph, bfs_distances, require_tree
+from .graph import Graph, bfs_distances, center, require_tree
 from .partition import Partition
 
 
@@ -54,6 +56,89 @@ def outward_contraction(t: Graph, root: int) -> Partition:
             blk = [v] + [u for u in t.adjacency[v] if lev[u] > lev[v]]
             blocks.append(blk)
     return Partition(t, blocks)
+
+
+def first_center_shifting_root(t: Graph) -> Optional[int]:
+    """The smallest root whose outward quotient misses the tree's center.
+
+    None means outward contraction keeps the center for every root, as
+    the paper proves. Each root costs one search and one pass over flat
+    lists; no partition, quotient or mapping is built.
+    """
+    require_tree(t)
+    src_center = center(t)
+    for root in t.vertices():
+        if not _keeps_center(*_outward_blocks(t, root), src_center):
+            return root
+    return None
+
+
+def _outward_blocks(t: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
+    """Search order from ``root``, parents, and each vertex's outward block.
+
+    A vertex at even depth heads its own block, labelled by its id; a
+    vertex at odd depth joins its parent's. The root's parent reads -1.
+    """
+    adj = t.adjacency
+    parent = [-1] * len(adj)
+    block_of = list(range(len(adj)))
+    order = [root]
+    for v in order:  # grows while it is walked: a breadth-first search
+        pv = parent[v]
+        head = block_of[v] == v
+        for u in adj[v]:
+            if u != pv:
+                parent[u] = v
+                if head:
+                    block_of[u] = v
+                order.append(u)
+    return order, parent, block_of
+
+
+def _keeps_center(
+    order: Sequence[int],
+    parent: Sequence[int],
+    block_of: Sequence[int],
+    src_center: Sequence[int],
+) -> bool:
+    """Whether a source-center vertex lies in a center block of the quotient.
+
+    ``order`` lists a tree's vertices parents first and ``block_of`` cuts
+    it into connected blocks labelled below ``len(order)``. The quotient
+    is then a tree rooted at the root's block, and a block's top vertex
+    (the one whose parent lies in another block) comes after the tops of
+    all blocks above it. Walking the order backwards therefore finishes
+    each block's height before its top is reached, and the center is the
+    middle of the longest quotient path, found from that path's peak.
+    """
+    n = len(order)
+    best = [0] * n  # height of each block's quotient subtree
+    second = [0] * n  # height through its second-best child block
+    down = [-1] * n  # the child block that attains ``best``
+    peak = block_of[order[0]]
+    for v in reversed(order):
+        p = parent[v]
+        if p < 0:
+            continue
+        b, pb = block_of[v], block_of[p]
+        if b == pb:
+            continue
+        h = best[b] + 1
+        if h > best[pb]:
+            second[pb] = best[pb]
+            best[pb] = h
+            down[pb] = b
+        elif h > second[pb]:
+            second[pb] = h
+        if best[pb] + second[pb] > best[peak] + second[peak]:
+            peak = pb
+    mid = peak
+    for _ in range((best[peak] - second[peak]) // 2):
+        mid = down[mid]
+    middle = {mid}
+    if (best[peak] - second[peak]) % 2:
+        middle.add(down[mid])
+    return any(block_of[c] in middle for c in src_center)
 
 
 def _check_path(g: Graph, path: Sequence[int]) -> list[int]:

@@ -375,14 +375,24 @@ def leaf_removal_center(t: Graph) -> tuple[int, ...]:
     minimum eccentricity (Jordan).
     """
     require_tree(t)
-    adj = t.adjacency
+    return _leaf_removal(t.adjacency)[0]
+
+
+def _leaf_removal(adj: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
+    """A tree's center and the number of leaf layers deleted to reach it.
+
+    Each round lowers every remaining eccentricity by one, so with ``r``
+    rounds the radius is ``r + len(center) - 1`` and the diameter
+    ``2 * r + len(center) - 1``.
+    """
     n = len(adj)
     if n <= 2:
-        return tuple(range(n))
+        return tuple(range(n)), 0
     degree = [len(a) for a in adj]
     removed = bytearray(n)
     layer = [v for v in range(n) if degree[v] == 1]
     alive = n
+    rounds = 0
     while alive > 2:
         nxt = []
         for v in layer:
@@ -394,7 +404,8 @@ def leaf_removal_center(t: Graph) -> tuple[int, ...]:
                         nxt.append(u)
         alive -= len(layer)
         layer = nxt
-    return tuple(v for v in range(n) if not removed[v])
+        rounds += 1
+    return tuple(v for v in range(n) if not removed[v]), rounds
 
 
 def diameter_path(t: Graph) -> list[int]:

@@ -100,10 +100,20 @@ def build_partition_graph(g: Graph, p: Partition) -> PartitionGraph:
 
 
 def induced_diameter(g: Graph, members: Sequence[int]) -> int:
-    """Diameter of the subgraph induced by a connected vertex set."""
+    """Diameter of the subgraph induced by a connected vertex set.
+
+    In a tree the set induces a tree, whose diameter two searches find:
+    the first reaches an end of a longest path, the second measures it.
+    Otherwise every member is searched from.
+    """
     index = {v: i for i, v in enumerate(sorted(set(members)))}
     adj = [[index[u] for u in g.adjacency[v] if u in index] for v in index]
-    return max((max(_bfs(adj, (s,))) for s in range(len(adj))), default=0)
+    if not adj:
+        return 0
+    if g.is_tree:
+        first = _bfs(adj, (0,))
+        return max(_bfs(adj, (first.index(max(first)),)))
+    return max(max(_bfs(adj, (s,))) for s in range(len(adj)))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ main library computes more directly, kept simple enough to trust.
 from __future__ import annotations
 
 from qiso.errors import TooLarge
-from qiso.graph import Graph
+from qiso.graph import Graph, center
+from qiso.partition import build_partition_graph
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:
@@ -187,4 +188,19 @@ def first_disconnected_block(g: Graph, blocks) -> int | None:
                     stack.append(u)
         if seen != members:
             return i
+    return None
+
+
+def first_center_shifting_root(t: Graph, blocks) -> int | None:
+    """Smallest root whose partition ``blocks(t, root)`` misses the center.
+
+    The per-root loop that ``qiso.contraction.first_center_shifting_root``
+    replaced: every root's quotient graph and mapping are built, and the
+    source center is intersected with the preimage of the quotient's.
+    """
+    src_center = set(center(t))
+    for root in t.vertices():
+        m = build_partition_graph(t, blocks(t, root)).mapping
+        if src_center.isdisjoint(m.preimage(center(m.target))):
+            return root
     return None

@@ -4,10 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from helpers import seeded_tree
+from qiso import contraction
 from qiso.contraction import (
+    _keeps_center,
+    _outward_blocks,
     composition_center_shift,
     composition_partition,
+    first_center_shifting_root,
     outward_contraction,
     restrict_to_path,
     root_tree,
@@ -33,10 +38,13 @@ from qiso.graph import (
 from qiso.partition import (
     Partition,
     build_partition_graph,
+    collapse_basic,
+    collapse_modified,
     induced_diameter,
     singleton_partition,
     sharpness_report,
 )
+from qiso.quasi import center_shift
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -264,3 +272,78 @@ class TestCenterWitnessGeometry:
             assert any(
                 dist_v[w] == dist_v[c] + dist_c[w] for w in prof.witnesses[c]
             )
+
+
+def _rotated(collapse):
+    """Per-root blocks of ``collapse`` swept from the root onwards.
+
+    Outward contraction never moves a tree's center; rotated collapses
+    often do, so they give the all-roots check failing roots to find.
+    """
+
+    def blocks(t, root):
+        return collapse(t, [(root + i) % t.vertex_count for i in t.vertices()])
+
+    return blocks
+
+
+ROTATED = [_rotated(collapse_basic), _rotated(collapse_modified)]
+
+
+def _all_roots_trees():
+    yield from (seeded_tree(seed, min_n=1, max_n=40) for seed in range(120))
+    yield from (path_graph(n) for n in range(1, 10))
+    yield from (star_graph(n) for n in range(2, 9))
+
+
+class TestAllRoots:
+    def test_outward_blocks_match_outward_contraction(self):
+        for t in _all_roots_trees():
+            for root in t.vertices():
+                order, parent, block_of = _outward_blocks(t, root)
+                assert sorted(order) == list(t.vertices()) and order[0] == root
+                seen = {root}
+                for v in order[1:]:
+                    assert parent[v] in seen and t.adjacent(v, parent[v])
+                    seen.add(v)
+                blocks = {}
+                for v in t.vertices():
+                    blocks.setdefault(block_of[v], []).append(v)
+                expected = outward_contraction(t, root).blocks
+                assert sorted(map(tuple, blocks.values())) == sorted(expected)
+
+    def test_keeps_center_matches_center_shift(self):
+        verdicts = set()
+        for t in _all_roots_trees():
+            src_center = center(t)
+            for root in t.vertices():
+                order, parent, outward = _outward_blocks(t, root)
+                assert _keeps_center(order, parent, outward, src_center)
+                for blocks in ROTATED:
+                    p = blocks(t, root)
+                    kept = center_shift(build_partition_graph(t, p).mapping).shift == 0
+                    assert _keeps_center(order, parent, p.block_of, src_center) == kept
+                    verdicts.add(kept)
+        assert verdicts == {True, False}
+
+    def test_first_root_matches_oracle_loop(self, monkeypatch):
+        for t in _all_roots_trees():
+            assert first_center_shifting_root(t) is None
+            assert oracles.first_center_shifting_root(t, outward_contraction) is None
+        witnesses = set()
+        for blocks in ROTATED:
+
+            def rotated_blocks(t, root, blocks=blocks):
+                order, parent, _ = _outward_blocks(t, root)
+                return order, parent, blocks(t, root).block_of
+
+            monkeypatch.setattr(contraction, "_outward_blocks", rotated_blocks)
+            for t in _all_roots_trees():
+                expected = oracles.first_center_shifting_root(t, blocks)
+                assert first_center_shifting_root(t) == expected
+                witnesses.add(expected is None)
+        assert witnesses == {True, False}
+
+    def test_rejects_non_tree(self):
+        with pytest.raises(NotATree):
+            first_center_shifting_root(cycle_graph(5))

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import seeded_graph, seeded_tree
-from qiso import cli, fileio
+from qiso import cli, contraction, fileio
 from qiso.cli import CLAIMS, main
 from qiso.errors import FormatError, QisoError
 from qiso.generators import (
@@ -19,7 +19,9 @@ from qiso.generators import (
     path_graph,
     random_connected_graph,
     random_partition,
+    random_tree,
 )
+from qiso.graph import diameter_path, leaf_removal_center
 from qiso.mis import greedy_mis, mis_derived
 from qiso.partition import build_partition_graph, collapse_basic, singleton_partition
 from qiso.quasi import center_shift
@@ -269,7 +271,13 @@ class TestCliSimplify:
         def rotated_collapse(g, root):
             return collapse_basic(g, [(root + i) % g.vertex_count for i in g.vertices()])
 
-        monkeypatch.setattr(cli, "outward_contraction", rotated_collapse)
+        outward_blocks = contraction._outward_blocks
+
+        def rotated_blocks(g, root):
+            order, parent, _ = outward_blocks(g, root)
+            return order, parent, rotated_collapse(g, root).block_of
+
+        monkeypatch.setattr(contraction, "_outward_blocks", rotated_blocks)
         for seed in range(30):
             t = seeded_tree(seed, min_n=3, max_n=30)
             gfile = tmp_path / f"t{seed}.el"
@@ -287,6 +295,22 @@ class TestCliSimplify:
                 "ok": first_bad is None,
                 "witness": first_bad,
             }
+
+    def test_all_roots_contracts_only_the_given_root(self, tmp_path, monkeypatch):
+        roots = []
+        original = contraction.outward_contraction
+
+        def counted(g, root):
+            roots.append(root)
+            return original(g, root)
+
+        monkeypatch.setattr(cli, "outward_contraction", counted)
+        monkeypatch.setattr(contraction, "outward_contraction", counted)
+        gfile = tmp_path / "t.el"
+        fileio.write_edge_list(seeded_tree(3, min_n=20, max_n=30), gfile)
+        argv = ["simplify", str(gfile), "--method", "outward", "--root", "4", "--all-roots"]
+        assert main(argv + ["-o", str(tmp_path / "s")]) == 0
+        assert roots == [4]
 
     def test_outward_rejects_non_tree(self, tmp_path):
         gfile = tmp_path / "g.el"
@@ -425,6 +449,47 @@ class TestCliAnalyze:
             "error: all-pairs search guarded at 2000 vertices, got 2001\n"
         )
         assert not out.exists()
+
+    def test_weights_size_guard_runs_first(self, tmp_path, monkeypatch, capsys):
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built before the size guard")
+
+        g = cycle_graph(2001)
+        gfile = tmp_path / "c.el"
+        fileio.write_edge_list(g, gfile)
+        wfile = tmp_path / "w.txt"
+        fileio.write_weights([1] * g.vertex_count, wfile)
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        out = tmp_path / "rep.json"
+        assert main(["analyze", str(gfile), "--weights", str(wfile), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: all-pairs search guarded at 2000 vertices, got 2001\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_large_tree_needs_no_matrix(self, tmp_path, monkeypatch, weighted):
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built for a tree")
+
+        t = random_tree(3000, 5)
+        gfile = tmp_path / "t.el"
+        fileio.write_edge_list(t, gfile)
+        argv = ["analyze", str(gfile)]
+        if weighted:
+            wfile = tmp_path / "w.txt"
+            fileio.write_weights([1] * t.vertex_count, wfile)
+            argv += ["--weights", str(wfile)]
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        out = tmp_path / "rep.json"
+        assert main(argv + ["-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        diameter = len(diameter_path(t)) - 1
+        assert report["diameter"] == diameter
+        assert report["radius"] == (diameter + 1) // 2
+        assert report["center"] == list(leaf_removal_center(t))
+        if weighted:
+            assert report["weighted_median"] == report["median"]
 
     def test_outward_partition_round_trip(self, tmp_path):
         gfile = tmp_path / "t.el"

@@ -9,8 +9,10 @@ from helpers import seeded_graph, seeded_tree
 from oracles import (
     collapse_modified_blocks,
     first_disconnected_block,
+    floyd_warshall,
     longest_simple_cycle,
 )
+from qiso.contraction import outward_contraction
 from qiso.errors import BlockNotConnected, InvalidVertex, NotAPartition
 from qiso.generators import (
     cycle_graph,
@@ -18,7 +20,7 @@ from qiso.generators import (
     random_partition,
     star_graph,
 )
-from qiso.graph import bfs_distances
+from qiso.graph import Graph, bfs_distances
 from qiso.partition import (
     Partition,
     build_partition_graph,
@@ -151,6 +153,23 @@ class TestSharpness:
         # In C6 the block {0, 1, 5} induces a path through 0, diameter 2.
         c6 = cycle_graph(6)
         assert induced_diameter(c6, (0, 1, 5)) == 2
+
+    def test_induced_diameter_matches_floyd_warshall(self):
+        # On trees two searches replace the search from every member.
+        cases = []
+        for seed in range(60):
+            t = seeded_tree(seed, min_n=1, max_n=40)
+            cases += [(t, collapse_basic(t)), (t, collapse_modified(t))]
+            cases += [(t, outward_contraction(t, r)) for r in t.vertices()]
+            g = seeded_graph(seed, max_n=30)
+            cases += [(g, collapse_basic(g)), (g, collapse_modified(g))]
+        for g, p in cases:
+            for blk in p.blocks:
+                index = {v: i for i, v in enumerate(blk)}
+                inner = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+                expected = max(map(max, floyd_warshall(Graph(len(blk), inner))))
+                assert induced_diameter(g, blk) == expected
+        assert induced_diameter(star_graph(400), range(400)) == 2
 
     def test_compression_bound(self):
         for seed in range(40):
