@@ -29,7 +29,7 @@ from .generators import (
     random_tree,
     star_graph,
 )
-from .graph import Graph, _leaf_removal, center, distance_matrix, median
+from .graph import Graph, _extremes, median
 from .mis import MisResult, greedy_mis, mis_derived, verify_mis_bounds
 from .partition import (
     Partition,
@@ -47,7 +47,7 @@ from .quasi import (
     verify_q1,
     verify_q2,
 )
-from .weighted import WeightedGraph, weighted_median, weighted_partition_tree
+from .weighted import WeightedGraph, _median_blocks, weighted_median
 
 class UsageError(QisoError):
     """Bad flags or inconsistent inputs; maps to exit code 2."""
@@ -190,13 +190,7 @@ class _Subject:
 
     def fields(self) -> dict:
         """Graph metrics plus the block diameters and compression, if any."""
-        if self.g.is_tree:
-            # Leaf removal finds the center and both extremes without a matrix.
-            cen, rounds = _leaf_removal(self.g.adjacency)
-            radius, diameter = rounds + len(cen) - 1, 2 * rounds + len(cen) - 1
-        else:
-            ecc = distance_matrix(self.g).max(axis=1)
-            cen, radius, diameter = center(self.g), int(ecc.min()), int(ecc.max())
+        cen, radius, diameter = _extremes(self.g)
         fields: dict[str, object] = {
             "radius": radius,
             "diameter": diameter,
@@ -228,9 +222,8 @@ def _median_preservation(s: _Subject) -> bool:
     p = s.partition_graph("median-preservation").partition
     if not s.g.is_tree:
         return True
-    wq, _ = weighted_partition_tree(s.g, p)
     true_median = set(median(s.g))
-    return all(true_median.intersection(p.blocks[b]) for b in weighted_median(wq))
+    return all(true_median.intersection(blk) for blk in _median_blocks(s.g, p))
 
 
 # Entries look the library up by its module-global name at call time, so
@@ -325,9 +318,9 @@ def _partition_arg(args: argparse.Namespace, g: Graph) -> Optional[Partition]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = fileio.read_edge_list(args.input)
-    if args.partition is not None or (args.weights is not None and not g.is_tree):
+    if args.partition is not None or not g.is_tree:
         # The shift fields need the guarded minimal constants, and off a
-        # tree the weighted median needs the matrix; fail before either.
+        # tree every report metric needs the matrix; fail before either.
         _check_size(g)
     extra: dict[str, object] = {}
     checks: dict[str, dict] = {}
@@ -363,8 +356,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
 
     g = fileio.read_edge_list(args.input)
-    if "shift-bounds" in claims:
-        # Its minimal constants are guarded; fail before any other claim's work.
+    if "shift-bounds" in claims or not g.is_tree:
+        # Its minimal constants are guarded, and off a tree every report
+        # metric needs the matrix; fail before any other claim's work.
         _check_size(g)
     subject = _Subject(g, _partition_arg(args, g), args.mapping)
     checks = _run_checks(subject, claims)

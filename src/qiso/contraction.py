@@ -48,14 +48,13 @@ def outward_contraction(t: Graph, root: int) -> Partition:
     block, odd-level vertices join their parent's. Blocks are singletons,
     edges or stars, so the partition is 2-sharp.
     """
-    rt = root_tree(t, root)
-    lev = rt.level
-    blocks = []
-    for v in t.vertices():
-        if lev[v] % 2 == 0:
-            blk = [v] + [u for u in t.adjacency[v] if lev[u] > lev[v]]
-            blocks.append(blk)
-    return Partition(t, blocks)
+    require_tree(t)
+    t.check_vertex(root)
+    members: list[list[int]] = [[] for _ in t.vertices()]
+    for v, head in enumerate(_outward_blocks(t, root)[2]):
+        members[head].append(v)
+    # Only heads collect members, so blocks come in ascending head order.
+    return Partition(t, [blk for blk in members if blk])
 
 
 def first_center_shifting_root(t: Graph) -> Optional[int]:

@@ -350,9 +350,16 @@ def _argmin_all(values: np.ndarray) -> tuple[int, ...]:
 
 def center(g: Graph) -> tuple[int, ...]:
     """Vertices of minimum eccentricity, ascending (leaf removal on a tree)."""
+    return _extremes(g)[0]
+
+
+def _extremes(g: Graph) -> tuple[tuple[int, ...], int, int]:
+    """Center, radius and diameter: leaf removal on a tree, else the matrix."""
     if g.is_tree:
-        return leaf_removal_center(g)
-    return _argmin_all(distance_matrix(g).max(axis=1))
+        cen, rounds = _leaf_removal(g.adjacency)
+        return cen, rounds + len(cen) - 1, 2 * rounds + len(cen) - 1
+    ecc = distance_matrix(g).max(axis=1)
+    return _argmin_all(ecc), int(ecc.min()), int(ecc.max())
 
 
 def distance_sum(g: Graph, v: int) -> int:

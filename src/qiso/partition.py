@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BlockNotConnected, InvalidVertex, NotAPartition
 from .graph import Graph, _bfs, distance_matrix
-from .quasi import VertexMapping, _image_distances, _outside_band
+from .quasi import VertexMapping, _image_distances, verify_q1
 
 
 class Partition:
@@ -216,7 +216,6 @@ def verify_partition_qiso(pg: PartitionGraph) -> bool:
     """
     m = pg.mapping
     c = sharpness_report(m.source, pg.partition).sharpness
-    d1 = distance_matrix(m.source)
-    d2 = _image_distances(m.target, m.image)
-    # The sharpness is below n, so the stretch c + 1 needs no clamping.
-    return not (_outside_band(d1, d2, c + 1, 1).any() or (d2 > d1).any())
+    if not verify_q1(m, c + 1, 1):
+        return False
+    return not (_image_distances(m.target, m.image) > distance_matrix(m.source)).any()

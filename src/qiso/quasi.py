@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidConstants, NotSurjective, PreconditionViolated, TooLarge
-from .graph import CheckResult, Graph, _bfs, center, distance_matrix
+from .graph import CheckResult, Graph, _bfs, _extremes, center, distance_matrix, set_distance
 
 
 @dataclass(frozen=True)
@@ -264,10 +264,9 @@ def center_shift(
     if constants is None:
         constants = minimal_constants(m)
     src_center = center(m.source)
-    tgt_center = center(m.target)
-    radius_t = int(distance_matrix(m.target)[tgt_center[0]].max())
+    tgt_center, radius_t, _ = _extremes(m.target)
     pre = m.preimage(tgt_center)
-    shift = int(distance_matrix(m.source)[np.ix_(src_center, pre)].min())
+    shift = set_distance(m.source, src_center, pre)
     return CenterShiftReport(
         shift=shift,
         source_center=src_center,

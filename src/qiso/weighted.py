@@ -79,18 +79,19 @@ def weighted_partition_tree(
     return WeightedGraph(pg.quotient, weights), pg.mapping
 
 
+def _median_blocks(t: Graph, p: Partition) -> list[tuple[int, ...]]:
+    """Blocks forming the weighted quotient's median; each meets ``median(t)``."""
+    wq, _ = weighted_partition_tree(t, p)
+    return [p.blocks[b] for b in weighted_median(wq)]
+
+
 def locate_median_via_partition(t: Graph, p: Partition) -> tuple[int, ...]:
     """Original-tree candidate region for the median, found on the quotient.
 
-    Returns the union of the blocks forming the weighted median of the
-    cardinality-weighted quotient; every one of those blocks contains at
-    least one true median vertex of the tree.
+    Returns the union of the blocks forming the cardinality-weighted
+    quotient's median; each of them holds a true median vertex of the tree.
     """
-    wq, _ = weighted_partition_tree(t, p)
-    region: list[int] = []
-    for b in weighted_median(wq):
-        region.extend(p.blocks[b])
-    return tuple(sorted(region))
+    return tuple(sorted(v for blk in _median_blocks(t, p) for v in blk))
 
 
 def subtree_side(g: Graph, x: int, y: int) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ main library computes more directly, kept simple enough to trust.
 from __future__ import annotations
 
 from qiso.errors import TooLarge
-from qiso.graph import Graph, center
+from qiso.graph import Graph, bfs_distances, center
 from qiso.partition import build_partition_graph
 
 
@@ -189,6 +189,20 @@ def first_disconnected_block(g: Graph, blocks) -> int | None:
         if seen != members:
             return i
     return None
+
+
+def outward_blocks(t: Graph, root: int) -> list[tuple[int, ...]]:
+    """Outward contraction's blocks by level parity, in ascending head order.
+
+    Every even-level vertex heads a block holding it and its strictly
+    deeper neighbours, with levels from one search from ``root``.
+    """
+    lev = bfs_distances(t, root)
+    return [
+        tuple(sorted([v] + [u for u in t.adjacency[v] if lev[u] > lev[v]]))
+        for v in t.vertices()
+        if lev[v] % 2 == 0
+    ]
 
 
 def first_center_shifting_root(t: Graph, blocks) -> int | None:

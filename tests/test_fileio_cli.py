@@ -467,6 +467,20 @@ class TestCliAnalyze:
         )
         assert not out.exists()
 
+    def test_plain_size_guard_runs_first(self, tmp_path, monkeypatch, capsys):
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built before the size guard")
+
+        gfile = tmp_path / "c.el"
+        fileio.write_edge_list(cycle_graph(2001), gfile)
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        out = tmp_path / "rep.json"
+        assert main(["analyze", str(gfile), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: all-pairs search guarded at 2000 vertices, got 2001\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_large_tree_needs_no_matrix(self, tmp_path, monkeypatch, weighted):
         def no_matrix(*args, **kwargs):
@@ -636,6 +650,24 @@ class TestCliVerify:
         monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
         out = tmp_path / "v.json"
         argv = ["verify", str(gfile), "--claims", "q1,ecc-transfer,shift-bounds"]
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: all-pairs search guarded at 2000 vertices, got 2001\n"
+        )
+        assert not out.exists()
+
+    def test_cyclic_size_guard_runs_first(self, tmp_path, monkeypatch, capsys):
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built before the size guard")
+
+        g = cycle_graph(2001)
+        gfile = tmp_path / "c.el"
+        fileio.write_edge_list(g, gfile)
+        pfile = tmp_path / "p.txt"
+        fileio.write_partition(singleton_partition(g), pfile)
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        out = tmp_path / "v.json"
+        argv = ["verify", str(gfile), "--partition", str(pfile), "--claims", "tree-retention"]
         assert main(argv + ["-o", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: all-pairs search guarded at 2000 vertices, got 2001\n"

@@ -11,6 +11,7 @@ from oracles import (
     first_disconnected_block,
     floyd_warshall,
     longest_simple_cycle,
+    q1_witness,
 )
 from qiso.contraction import outward_contraction
 from qiso.errors import BlockNotConnected, InvalidVertex, NotAPartition
@@ -20,9 +21,10 @@ from qiso.generators import (
     random_partition,
     star_graph,
 )
-from qiso.graph import Graph, bfs_distances
+from qiso.graph import Graph, bfs_distances, distance, distance_matrix
 from qiso.partition import (
     Partition,
+    PartitionGraph,
     build_partition_graph,
     collapse_basic,
     collapse_modified,
@@ -31,6 +33,7 @@ from qiso.partition import (
     singleton_partition,
     verify_partition_qiso,
 )
+from qiso.quasi import VertexMapping
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -251,6 +254,34 @@ class TestQuasiIsometryGuarantee:
             g = seeded_graph(seed, max_n=25)
             p = random_partition(g, seed + 100)
             assert verify_partition_qiso(build_partition_graph(g, p))
+
+    @staticmethod
+    def _fake_quotient(g, target):
+        """A singleton partition of ``g`` whose quotient is claimed to be ``target``."""
+        mapping = VertexMapping(g, target, range(g.vertex_count))
+        return PartitionGraph(target, mapping, singleton_partition(g))
+
+    def test_rejects_stretching_quotient(self):
+        # Dropping one edge of a triangle lengthens only paths through it,
+        # each by one hop: the band at (0 + 1, 1) holds, never-stretch fails.
+        g = seeded_graph(0)
+        u, v = next(
+            (u, v) for u, v in g.edges() if set(g.adjacency[u]) & set(g.adjacency[v])
+        )
+        pg = self._fake_quotient(g, Graph(g.vertex_count, set(g.edges()) - {(u, v)}))
+        assert distance(pg.quotient, u, v) == 2
+        assert q1_witness(pg.mapping, 1, 1) is None
+        assert not verify_partition_qiso(pg)
+
+    def test_rejects_quotient_outside_band(self):
+        # A shortcut between two vertices four hops apart shrinks distances
+        # only, so never-stretch holds while the band at (0 + 1, 1) fails.
+        g = seeded_graph(0)
+        far = bfs_distances(g, 0).index(4)
+        pg = self._fake_quotient(g, Graph(g.vertex_count, g.edges() + [(0, far)]))
+        assert (distance_matrix(pg.quotient) <= distance_matrix(g)).all()
+        assert q1_witness(pg.mapping, 1, 1) is not None
+        assert not verify_partition_qiso(pg)
 
 
 class TestRandomPartition:

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import seeded_graph, seeded_tree, seeded_weights
 from qiso.errors import InvalidWeight, NotAdjacent, NotATree
-from qiso.generators import complete_graph, path_graph, random_partition
+from qiso.generators import complete_graph, path_graph, random_partition, random_tree
 from qiso.graph import Graph, bfs_distances, distance_sum, median
 from qiso.contraction import outward_contraction
 from qiso.partition import Partition, singleton_partition
 from qiso.weighted import (
     WeightedGraph,
+    _median_blocks,
     locate_median_via_partition,
     subset_weight,
     subtree_side,
@@ -28,6 +29,29 @@ seeds = st.integers(min_value=0, max_value=10_000)
 def weighted_tree(seed, min_n=2, max_n=40):
     t = seeded_tree(seed, min_n=min_n, max_n=max_n)
     return WeightedGraph(t, seeded_weights(seed, t.vertex_count))
+
+
+def hub_tree():
+    """A hub of six leaves with a four-edge tail; its median is the hub, 0."""
+    edges = [(0, leaf) for leaf in range(1, 7)] + [(0, 7), (7, 8), (8, 9), (9, 10)]
+    return Graph(11, edges)
+
+
+def criterion_12_cases(kind):
+    """The trees and partitions of acceptance criterion 12, one kind at a time."""
+    if kind == "hub":
+        t = hub_tree()
+        yield t, outward_contraction(t, 10)
+        return
+    for seed in range(12000, 12500):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 101)
+        t = random_tree(n, seed)
+        root = rng.randrange(n)
+        if kind == "outward":
+            yield t, outward_contraction(t, root)
+        else:
+            yield t, random_partition(t, seed)
 
 
 def mirrored_tree(seed, max_n=20):
@@ -216,6 +240,17 @@ class TestMedianRecovery:
         true_median = set(median(t))
         for b in weighted_median(wq):
             assert true_median.intersection(p.blocks[b])
+
+    @pytest.mark.parametrize("kind", ["outward", "random", "hub"])
+    def test_median_blocks_are_the_weighted_quotient_median(self, kind):
+        for t, p in criterion_12_cases(kind):
+            blocks = _median_blocks(t, p)
+            wq, _ = weighted_partition_tree(t, p)
+            assert blocks == [p.blocks[b] for b in weighted_median(wq)]
+            union = tuple(sorted(v for blk in blocks for v in blk))
+            assert locate_median_via_partition(t, p) == union
+            true_median = set(median(t))
+            assert blocks and all(true_median.intersection(blk) for blk in blocks)
 
     def test_weights_are_necessary(self):
         # Hub with six leaves and a tail of four; rooted at the tail tip,
