@@ -219,11 +219,11 @@ def _shift_bounds(s: _Subject) -> bool:
 
 
 def _median_preservation(s: _Subject) -> bool:
-    p = s.partition_graph("median-preservation").partition
+    pg = s.partition_graph("median-preservation")
     if not s.g.is_tree:
         return True
     true_median = set(median(s.g))
-    return all(true_median.intersection(blk) for blk in _median_blocks(s.g, p))
+    return all(true_median.intersection(blk) for blk in _median_blocks(pg))
 
 
 # Entries look the library up by its module-global name at call time, so
@@ -266,12 +266,14 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
     """Build, check and write one simplification.
 
     The all-pairs size guard runs as soon as the input is read, before
-    any construction or all-pairs matrix.
+    any construction or all-pairs matrix. A partition of a tree needs
+    no matrix, so it is spared.
     """
     if args.all_roots and args.method != "outward":
         raise UsageError("--all-roots needs --method outward")
     g = fileio.read_edge_list(args.input)
-    _check_size(g)
+    if args.method == "mis" or not g.is_tree:
+        _check_size(g)
     claims: tuple[str, ...] = ("q1", "q2")
     if args.method == "mis":
         subject = _Subject(g, report_mis=True)
@@ -318,9 +320,8 @@ def _partition_arg(args: argparse.Namespace, g: Graph) -> Optional[Partition]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = fileio.read_edge_list(args.input)
-    if args.partition is not None or not g.is_tree:
-        # The shift fields need the guarded minimal constants, and off a
-        # tree every report metric needs the matrix; fail before either.
+    if not g.is_tree:
+        # Off a tree every report metric needs the matrix; fail before it.
         _check_size(g)
     extra: dict[str, object] = {}
     checks: dict[str, dict] = {}
@@ -356,9 +357,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
 
     g = fileio.read_edge_list(args.input)
-    if "shift-bounds" in claims or not g.is_tree:
-        # Its minimal constants are guarded, and off a tree every report
-        # metric needs the matrix; fail before any other claim's work.
+    if not g.is_tree or ("shift-bounds" in claims and args.partition is None):
+        # Off a tree every report metric needs the matrix, and so do the
+        # minimal constants of an independent-set mapping; fail before
+        # any other claim's work.
         _check_size(g)
     subject = _Subject(g, _partition_arg(args, g), args.mapping)
     checks = _run_checks(subject, claims)

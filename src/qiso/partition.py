@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import BlockNotConnected, InvalidVertex, NotAPartition
-from .graph import Graph, _bfs, distance_matrix
-from .quasi import VertexMapping, _image_distances, verify_q1
+from .graph import Graph, _bfs
+from .quasi import VertexMapping, _pair_max, verify_q1
 
 
 class Partition:
@@ -218,4 +218,5 @@ def verify_partition_qiso(pg: PartitionGraph) -> bool:
     c = sharpness_report(m.source, pg.partition).sharpness
     if not verify_q1(m, c + 1, 1):
         return False
-    return not (_image_distances(m.target, m.image) > distance_matrix(m.source)).any()
+    (stretch_gap,) = _pair_max(m, (-1, 1))  # max of d2 - d1
+    return stretch_gap <= 0

@@ -6,8 +6,12 @@ additive distortion, and the density of the image in the target. All
 comparisons are exact (integer cross-multiplication or rationals); no
 floating point enters any verdict.
 
-Every check is a reduction over the graphs' cached distance matrices
-(:func:`qiso.graph.distance_matrix`).
+When the source is a tree and the mapping is its quotient by connected
+blocks (:func:`_tree_quotient`), every pair check and both eccentricity
+profiles are maximum-weight paths in the source tree, found in linear
+time without any matrix. Every other
+mapping is checked by reductions over the graphs' cached distance
+matrices (:func:`qiso.graph.distance_matrix`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidConstants, NotSurjective, PreconditionViolated, TooLarge
-from .graph import CheckResult, Graph, _bfs, _extremes, center, distance_matrix, set_distance
+from .graph import (
+    CheckResult,
+    Graph,
+    _bfs,
+    _extremes,
+    _preorder,
+    center,
+    distance_matrix,
+    set_distance,
+)
 
 
 @dataclass(frozen=True)
@@ -120,24 +133,121 @@ def _outside_band(
     return bad
 
 
+def _tree_quotient(m: VertexMapping) -> bool:
+    """Whether ``m`` is the quotient map of a tree by connected blocks.
+
+    Holds when the source is a tree, every source edge lies inside one
+    block or maps onto a target edge, and exactly
+    ``target.vertex_count - 1 == target.edge_count`` edges cross blocks.
+    A block of a tree induces a forest, so k blocks leave at least k - 1
+    cross edges, and exactly k - 1 only when every block is connected;
+    the cross edges then join distinct block pairs, which are all the
+    target's edges. On such a mapping the x-y path meets each block in
+    one run, so ``d(x, y)`` counts its intra- and cross-block edges and
+    ``d'(f(x), f(y))`` its cross-block edges alone.
+    """
+    source, target, img = m.source, m.target, m.image
+    k = target.vertex_count
+    if not source.is_tree or target.edge_count != k - 1:
+        return False
+    # Each cross edge once, from the endpoint with the smaller image.
+    cross = [
+        (img[u], img[v])
+        for u, nbrs in enumerate(source.adjacency)
+        for v in nbrs
+        if img[u] < img[v]
+    ]
+    return len(cross) == k - 1 and set(cross) == set(target.edges())
+
+
+def _path_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
+    """Per ``(alpha, beta)``, each x's maximum over y of ``alpha*d1 + beta*d2``.
+
+    ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``, as in :func:`_pair_max`.
+
+    Only for a :func:`_tree_quotient` mapping, where the value is the
+    weight of the x-y path with intra-block edges weighing ``alpha`` and
+    cross-block edges ``alpha + beta``. Two best child branches per
+    vertex give every path that turns there (y = x weighs 0); a second,
+    rerooting pass adds the best path leaving through the parent.
+    """
+    order, parent = _preorder(m.source.adjacency)
+    img = m.image
+    # cut[v]: the edge from v to its parent crosses blocks (unused at the root).
+    cut = [img[v] != img[p] for v, p in enumerate(parent)]
+    out = []
+    for alpha, beta in coeffs:
+        w = [alpha + beta if c else alpha for c in cut]
+        top1 = [0] * len(order)  # best path down from v, the empty one included
+        top2 = [0] * len(order)  # best down path through another child of v
+        for v in order[:0:-1]:
+            p = parent[v]
+            val = w[v] + top1[v]
+            if val > top1[p]:
+                top1[p], top2[p] = val, top1[p]
+            elif val > top2[p]:
+                top2[p] = val
+        up = [0] * len(order)  # best path from v through its parent
+        best = top1[:]
+        for v in order[1:]:
+            p = parent[v]
+            val = w[v] + top1[v]
+            up[v] = w[v] + max(up[p], top2[p] if val == top1[p] else top1[p])
+            if up[v] > best[v]:
+                best[v] = up[v]
+        out.append(best)
+    return out
+
+
+def _pair_max(m: VertexMapping, *coeffs: tuple[int, int]) -> list[int]:
+    """Per ``(alpha, beta)``, the maximum of ``alpha*d1 + beta*d2`` over all pairs.
+
+    ``d1`` is the source distance and ``d2`` the target distance of the
+    images; the pair ``x = y`` gives 0. Tree quotients take the
+    path-weight DP, every other mapping the distance matrices.
+    """
+    if _tree_quotient(m):
+        return [max(best) for best in _path_maxima(m, *coeffs)]
+    d1 = distance_matrix(m.source)
+    d2 = _image_distances(m.target, m.image)
+    return [int((alpha * d1 + beta * d2).max()) for alpha, beta in coeffs]
+
+
 def verify_q1(m: VertexMapping, stretch: int, additive: int) -> CheckResult:
     """Exhaustively check the two-sided distance inequality.
 
     For every source pair ``x, y`` the target distance must lie within
     ``[d(x,y)/stretch - additive, stretch*d(x,y) + additive]``. The first
     violating pair in row-major order is reported.
+
+    On a tree quotient, x is the smallest vertex whose best partner
+    breaks the band; violations are symmetric, so every partner of x is
+    larger, and one search from x finds the smallest.
     """
     _check_q1_constants(stretch, additive)
     # Every distance is below n, so clamping to n is exact and int64 cannot wrap.
     n = m.source.vertex_count
-    return _pair_check(
-        _outside_band(
-            distance_matrix(m.source),
-            _image_distances(m.target, m.image),
-            min(stretch, n),
-            min(additive, n),
+    stretch, additive = min(stretch, n), min(additive, n)
+    if not _tree_quotient(m):
+        return _pair_check(
+            _outside_band(
+                distance_matrix(m.source),
+                _image_distances(m.target, m.image),
+                stretch,
+                additive,
+            )
         )
+    lower, upper = _path_maxima(m, (1, -stretch), (-stretch, 1))
+    bad_rows = (
+        v for v in range(n) if lower[v] > stretch * additive or upper[v] > additive
     )
+    x = next(bad_rows, None)
+    if x is None:
+        return CheckResult(True)
+    d1 = np.array(_bfs(m.source.adjacency, (x,)))
+    d2 = np.array(_bfs(m.target.adjacency, (m.image[x],)))
+    bad = _outside_band(d1, d2[np.asarray(m.image, dtype=np.intp)], stretch, additive)
+    return CheckResult(False, (x, int(bad.argmax())))
 
 
 def verify_q2_raw(target: Graph, images: Sequence[int], density: int) -> bool:
@@ -169,10 +279,7 @@ def minimal_additive_for_stretch(m: VertexMapping, stretch: int) -> int:
     _check_q1_constants(stretch, 0)
     # Every distance is below n, so clamping to n is exact and int64 cannot wrap.
     stretch = min(stretch, m.source.vertex_count)
-    d1 = distance_matrix(m.source)
-    d2 = _image_distances(m.target, m.image)
-    upper = int((d2 - stretch * d1).max())
-    diff = int((d1 - stretch * d2).max())
+    upper, diff = _pair_max(m, (-stretch, 1), (1, -stretch))
     lower = -((-diff) // stretch)  # ceil(diff / stretch)
     return max(0, upper, lower)
 
@@ -195,10 +302,12 @@ def minimal_constants(m: VertexMapping) -> QuasiIsometryConstants:
     Every stretch admits a large enough additive, so the least feasible
     stretch is 1 and the minimum is reached at stretch 1 with its tight
     additive. Use :func:`minimal_additive_for_stretch` to explore the
-    rest of the frontier. Sources above 2000 vertices raise
-    :class:`TooLarge` before any distance is computed.
+    rest of the frontier. A tree quotient needs no matrix and has no
+    size limit; any other mapping whose source has more than 2000
+    vertices raises :class:`TooLarge` before any distance is computed.
     """
-    _check_size(m.source)
+    if not _tree_quotient(m):
+        _check_size(m.source)
     # A VertexMapping is surjective, so every target vertex is an image: density 0.
     return QuasiIsometryConstants(1, minimal_additive_for_stretch(m, 1), 0)
 
@@ -216,8 +325,12 @@ def verify_ecc_transfer(m: VertexMapping, stretch: int, additive: int) -> bool:
         )
     # Every eccentricity is below n, so clamping to n is exact.
     n = m.source.vertex_count
-    ecc1 = distance_matrix(m.source).max(axis=1)
-    ecc2 = distance_matrix(m.target).max(axis=1)[np.asarray(m.image, dtype=np.intp)]
+    if _tree_quotient(m):
+        # The image is onto, so the farthest image from f(x) is f(x)'s eccentricity.
+        ecc1, ecc2 = map(np.array, _path_maxima(m, (1, 0), (0, 1)))
+    else:
+        ecc1 = distance_matrix(m.source).max(axis=1)
+        ecc2 = distance_matrix(m.target).max(axis=1)[np.asarray(m.image, dtype=np.intp)]
     return not _outside_band(ecc1, ecc2, min(stretch, n), min(additive, n)).any()
 
 
@@ -259,7 +372,8 @@ def center_shift(
     """Measure the center-shift of a mapping and evaluate its bounds.
 
     When ``constants`` is omitted the minimal constants are computed
-    first, so their all-pairs size guard runs before any other work.
+    first, so their all-pairs size guard, which spares tree quotients,
+    runs before any other work.
     """
     if constants is None:
         constants = minimal_constants(m)

@@ -74,15 +74,21 @@ def weighted_partition_tree(
     bookkeeping needed to recover the original median from the quotient.
     """
     require_tree(t)
-    pg: PartitionGraph = build_partition_graph(t, p)
-    weights = tuple(len(blk) for blk in p.blocks)
-    return WeightedGraph(pg.quotient, weights), pg.mapping
+    pg = build_partition_graph(t, p)
+    return _cardinality_weighted(pg), pg.mapping
 
 
-def _median_blocks(t: Graph, p: Partition) -> list[tuple[int, ...]]:
-    """Blocks forming the weighted quotient's median; each meets ``median(t)``."""
-    wq, _ = weighted_partition_tree(t, p)
-    return [p.blocks[b] for b in weighted_median(wq)]
+def _cardinality_weighted(pg: PartitionGraph) -> WeightedGraph:
+    return WeightedGraph(pg.quotient, tuple(len(blk) for blk in pg.partition.blocks))
+
+
+def _median_blocks(pg: PartitionGraph) -> list[tuple[int, ...]]:
+    """Blocks forming the weighted quotient's median.
+
+    On a tree, each of them meets the tree's median.
+    """
+    blocks = pg.partition.blocks
+    return [blocks[b] for b in weighted_median(_cardinality_weighted(pg))]
 
 
 def locate_median_via_partition(t: Graph, p: Partition) -> tuple[int, ...]:
@@ -91,7 +97,9 @@ def locate_median_via_partition(t: Graph, p: Partition) -> tuple[int, ...]:
     Returns the union of the blocks forming the cardinality-weighted
     quotient's median; each of them holds a true median vertex of the tree.
     """
-    return tuple(sorted(v for blk in _median_blocks(t, p) for v in blk))
+    require_tree(t)
+    blocks = _median_blocks(build_partition_graph(t, p))
+    return tuple(sorted(v for blk in blocks for v in blk))
 
 
 def subtree_side(g: Graph, x: int, y: int) -> tuple[int, ...]:

@@ -320,8 +320,8 @@ class TestCliSimplify:
         ) == 2
 
     @staticmethod
-    def _simplify_guarded(tmp_path, monkeypatch, method):
-        """Exit code of ``simplify`` on a path above the size guard.
+    def _simplify_guarded(tmp_path, monkeypatch, method, g):
+        """Exit code of ``simplify`` on a graph above the size guard.
 
         Building any all-pairs matrix, by either kernel, raises; the
         output directory must stay empty.
@@ -330,8 +330,8 @@ class TestCliSimplify:
         def no_matrix(*args, **kwargs):
             raise RuntimeError("all-pairs matrix built before the size guard")
 
-        gfile = tmp_path / "p.el"
-        fileio.write_edge_list(path_graph(2001), gfile)
+        gfile = tmp_path / "g.el"
+        fileio.write_edge_list(g, gfile)
         outdir = tmp_path / "out"
         outdir.mkdir()
         monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
@@ -340,10 +340,12 @@ class TestCliSimplify:
         return code
 
     def test_size_guard_writes_nothing(self, tmp_path, monkeypatch):
-        assert self._simplify_guarded(tmp_path, monkeypatch, "collapse") == 2
+        g = cycle_graph(2001)
+        assert self._simplify_guarded(tmp_path, monkeypatch, "collapse", g) == 2
 
     def test_mis_size_guard_writes_nothing(self, tmp_path, monkeypatch):
-        assert self._simplify_guarded(tmp_path, monkeypatch, "mis") == 2
+        g = path_graph(2001)
+        assert self._simplify_guarded(tmp_path, monkeypatch, "mis", g) == 2
 
     @pytest.mark.parametrize("method", ["mis", "collapse", "collapse-modified"])
     def test_all_roots_needs_outward(self, tmp_path, monkeypatch, capsys, method):
@@ -694,6 +696,35 @@ class TestCliVerify:
                 str(tmp_path / "v.json"),
             ]
         ) == 2
+
+
+class TestCliLargeTree:
+    """Partition work on a tree needs no matrix and meets no size guard."""
+
+    def test_every_partition_command_on_ten_thousand_vertices(self, tmp_path, monkeypatch):
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built for a tree")
+
+        gfile = tmp_path / "t.el"
+        fileio.write_edge_list(random_tree(10_000, 3), gfile)
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        reports = []
+        for method in ("outward", "collapse", "collapse-modified"):
+            argv = ["simplify", str(gfile), "--method", method, "-o", str(tmp_path / method)]
+            assert main(argv) == 0
+            reports.append(tmp_path / f"{method}.report.json")
+        pfile = str(tmp_path / "outward.partition.txt")
+        out = tmp_path / "a.json"
+        assert main(["analyze", str(gfile), "--partition", pfile, "-o", str(out)]) == 0
+        reports.append(out)
+        claims = "q1,q2,ecc-transfer,tree-retention,compression,shift-bounds,median-preservation"
+        out = tmp_path / "v.json"
+        argv = ["verify", str(gfile), "--partition", pfile, "--claims", claims]
+        assert main(argv + ["-o", str(out)]) == 0
+        reports.append(out)
+        for path in reports:
+            checks = json.loads(path.read_text())["checks"]
+            assert checks and all(entry["ok"] for entry in checks.values())
 
 
 class TestClaimTable:

@@ -1,13 +1,17 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from helpers import seeded_graph, seeded_tree
 from oracles import ecc_transfer_holds, floyd_warshall, minimal_additive, q1_witness
 from qiso.contraction import outward_contraction
 from qiso.errors import (
+    BlockNotConnected,
     InvalidConstants,
     NotSurjective,
     PreconditionViolated,
@@ -18,6 +22,7 @@ from qiso.generators import (
     cycle_graph,
     non_uniecc_chordal,
     path_graph,
+    random_tree,
     star_graph,
 )
 from qiso.graph import (
@@ -28,10 +33,21 @@ from qiso.graph import (
     eccentricity_profile,
     set_distance,
 )
-from qiso.partition import build_partition_graph, collapse_basic, collapse_modified
+from qiso.mis import greedy_mis, mis_derived
+from qiso.partition import (
+    Partition,
+    build_partition_graph,
+    collapse_basic,
+    collapse_modified,
+    sharpness_report,
+    singleton_partition,
+    verify_partition_qiso,
+)
 from qiso.quasi import (
     QuasiIsometryConstants,
     VertexMapping,
+    _path_maxima,
+    _tree_quotient,
     center_shift,
     identity_mapping,
     minimal_additive_for_stretch,
@@ -209,7 +225,7 @@ class TestMinimalConstants:
 
     def test_size_guard(self):
         with pytest.raises(TooLarge):
-            minimal_constants(identity_mapping(path_graph(2001)))
+            minimal_constants(identity_mapping(cycle_graph(2001)))
 
     @pytest.mark.parametrize("big", [2**62, 2**70])
     def test_huge_constants_stay_exact(self, big):
@@ -337,3 +353,157 @@ class TestCenterShift:
         rad = eccentricity_profile(m.target).radius
         assert rep.two_sided_bound == shift_bound_two_sided(3, 1, rad)
         assert rep.one_sided_bound == shift_bound_one_sided(3, 1, rad)
+
+
+def no_matrix(*args, **kwargs):
+    raise RuntimeError("all-pairs matrix built for a tree quotient")
+
+
+def no_dp(*args, **kwargs):
+    raise RuntimeError("path-weight DP run on a mapping that is no tree quotient")
+
+
+def is_tree_quotient(m):
+    """Whether ``m`` is a tree's quotient map, by building that quotient."""
+    if not m.source.is_tree:
+        return False
+    blocks = [m.preimage([b]) for b in m.target.vertices()]
+    try:
+        p = Partition(m.source, blocks)
+    except BlockNotConnected:
+        return False
+    return build_partition_graph(m.source, p).quotient == m.target
+
+
+PARTITIONS = {
+    "outward": lambda t, i: outward_contraction(t, i % t.vertex_count),
+    "collapse": lambda t, i: collapse_basic(t),
+    "collapse-modified": lambda t, i: collapse_modified(t),
+    "singleton": lambda t, i: singleton_partition(t),
+    "one-block": lambda t, i: Partition(t, [list(t.vertices())]),
+}
+
+
+def oracle_trees():
+    """300 seeded trees with n = 1..30, plus paths and stars."""
+    trees = [seeded_tree(seed, min_n=1, max_n=30) for seed in range(300)]
+    trees += [path_graph(n) for n in (1, 2, 3, 8, 21)]
+    trees += [star_graph(n) for n in (2, 3, 9, 25)]
+    return trees
+
+
+def assert_matches_oracles(m):
+    """Every q1 quantity of ``m`` equals the pair-loop oracles'; returns the verdicts."""
+    verdicts = set()
+    for stretch in (1, 2, 3):
+        assert minimal_additive_for_stretch(m, stretch) == minimal_additive(m, stretch)
+        for additive in (0, 1, 2):
+            res = verify_q1(m, stretch, additive)
+            assert res.witness == q1_witness(m, stretch, additive)
+            assert res.ok == (res.witness is None)
+            verdicts.add(res.ok)
+            if res.ok:
+                assert verify_ecc_transfer(m, stretch, additive) == ecc_transfer_holds(
+                    m, stretch, additive
+                )
+            else:
+                with pytest.raises(PreconditionViolated):
+                    verify_ecc_transfer(m, stretch, additive)
+    return verdicts
+
+
+@pytest.fixture
+def cached_oracles(monkeypatch):
+    """The oracles with one Floyd-Warshall run per graph."""
+    monkeypatch.setattr(oracles, "floyd_warshall", functools.cache(floyd_warshall))
+
+
+class TestTreeQuotient:
+    """The path-weight DP that checks tree quotients without any matrix."""
+
+    @pytest.mark.parametrize("kind", list(PARTITIONS))
+    def test_matches_oracles(self, kind, cached_oracles):
+        verdicts = set()
+        for i, t in enumerate(oracle_trees()):
+            pg = build_partition_graph(t, PARTITIONS[kind](t, i))
+            assert _tree_quotient(pg.mapping)
+            verdicts |= assert_matches_oracles(pg.mapping)
+            # Both eccentricity profiles, as verify_ecc_transfer reads them.
+            ecc1, ecc2 = _path_maxima(pg.mapping, (1, 0), (0, 1))
+            assert ecc1 == [max(row) for row in oracles.floyd_warshall(t)]
+            ecc_q = [max(row) for row in oracles.floyd_warshall(pg.quotient)]
+            assert ecc2 == [ecc_q[b] for b in pg.mapping.image]
+            assert verify_partition_qiso(pg)
+        # Failing constants occur wherever some block has an inner edge.
+        assert verdicts == ({True} if kind == "singleton" else {True, False})
+
+    def test_non_quotients_take_the_matrix_path(self, cached_oracles, monkeypatch):
+        mappings = []
+        for seed in range(60):
+            t = seeded_tree(seed, min_n=4, max_n=30)
+            q = build_partition_graph(t, outward_contraction(t, 0)).quotient
+            missing = [
+                (a, b)
+                for a in q.vertices()
+                for b in q.vertices()
+                if a < b and not q.adjacent(a, b)
+            ]
+            pg = build_partition_graph(t, collapse_basic(t))
+            if missing:
+                extra = Graph(q.vertex_count, q.edges() + [missing[seed % len(missing)]])
+                image = outward_contraction(t, 0).block_of
+                mappings.append(VertexMapping(t, extra, image))
+            mappings.append(mis_derived(t, greedy_mis(t)).mapping)
+            # A tree quotient's image set onto a relabelled tree of the same size.
+            mappings.append(VertexMapping(t, random_tree(len(pg.partition), seed), pg.mapping.image))
+        monkeypatch.setattr("qiso.quasi._path_maxima", no_dp)
+        non_quotients = [m for m in mappings if not is_tree_quotient(m)]
+        assert len(non_quotients) > 100
+        for m in non_quotients:
+            assert not _tree_quotient(m)
+            assert_matches_oracles(m)
+
+    def test_predicate_matches_quotient_construction(self):
+        rng = random.Random(5)
+        seen = set()
+        for seed in range(200):
+            t = seeded_tree(seed, min_n=1, max_n=25)
+            p = PARTITIONS[rng.choice(list(PARTITIONS))](t, seed)
+            pg = build_partition_graph(t, p)
+            k = pg.quotient.vertex_count
+            # Relabelling the quotient keeps it a quotient.
+            perm = list(range(k))
+            rng.shuffle(perm)
+            relabelled = Graph(k, [(perm[a], perm[b]) for a, b in pg.quotient.edges()])
+            image = [perm[b] for b in pg.mapping.image]
+            # Any surjective map onto any tree of that size, usually not a quotient.
+            arbitrary = image[:]
+            rng.shuffle(arbitrary)
+            for m in (
+                VertexMapping(t, relabelled, image),
+                VertexMapping(t, random_tree(k, seed), arbitrary),
+                VertexMapping(t, relabelled, arbitrary),
+            ):
+                expected = is_tree_quotient(m)
+                assert _tree_quotient(m) == expected
+                seen.add(expected)
+        for g in (cycle_graph(6), seeded_graph(3)):
+            assert not _tree_quotient(identity_mapping(g))
+        assert seen == {True, False}
+
+    def test_no_matrix_and_no_size_guard(self, monkeypatch):
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        t = random_tree(3000, 8)
+        for p in (outward_contraction(t, 17), collapse_basic(t), collapse_modified(t)):
+            pg = build_partition_graph(t, p)
+            m = pg.mapping
+            c = sharpness_report(t, p).sharpness
+            assert verify_q1(m, c + 1, 1)
+            assert not verify_q1(m, 1, 0)
+            assert verify_ecc_transfer(m, c + 1, 1)
+            assert verify_partition_qiso(pg)
+            assert minimal_additive_for_stretch(m, c + 1) <= 1
+            constants = minimal_constants(m)
+            report = center_shift(m)
+            assert report.constants == constants
+            assert report.shift <= report.one_sided_bound

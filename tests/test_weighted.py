@@ -10,7 +10,7 @@ from qiso.errors import InvalidWeight, NotAdjacent, NotATree
 from qiso.generators import complete_graph, path_graph, random_partition, random_tree
 from qiso.graph import Graph, bfs_distances, distance_sum, median
 from qiso.contraction import outward_contraction
-from qiso.partition import Partition, singleton_partition
+from qiso.partition import Partition, build_partition_graph, singleton_partition
 from qiso.weighted import (
     WeightedGraph,
     _median_blocks,
@@ -244,7 +244,7 @@ class TestMedianRecovery:
     @pytest.mark.parametrize("kind", ["outward", "random", "hub"])
     def test_median_blocks_are_the_weighted_quotient_median(self, kind):
         for t, p in criterion_12_cases(kind):
-            blocks = _median_blocks(t, p)
+            blocks = _median_blocks(build_partition_graph(t, p))
             wq, _ = weighted_partition_tree(t, p)
             assert blocks == [p.blocks[b] for b in weighted_median(wq)]
             union = tuple(sorted(v for blk in blocks for v in blk))
