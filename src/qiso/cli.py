@@ -41,7 +41,6 @@ from .partition import (
 )
 from .quasi import (
     VertexMapping,
-    _check_size,
     center_shift,
     verify_ecc_transfer,
     verify_q1,
@@ -86,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("mis", "collapse", "collapse-modified", "outward"),
     )
-    simp.add_argument("--root", type=int, default=0, help="root for outward")
+    simp.add_argument("--root", type=int, help="outward only: root (default 0)")
     simp.add_argument(
         "--all-roots",
         action="store_true",
@@ -163,6 +162,9 @@ class _Subject:
         report_mis: bool = False,
     ):
         self.g = g
+        # The graph metrics come first: off a tree they build the matrix,
+        # whose size guard must run before the partition's block searches.
+        self.extremes, self.median = _extremes(g), median(g)
         self.pg = self.sharp = None
         if partition is not None:
             self.pg = build_partition_graph(g, partition)
@@ -190,12 +192,12 @@ class _Subject:
 
     def fields(self) -> dict:
         """Graph metrics plus the block diameters and compression, if any."""
-        cen, radius, diameter = _extremes(self.g)
+        cen, radius, diameter = self.extremes
         fields: dict[str, object] = {
             "radius": radius,
             "diameter": diameter,
             "center": list(cen),
-            "median": list(median(self.g)),
+            "median": list(self.median),
         }
         if self.sharp is not None:
             fields["sharpness"] = self.sharp.sharpness
@@ -222,7 +224,7 @@ def _median_preservation(s: _Subject) -> bool:
     pg = s.partition_graph("median-preservation")
     if not s.g.is_tree:
         return True
-    true_median = set(median(s.g))
+    true_median = set(s.median)
     return all(true_median.intersection(blk) for blk in _median_blocks(pg))
 
 
@@ -263,17 +265,13 @@ def _shift_fields(mapping: VertexMapping) -> tuple[dict, object]:
 
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
-    """Build, check and write one simplification.
-
-    The all-pairs size guard runs as soon as the input is read, before
-    any construction or all-pairs matrix. A partition of a tree needs
-    no matrix, so it is spared.
-    """
-    if args.all_roots and args.method != "outward":
-        raise UsageError("--all-roots needs --method outward")
+    """Build, check and write one simplification."""
+    if args.method != "outward":
+        if args.root is not None:
+            raise UsageError("--root needs --method outward")
+        if args.all_roots:
+            raise UsageError("--all-roots needs --method outward")
     g = fileio.read_edge_list(args.input)
-    if args.method == "mis" or not g.is_tree:
-        _check_size(g)
     claims: tuple[str, ...] = ("q1", "q2")
     if args.method == "mis":
         subject = _Subject(g, report_mis=True)
@@ -284,8 +282,9 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
         elif args.method == "collapse-modified":
             partition = collapse_modified(g)
         else:
-            g.check_vertex(args.root)
-            partition = outward_contraction(g, args.root)
+            root = args.root or 0
+            g.check_vertex(root)
+            partition = outward_contraction(g, root)
         subject = _Subject(g, partition)
     mapping = subject.guaranteed()[0]
     fields, _ = _shift_fields(mapping)
@@ -320,9 +319,6 @@ def _partition_arg(args: argparse.Namespace, g: Graph) -> Optional[Partition]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = fileio.read_edge_list(args.input)
-    if not g.is_tree:
-        # Off a tree every report metric needs the matrix; fail before it.
-        _check_size(g)
     extra: dict[str, object] = {}
     checks: dict[str, dict] = {}
 
@@ -357,11 +353,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
 
     g = fileio.read_edge_list(args.input)
-    if not g.is_tree or ("shift-bounds" in claims and args.partition is None):
-        # Off a tree every report metric needs the matrix, and so do the
-        # minimal constants of an independent-set mapping; fail before
-        # any other claim's work.
-        _check_size(g)
     subject = _Subject(g, _partition_arg(args, g), args.mapping)
     checks = _run_checks(subject, claims)
     report = fileio.build_report(

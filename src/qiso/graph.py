@@ -26,6 +26,7 @@ from .errors import (
     InvalidEdge,
     InvalidVertex,
     NotATree,
+    TooLarge,
 )
 
 
@@ -165,10 +166,26 @@ def _bfs(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> list[int]:
 # arrays and, each level, gathers one _CHUNK-bit row per adjacency entry.
 _CHUNK = 1024
 
+_MAX_VERTICES = 2000
+
+
+def _check_size(g: Graph) -> None:
+    """Raise :class:`TooLarge` for graphs above the all-pairs size guard."""
+    if g.vertex_count > _MAX_VERTICES:
+        raise TooLarge(
+            f"all-pairs search guarded at {_MAX_VERTICES} vertices, "
+            f"got {g.vertex_count}"
+        )
+
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs hop distances as a read-only int64 matrix, cached per graph."""
+    """All-pairs hop distances as a read-only int64 matrix, cached per graph.
+
+    The one place a matrix is built, so the one size guard: a graph above
+    2000 vertices raises :class:`TooLarge` before any distance is computed.
+    """
     if g._dist is None:
+        _check_size(g)
         dist = _build_distances(g)
         dist.flags.writeable = False
         g._dist = dist

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidConstants, NotSurjective, PreconditionViolated, TooLarge
+from .errors import InvalidConstants, NotSurjective, PreconditionViolated
 from .graph import (
     CheckResult,
     Graph,
@@ -284,30 +284,14 @@ def minimal_additive_for_stretch(m: VertexMapping, stretch: int) -> int:
     return max(0, upper, lower)
 
 
-_MAX_VERTICES = 2000
-
-
-def _check_size(g: Graph) -> None:
-    """Raise :class:`TooLarge` for graphs above the all-pairs size guard."""
-    if g.vertex_count > _MAX_VERTICES:
-        raise TooLarge(
-            f"all-pairs search guarded at {_MAX_VERTICES} vertices, "
-            f"got {g.vertex_count}"
-        )
-
-
 def minimal_constants(m: VertexMapping) -> QuasiIsometryConstants:
     """Lexicographically minimal constants, stretch first, then additive.
 
     Every stretch admits a large enough additive, so the least feasible
     stretch is 1 and the minimum is reached at stretch 1 with its tight
     additive. Use :func:`minimal_additive_for_stretch` to explore the
-    rest of the frontier. A tree quotient needs no matrix and has no
-    size limit; any other mapping whose source has more than 2000
-    vertices raises :class:`TooLarge` before any distance is computed.
+    rest of the frontier.
     """
-    if not _tree_quotient(m):
-        _check_size(m.source)
     # A VertexMapping is surjective, so every target vertex is an image: density 0.
     return QuasiIsometryConstants(1, minimal_additive_for_stretch(m, 1), 0)
 
@@ -371,9 +355,7 @@ def center_shift(
 ) -> CenterShiftReport:
     """Measure the center-shift of a mapping and evaluate its bounds.
 
-    When ``constants`` is omitted the minimal constants are computed
-    first, so their all-pairs size guard, which spares tree quotients,
-    runs before any other work.
+    When ``constants`` is omitted the minimal constants are computed.
     """
     if constants is None:
         constants = minimal_constants(m)

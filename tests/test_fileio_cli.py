@@ -229,6 +229,9 @@ class TestCliGenerate:
         assert a.read_bytes() == b.read_bytes()
 
 
+_NOT_OUTWARD = ("mis", "collapse", "collapse-modified")
+
+
 class TestCliSimplify:
     @pytest.fixture()
     def tree_file(self, tmp_path):
@@ -347,17 +350,21 @@ class TestCliSimplify:
         g = path_graph(2001)
         assert self._simplify_guarded(tmp_path, monkeypatch, "mis", g) == 2
 
-    @pytest.mark.parametrize("method", ["mis", "collapse", "collapse-modified"])
-    def test_all_roots_needs_outward(self, tmp_path, monkeypatch, capsys, method):
+    @pytest.mark.parametrize(
+        "method, flags",
+        [pytest.param(m, ["--all-roots"], id=m) for m in _NOT_OUTWARD]
+        + [pytest.param(m, ["--root", "0"], id=f"root-{m}") for m in _NOT_OUTWARD],
+    )
+    def test_all_roots_needs_outward(self, tmp_path, monkeypatch, capsys, method, flags):
         def unread(*args, **kwargs):
             raise AssertionError("input read before the usage check")
 
         monkeypatch.setattr(fileio, "read_edge_list", unread)
         outdir = tmp_path / "out"
         outdir.mkdir()
-        argv = ["simplify", "t.el", "--method", method, "--all-roots"]
+        argv = ["simplify", "t.el", "--method", method, *flags]
         assert main(argv + ["-o", str(outdir / "s")]) == 2
-        assert capsys.readouterr().err == "error: --all-roots needs --method outward\n"
+        assert capsys.readouterr().err == f"error: {flags[0]} needs --method outward\n"
         assert list(outdir.iterdir()) == []
 
     def test_mis_writes_mapping(self, tmp_path):
@@ -676,12 +683,66 @@ class TestCliVerify:
         )
         assert not out.exists()
 
-    def test_q1_runs_above_size_guard(self, tmp_path):
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--claims", "q1"],
+            ["--claims", "ecc-transfer"],
+            ["--claims", "q2"],
+            ["--partition", "P", "--claims", "mis-bounds"],
+        ],
+        ids=["q1", "ecc-transfer", "q2", "partition-mis-bounds"],
+    )
+    def test_mis_claims_meet_size_guard(self, tmp_path, monkeypatch, capsys, extra):
+        # An independent-set mapping needs the matrix even on a tree.
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built before the size guard")
+
+        g = path_graph(2001)
         gfile = tmp_path / "p.el"
-        fileio.write_edge_list(path_graph(2001), gfile)
+        fileio.write_edge_list(g, gfile)
+        pfile = tmp_path / "p.txt"
+        fileio.write_partition(singleton_partition(g), pfile)
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
         out = tmp_path / "v.json"
-        assert main(["verify", str(gfile), "--claims", "q1", "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["checks"]["q1"]["ok"]
+        argv = ["verify", str(gfile)] + [{"P": str(pfile)}.get(a, a) for a in extra]
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: all-pairs search guarded at 2000 vertices, got 2001\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simplify", "G", "--method", "collapse"],
+            ["analyze", "G", "--partition", "P"],
+            ["verify", "G", "--partition", "P", "--claims", "q2"],
+        ],
+        ids=["simplify", "analyze", "verify"],
+    )
+    def test_cyclic_guard_precedes_block_searches(self, tmp_path, monkeypatch, capsys, argv):
+        # Off a tree the report metrics build the matrix first, so the guard
+        # fires before the quadratic searches of the sharpness report.
+        def unreached(*args, **kwargs):
+            raise RuntimeError("superlinear work before the size guard")
+
+        g = cycle_graph(2001)
+        gfile = tmp_path / "c.el"
+        fileio.write_edge_list(g, gfile)
+        pfile = tmp_path / "p.txt"
+        fileio.write_partition(singleton_partition(g), pfile)
+        monkeypatch.setattr(cli, "sharpness_report", unreached)
+        monkeypatch.setattr("qiso.graph._build_distances", unreached)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        paths = {"G": str(gfile), "P": str(pfile)}
+        argv = [paths.get(a, a) for a in argv] + ["-o", str(outdir / "r")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: all-pairs search guarded at 2000 vertices, got 2001\n"
+        )
+        assert list(outdir.iterdir()) == []
 
     def test_claim_needing_partition_without_one(self, tmp_path):
         gfile = tmp_path / "p.el"

@@ -32,6 +32,7 @@ from qiso.graph import (
     distance_matrix,
     eccentricity_profile,
     set_distance,
+    uni_ecc_holds,
 )
 from qiso.mis import greedy_mis, mis_derived
 from qiso.partition import (
@@ -291,6 +292,17 @@ class TestDistanceMatrix:
 
     def test_single_vertex(self):
         assert distance_matrix(Graph(1)).tolist() == [[0]]
+
+    def test_size_guard(self, monkeypatch):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("all-pairs matrix built above the size guard")
+
+        assert distance_matrix(path_graph(2000)).shape == (2000, 2000)
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        g = cycle_graph(2001)
+        for fn in (distance_matrix, eccentricity_profile, uni_ecc_holds):
+            with pytest.raises(TooLarge, match="guarded at 2000 vertices, got 2001"):
+                fn(g)
 
     def test_tree_kernel_matches_floyd_warshall(self):
         trees = [seeded_tree(seed) for seed in range(80)]
