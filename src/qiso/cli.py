@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -33,7 +33,6 @@ from .graph import Graph, _extremes, median
 from .mis import MisResult, greedy_mis, mis_derived, verify_mis_bounds
 from .partition import (
     Partition,
-    PartitionGraph,
     build_partition_graph,
     collapse_basic,
     collapse_modified,
@@ -52,7 +51,9 @@ class UsageError(QisoError):
     """Bad flags or inconsistent inputs; maps to exit code 2."""
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="qiso", description="quasi-isometric graph simplification toolkit"
     )
@@ -76,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--t", type=int, help="shift-family parameter")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", required=True)
-    gen.set_defaults(handler=_cmd_generate)
 
     simp = sub.add_parser("simplify", help="build a simplification of a graph")
     simp.add_argument("input")
@@ -92,14 +92,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="outward only: check center-shift zero for every root",
     )
     simp.add_argument("-o", "--output", required=True, help="output prefix")
-    simp.set_defaults(handler=_cmd_simplify)
 
     ana = sub.add_parser("analyze", help="metrics and checks for a graph")
     ana.add_argument("input")
     ana.add_argument("--partition")
     ana.add_argument("--weights")
     ana.add_argument("-o", "--output", required=True, help="report path")
-    ana.set_defaults(handler=_cmd_analyze)
 
     ver = sub.add_parser("verify", help="run named claim checks")
     ver.add_argument("input")
@@ -107,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--mapping", help="mapping file for independent-set claims")
     ver.add_argument("--claims", required=True, help="comma-separated claim names")
     ver.add_argument("-o", "--output", required=True, help="report path")
-    ver.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -185,11 +182,6 @@ class _Subject:
             return self.pg.mapping, self.sharp.sharpness + 1, 1
         return self.mis.mapping, 3, 1
 
-    def partition_graph(self, claim: str) -> PartitionGraph:
-        if self.pg is None:
-            raise UsageError(f"{claim} needs --partition")
-        return self.pg
-
     def fields(self) -> dict:
         """Graph metrics plus the block diameters and compression, if any."""
         cen, radius, diameter = self.extremes
@@ -210,8 +202,7 @@ class _Subject:
 
 
 def _compression(s: _Subject) -> bool:
-    blocks = s.partition_graph("compression").quotient.vertex_count
-    return blocks * (s.sharp.coarseness + 1) <= s.g.vertex_count
+    return s.pg.quotient.vertex_count * (s.sharp.coarseness + 1) <= s.g.vertex_count
 
 
 def _shift_bounds(s: _Subject) -> bool:
@@ -221,11 +212,10 @@ def _shift_bounds(s: _Subject) -> bool:
 
 
 def _median_preservation(s: _Subject) -> bool:
-    pg = s.partition_graph("median-preservation")
     if not s.g.is_tree:
         return True
     true_median = set(s.median)
-    return all(true_median.intersection(blk) for blk in _median_blocks(pg))
+    return all(true_median.intersection(blk) for blk in _median_blocks(s.pg))
 
 
 # Entries look the library up by its module-global name at call time, so
@@ -235,14 +225,14 @@ _CHECKS = {
     "q2": lambda s: verify_q2(s.guaranteed()[0], 0),
     "ecc-transfer": lambda s: verify_ecc_transfer(*s.guaranteed()),
     "mis-bounds": lambda s: verify_mis_bounds(s.mis),
-    "tree-retention": lambda s: (
-        s.partition_graph("tree-retention").quotient.is_tree or not s.g.is_tree
-    ),
+    "tree-retention": lambda s: s.pg.quotient.is_tree or not s.g.is_tree,
     "compression": _compression,
     "shift-bounds": _shift_bounds,
     "median-preservation": _median_preservation,
 }
 CLAIMS = tuple(_CHECKS)
+# Claims about a partition's quotient, refused without --partition.
+_PARTITION_CLAIMS = ("tree-retention", "compression", "median-preservation")
 
 
 def _run_checks(subject: _Subject, claims) -> dict[str, dict]:
@@ -351,6 +341,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for claim in claims:
         if claim not in _CHECKS:
             raise UsageError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
+    if args.partition is None:
+        for claim in claims:
+            if claim in _PARTITION_CLAIMS:
+                raise UsageError(f"{claim} needs --partition")
 
     g = fileio.read_edge_list(args.input)
     subject = _Subject(g, _partition_arg(args, g), args.mapping)
@@ -363,13 +357,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    # Found by name on every call, so a rebound handler is the one that runs.
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except (QisoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

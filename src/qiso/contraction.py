@@ -3,11 +3,9 @@
 Rooting a tree assigns each vertex a level (its distance to the root).
 Outward contraction groups every even-level vertex with its strictly
 deeper neighbors, yielding blocks of diameter at most two whose quotient
-keeps the tree's center in place. Checking that for every root builds
-no partition: one search per root assigns the blocks, and the heights of
-the quotient's blocks locate its center. Restricting a partition to a
-path turns it into an integer composition, for which the center
-displacement has a closed form.
+keeps the tree's center in place; rerooting passes check every root at
+once. Restricting a partition to a path turns it into an integer
+composition, for which the center displacement has a closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from .errors import (
     InvalidPath,
     NotContiguous,
 )
-from .graph import Graph, bfs_distances, center, require_tree
+from .graph import Graph, _bfs, _preorder, bfs_distances, center, require_tree
 from .partition import Partition
 
 
@@ -51,7 +49,7 @@ def outward_contraction(t: Graph, root: int) -> Partition:
     require_tree(t)
     t.check_vertex(root)
     members: list[list[int]] = [[] for _ in t.vertices()]
-    for v, head in enumerate(_outward_blocks(t, root)[2]):
+    for v, head in enumerate(_outward_blocks(t, root)):
         members[head].append(v)
     # Only heads collect members, so blocks come in ascending head order.
     return Partition(t, [blk for blk in members if blk])
@@ -61,83 +59,85 @@ def first_center_shifting_root(t: Graph) -> Optional[int]:
     """The smallest root whose outward quotient misses the tree's center.
 
     None means outward contraction keeps the center for every root, as
-    the paper proves. Each root costs one search and one pass over flat
-    lists; no partition, quotient or mapping is built.
+    the paper proves. The block heads from root r are the vertices of r's
+    colour in the tree's 2-colouring, one rule per colour.
     """
     require_tree(t)
-    src_center = center(t)
-    for root in t.vertices():
-        if not _keeps_center(*_outward_blocks(t, root), src_center):
-            return root
-    return None
+    colour = [d % 2 for d in _bfs(t.adjacency, (0,))]
+    kept = [_center_kept(t, [int(c == p) for c in colour]) for p in (0, 1)]
+    return next((r for r, p in enumerate(colour) if not kept[p][r]), None)
 
 
-def _outward_blocks(t: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
-    """Search order from ``root``, parents, and each vertex's outward block.
+def _center_kept(t: Graph, w: Sequence[int]) -> list[bool]:
+    """Per root r, whether a source-center vertex lies in a center block.
 
-    A vertex at even depth heads its own block, labelled by its id; a
-    vertex at odd depth joins its parent's. The root's parent reads -1.
+    Hanging from r, each other vertex v heads a block if ``w[v]`` is 1,
+    else joins its parent's. A path meets each block in one run, so
+    quotient distances are path weights, each edge weighing ``w`` of its
+    end farther from r. The quotient is a tree, so c's block is central
+    exactly when c's eccentricity is at most half the diameter, rounded up.
     """
-    adj = t.adjacency
-    parent = [-1] * len(adj)
-    block_of = list(range(len(adj)))
-    order = [root]
-    for v in order:  # grows while it is walked: a breadth-first search
-        pv = parent[v]
-        head = block_of[v] == v
-        for u in adj[v]:
-            if u != pv:
-                parent[u] = v
-                if head:
-                    block_of[u] = v
-                order.append(u)
-    return order, parent, block_of
+    diams, eccs = zip(*(_rooted_extents(t.adjacency, w, c) for c in center(t)))
+    return [2 * min(e) <= d + 1 for d, *e in zip(diams[0], *eccs)]
 
 
-def _keeps_center(
-    order: Sequence[int],
-    parent: Sequence[int],
-    block_of: Sequence[int],
-    src_center: Sequence[int],
-) -> bool:
-    """Whether a source-center vertex lies in a center block of the quotient.
+def _rooted_extents(
+    adj: Sequence[Sequence[int]], w: Sequence[int], c: int
+) -> tuple[list[int], list[int]]:
+    """Per root r, the weighted diameter and the eccentricity of ``c``.
 
-    ``order`` lists a tree's vertices parents first and ``block_of`` cuts
-    it into connected blocks labelled below ``len(order)``. The quotient
-    is then a tree rooted at the root's block, and a block's top vertex
-    (the one whose parent lies in another block) comes after the tops of
-    all blocks above it. Walking the order backwards therefore finishes
-    each block's height before its top is reached, and the center is the
-    middle of the longest quotient path, found from that path's peak.
+    Hung from c, the c-r path's edges point up and weigh ``w`` of their
+    upper end; all other edges point down and weigh ``w`` of their lower
+    end. An upward pass keeps each vertex's heaviest child branches and
+    subtree paths; a downward pass adds what lies beyond each parent.
     """
-    n = len(order)
-    best = [0] * n  # height of each block's quotient subtree
-    second = [0] * n  # height through its second-best child block
-    down = [-1] * n  # the child block that attains ``best``
-    peak = block_of[order[0]]
-    for v in reversed(order):
+    order, parent = _preorder(adj, c)
+    n = len(adj)
+    a1, a2, a3 = [0] * n, [0] * n, [0] * n  # three heaviest child branches
+    d1, d2 = [0] * n, [0] * n  # two heaviest paths inside child subtrees
+    sub = [0] * n  # heaviest path inside v's subtree
+    for v in order[:0:-1]:
         p = parent[v]
-        if p < 0:
-            continue
-        b, pb = block_of[v], block_of[p]
-        if b == pb:
-            continue
-        h = best[b] + 1
-        if h > best[pb]:
-            second[pb] = best[pb]
-            best[pb] = h
-            down[pb] = b
-        elif h > second[pb]:
-            second[pb] = h
-        if best[pb] + second[pb] > best[peak] + second[peak]:
-            peak = pb
-    mid = peak
-    for _ in range((best[peak] - second[peak]) // 2):
-        mid = down[mid]
-    middle = {mid}
-    if (best[peak] - second[peak]) % 2:
-        middle.add(down[mid])
-    return any(block_of[c] in middle for c in src_center)
+        sub[v] = max(d1[v], a1[v] + a2[v])
+        val = w[v] + a1[v]
+        if val > a1[p]:
+            a1[p], a2[p], a3[p] = val, a1[p], a2[p]
+        elif val > a2[p]:
+            a2[p], a3[p] = val, a2[p]
+        elif val > a3[p]:
+            a3[p] = val
+        d1[p], d2[p] = max(d1[p], sub[v]), max(d2[p], min(d1[p], sub[v]))
+    up = [0] * n  # heaviest branch through v's parent
+    out = [0] * n  # heaviest path outside v's subtree
+    along = [0] * n  # weight of the c-v path
+    off = [0] * n  # farthest reach of a branch leaving it above v
+    diam, ecc = [max(d1[c], a1[c] + a2[c])] * n, [a1[c]] * n
+    for v in order[1:]:
+        p = parent[v]
+        val = w[v] + a1[v]
+        # x, y: the two heaviest child branches of p other than v's
+        x, y = (a2[p], a3[p]) if val == a1[p] else (a1[p], a3[p] if val == a2[p] else a2[p])
+        up[v] = w[p] + max(x, up[p])
+        beside = d2[p] if sub[v] == d1[p] else d1[p]
+        out[v] = max(out[p], beside, x + max(y, up[p]))
+        diam[v] = max(sub[v], out[v], a1[v] + max(a2[v], up[v]))
+        along[v] = along[p] + w[p]
+        off[v] = max(off[p], along[p] + x)
+        ecc[v] = max(off[v], along[v] + a1[v])
+    return diam, ecc
+
+
+def _outward_blocks(t: Graph, root: int) -> list[int]:
+    """Each vertex's outward block from ``root``, labelled by its head.
+
+    Even-depth vertices head their own; odd-depth ones join their parent's.
+    """
+    order, parent = _preorder(t.adjacency, root)
+    block_of = list(range(t.vertex_count))
+    for v in order[1:]:
+        if block_of[parent[v]] == parent[v]:
+            block_of[v] = parent[v]
+    return block_of
 
 
 def _check_path(g: Graph, path: Sequence[int]) -> list[int]:

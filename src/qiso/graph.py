@@ -257,15 +257,15 @@ def _build_distances(g: Graph) -> np.ndarray:
     return dist
 
 
-def _preorder(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """Depth-first preorder of a tree from vertex 0, and each vertex's parent.
+def _preorder(adj: Sequence[Sequence[int]], root: int = 0) -> tuple[list[int], list[int]]:
+    """Depth-first preorder of a tree from ``root``, and each vertex's parent.
 
     The root's parent reads -1. Every subtree occupies a contiguous range
     of the order, starting at its root.
     """
     parent = [-1] * len(adj)
     order = []
-    stack = [0]
+    stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)

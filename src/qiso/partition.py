@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import BlockNotConnected, InvalidVertex, NotAPartition
-from .graph import Graph, _bfs
+from .graph import Graph, _bfs, _preorder
 from .quasi import VertexMapping, _pair_max, verify_q1
 
 
@@ -126,8 +126,24 @@ class SharpnessReport:
 
 
 def sharpness_report(g: Graph, p: Partition) -> SharpnessReport:
-    """Max and min induced block diameter, and |quotient| / |graph|."""
-    diameters = [induced_diameter(g, blk) for blk in p.blocks]
+    """Max and min induced block diameter, and |quotient| / |graph|.
+
+    A tree's blocks are subtrees, so one pass up a preorder measures them
+    all: each vertex's height within its block grows from its children's,
+    and a block's longest path turns at some member.
+    """
+    if g.is_tree:
+        order, parent = _preorder(g.adjacency)
+        block_of = p.block_of
+        height = [0] * g.vertex_count
+        diameters = [0] * len(p.blocks)
+        for v in order[:0:-1]:
+            u, b = parent[v], block_of[v]
+            if block_of[u] == b:
+                diameters[b] = max(diameters[b], height[u] + height[v] + 1)
+                height[u] = max(height[u], height[v] + 1)
+    else:
+        diameters = [induced_diameter(g, blk) for blk in p.blocks]
     return SharpnessReport(
         sharpness=max(diameters),
         coarseness=min(diameters),

@@ -6,9 +6,11 @@ main library computes more directly, kept simple enough to trust.
 
 from __future__ import annotations
 
+import random
+
 from qiso.errors import TooLarge
 from qiso.graph import Graph, bfs_distances, center
-from qiso.partition import build_partition_graph
+from qiso.partition import Partition, build_partition_graph
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:
@@ -218,3 +220,87 @@ def first_center_shifting_root(t: Graph, blocks) -> int | None:
         if src_center.isdisjoint(m.preimage(center(m.target))):
             return root
     return None
+
+
+def rule_blocks(w):
+    """Per-root blocks of the rule ``w``, as ``blocks(t, root)``.
+
+    Levels come from one search from ``root``; walking them outwards,
+    a vertex other than the root heads its own block when ``w`` marks
+    it and otherwise joins the block of its neighbour one level up.
+    """
+
+    def blocks(t: Graph, root: int) -> Partition:
+        lev = bfs_distances(t, root)
+        head = list(t.vertices())
+        for v in sorted(t.vertices(), key=lev.__getitem__):
+            if v != root and not w[v]:
+                up = next(u for u in t.adjacency[v] if lev[u] == lev[v] - 1)
+                head[v] = head[up]
+        members = {}
+        for v, h in enumerate(head):
+            members.setdefault(h, []).append(v)
+        return Partition(t, list(members.values()))
+
+    return blocks
+
+
+def colour_rules(t: Graph, seed: int):
+    """A random head rule for each colour of a tree's 2-colouring.
+
+    Returns ``rule_of``, which maps a colour's outward weights (1 on its
+    vertices, 0 elsewhere) to that colour's rule, and ``blocks(t, root)``,
+    the blocks of the rule of ``root``'s colour.
+    """
+    rng = random.Random(seed)
+    colour = [d % 2 for d in bfs_distances(t, 0)]
+    rule = [[int(rng.random() < 0.5) for _ in t.vertices()] for _ in (0, 1)]
+    rule_of = {tuple(int(c == p) for c in colour): rule[p] for p in (0, 1)}
+
+    def blocks(t: Graph, root: int) -> Partition:
+        return rule_blocks(rule[colour[root]])(t, root)
+
+    return rule_of, blocks
+
+
+def keeps_center(order, parent, block_of, src_center) -> bool:
+    """Whether a source-center vertex lies in a center block of the quotient.
+
+    The per-root check that the rerooting passes of
+    ``qiso.contraction`` replaced. ``order`` lists a tree's vertices
+    parents first and ``block_of`` cuts it into connected blocks labelled
+    below ``len(order)``. The quotient is then a tree rooted at the
+    root's block, and a block's top vertex (the one whose parent lies in
+    another block) comes after the tops of all blocks above it. Walking
+    the order backwards therefore finishes each block's height before
+    its top is reached, and the center is the middle of the longest
+    quotient path, found from that path's peak.
+    """
+    n = len(order)
+    best = [0] * n  # height of each block's quotient subtree
+    second = [0] * n  # height through its second-best child block
+    down = [-1] * n  # the child block that attains ``best``
+    peak = block_of[order[0]]
+    for v in reversed(order):
+        p = parent[v]
+        if p < 0:
+            continue
+        b, pb = block_of[v], block_of[p]
+        if b == pb:
+            continue
+        h = best[b] + 1
+        if h > best[pb]:
+            second[pb] = best[pb]
+            best[pb] = h
+            down[pb] = b
+        elif h > second[pb]:
+            second[pb] = h
+        if best[pb] + second[pb] > best[peak] + second[peak]:
+            peak = pb
+    mid = peak
+    for _ in range((best[peak] - second[peak]) // 2):
+        mid = down[mid]
+    middle = {mid}
+    if (best[peak] - second[peak]) % 2:
+        middle.add(down[mid])
+    return any(block_of[c] in middle for c in src_center)

@@ -8,7 +8,7 @@ import oracles
 from helpers import seeded_tree
 from qiso import contraction
 from qiso.contraction import (
-    _keeps_center,
+    _center_kept,
     _outward_blocks,
     composition_center_shift,
     composition_partition,
@@ -27,7 +27,7 @@ from qiso.errors import (
     NotATree,
     NotContiguous,
 )
-from qiso.generators import cycle_graph, path_graph, star_graph
+from qiso.generators import cycle_graph, path_graph, random_tree, star_graph
 from qiso.graph import (
     bfs_distances,
     center,
@@ -296,54 +296,105 @@ def _all_roots_trees():
     yield from (star_graph(n) for n in range(2, 9))
 
 
+def _hang(t, root):
+    """Vertices by level from ``root``, and each one's neighbour a level up."""
+    lev = bfs_distances(t, root)
+    order = sorted(t.vertices(), key=lev.__getitem__)
+    parent = [-1] * t.vertex_count
+    for v in order[1:]:
+        parent[v] = next(u for u in t.adjacency[v] if lev[u] == lev[v] - 1)
+    return order, parent
+
+
+def _rules(t, seed):
+    """Per-vertex head rules: every vertex, none, and random ones at three densities."""
+    rng = random.Random(seed)
+    yield [1] * t.vertex_count
+    yield [0] * t.vertex_count
+    for density in (0.25, 0.5, 0.75):
+        yield [int(rng.random() < density) for _ in t.vertices()]
+
+
+def _first_false(verdicts):
+    return next((r for r, kept in enumerate(verdicts) if not kept), None)
+
+
 class TestAllRoots:
     def test_outward_blocks_match_outward_contraction(self):
         for t in _all_roots_trees():
             for root in t.vertices():
-                order, parent, block_of = _outward_blocks(t, root)
-                assert sorted(order) == list(t.vertices()) and order[0] == root
-                seen = {root}
-                for v in order[1:]:
-                    assert parent[v] in seen and t.adjacent(v, parent[v])
-                    seen.add(v)
                 blocks = {}
-                for v in t.vertices():
-                    blocks.setdefault(block_of[v], []).append(v)
+                for v, head in enumerate(_outward_blocks(t, root)):
+                    blocks.setdefault(head, []).append(v)
+                assert all(head in blk for head, blk in blocks.items())
                 expected = oracles.outward_blocks(t, root)
                 assert sorted(map(tuple, blocks.values())) == sorted(expected)
                 assert list(outward_contraction(t, root).blocks) == expected
 
     def test_keeps_center_matches_center_shift(self):
+        # The second oracle against the quotient's measured center shift.
         verdicts = set()
         for t in _all_roots_trees():
             src_center = center(t)
             for root in t.vertices():
-                order, parent, outward = _outward_blocks(t, root)
-                assert _keeps_center(order, parent, outward, src_center)
+                order, parent = _hang(t, root)
+                outward = _outward_blocks(t, root)
+                assert oracles.keeps_center(order, parent, outward, src_center)
                 for blocks in ROTATED:
                     p = blocks(t, root)
                     kept = center_shift(build_partition_graph(t, p).mapping).shift == 0
-                    assert _keeps_center(order, parent, p.block_of, src_center) == kept
+                    assert oracles.keeps_center(order, parent, p.block_of, src_center) == kept
                     verdicts.add(kept)
         assert verdicts == {True, False}
 
-    def test_first_root_matches_oracle_loop(self, monkeypatch):
-        for t in _all_roots_trees():
+    def test_center_kept_matches_keeps_center(self):
+        trees = list(_all_roots_trees()) + [random_tree(n, n) for n in (97, 150, 233)]
+        verdicts = set()
+        for seed, t in enumerate(trees):
+            src_center = center(t)
+            hung = [_hang(t, root) for root in t.vertices()]
+            for w in _rules(t, seed):
+                blocks = oracles.rule_blocks(w)
+                expected = [
+                    oracles.keeps_center(*hung[r], blocks(t, r).block_of, src_center)
+                    for r in t.vertices()
+                ]
+                assert _center_kept(t, w) == expected
+                verdicts.update(expected)
+        assert verdicts == {True, False}
+
+    def test_first_root_matches_oracle_loop(self):
+        # Random rules give failing roots, which outward contraction never has.
+        witnesses = set()
+        for seed, t in enumerate(_all_roots_trees()):
             assert first_center_shifting_root(t) is None
             assert oracles.first_center_shifting_root(t, outward_contraction) is None
-        witnesses = set()
-        for blocks in ROTATED:
-
-            def rotated_blocks(t, root, blocks=blocks):
-                order, parent, _ = _outward_blocks(t, root)
-                return order, parent, blocks(t, root).block_of
-
-            monkeypatch.setattr(contraction, "_outward_blocks", rotated_blocks)
-            for t in _all_roots_trees():
-                expected = oracles.first_center_shifting_root(t, blocks)
-                assert first_center_shifting_root(t) == expected
+            for w in _rules(t, seed):
+                expected = oracles.first_center_shifting_root(t, oracles.rule_blocks(w))
+                assert _first_false(_center_kept(t, w)) == expected
                 witnesses.add(expected is None)
         assert witnesses == {True, False}
+
+    def test_colours_combine_to_first_root(self, monkeypatch):
+        # Each colour's roots get their own random rule in place of the
+        # outward one; the first failing root over both must be the oracle's.
+        center_kept = contraction._center_kept
+        witnesses = set()
+        for seed, t in enumerate(_all_roots_trees()):
+            rule_of, blocks = oracles.colour_rules(t, seed)
+            monkeypatch.setattr(
+                contraction, "_center_kept", lambda t, w: center_kept(t, rule_of[tuple(w)])
+            )
+            expected = oracles.first_center_shifting_root(t, blocks)
+            assert first_center_shifting_root(t) == expected
+            witnesses.add(expected is None)
+        assert witnesses == {True, False}
+
+    @pytest.mark.parametrize(
+        "make", [lambda n: random_tree(n, 7), path_graph, star_graph], ids=["random", "path", "star"]
+    )
+    def test_large_trees_keep_center(self, make):
+        assert first_center_shifting_root(make(10**4)) is None
 
     def test_rejects_non_tree(self):
         with pytest.raises(NotATree):

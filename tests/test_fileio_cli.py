@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from helpers import seeded_graph, seeded_tree
 from qiso import cli, contraction, fileio
 from qiso.cli import CLAIMS, main
@@ -23,8 +24,7 @@ from qiso.generators import (
 )
 from qiso.graph import diameter_path, leaf_removal_center
 from qiso.mis import greedy_mis, mis_derived
-from qiso.partition import build_partition_graph, collapse_basic, singleton_partition
-from qiso.quasi import center_shift
+from qiso.partition import collapse_basic, singleton_partition
 
 
 class TestEdgeListFormat:
@@ -269,35 +269,45 @@ class TestCliSimplify:
         assert report["checks"]["center-shift-zero-all-roots"]["ok"]
 
     def test_all_roots_witness_matches_center_shift(self, tmp_path, monkeypatch):
-        # Outward contraction never moves a tree's center, so a rotated
-        # collapse, which often does, stands in for it to reach failing roots.
-        def rotated_collapse(g, root):
-            return collapse_basic(g, [(root + i) % g.vertex_count for i in g.vertices()])
-
-        outward_blocks = contraction._outward_blocks
-
-        def rotated_blocks(g, root):
-            order, parent, _ = outward_blocks(g, root)
-            return order, parent, rotated_collapse(g, root).block_of
-
-        monkeypatch.setattr(contraction, "_outward_blocks", rotated_blocks)
+        # Outward contraction never moves a tree's center, so each colour's
+        # roots get a random head rule instead, which often does.
+        center_kept = contraction._center_kept
+        witnesses = set()
         for seed in range(30):
             t = seeded_tree(seed, min_n=3, max_n=30)
+            rule_of, blocks = oracles.colour_rules(t, seed)
+            monkeypatch.setattr(
+                contraction, "_center_kept", lambda t, w: center_kept(t, rule_of[tuple(w)])
+            )
             gfile = tmp_path / f"t{seed}.el"
             fileio.write_edge_list(t, gfile)
             prefix = tmp_path / f"s{seed}"
             argv = ["simplify", str(gfile), "--method", "outward", "--all-roots"]
             assert main(argv + ["-o", str(prefix)]) == 0
             report = json.loads((tmp_path / f"s{seed}.report.json").read_text())
-            shifts = (
-                center_shift(build_partition_graph(t, rotated_collapse(t, r)).mapping).shift
-                for r in t.vertices()
-            )
-            first_bad = next((r for r, s in enumerate(shifts) if s), None)
+            first_bad = oracles.first_center_shifting_root(t, blocks)
             assert report["checks"]["center-shift-zero-all-roots"] == {
                 "ok": first_bad is None,
                 "witness": first_bad,
             }
+            witnesses.add(first_bad is None)
+        assert witnesses == {True, False}
+
+    @pytest.mark.parametrize("flags", [[], ["--root", "4"]], ids=["default-root", "root-4"])
+    def test_all_roots_searches_blocks_once(self, tmp_path, monkeypatch, flags):
+        calls = []
+        outward_blocks = contraction._outward_blocks
+
+        def counted(t, root):
+            calls.append(root)
+            return outward_blocks(t, root)
+
+        monkeypatch.setattr(contraction, "_outward_blocks", counted)
+        gfile = tmp_path / "t.el"
+        fileio.write_edge_list(seeded_tree(3, min_n=20, max_n=30), gfile)
+        argv = ["simplify", str(gfile), "--method", "outward", *flags, "--all-roots"]
+        assert main(argv + ["-o", str(tmp_path / "s")]) == 0
+        assert calls == [int(flags[1]) if flags else 0]
 
     def test_all_roots_contracts_only_the_given_root(self, tmp_path, monkeypatch):
         roots = []
@@ -566,6 +576,20 @@ class TestCliVerify:
         assert code == 0
         report = json.loads(out.read_text())
         assert all(entry["ok"] for entry in report["checks"].values())
+
+    @pytest.mark.parametrize("claim", ["tree-retention", "compression", "median-preservation"])
+    def test_partition_claim_refused_before_reading(self, tmp_path, monkeypatch, capsys, claim):
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built before the claim check")
+
+        gfile = tmp_path / "c.el"
+        fileio.write_edge_list(cycle_graph(50), gfile)
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        out = tmp_path / "v.json"
+        argv = ["verify", str(gfile), "--claims", f"q1,{claim}", "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {claim} needs --partition\n"
+        assert not out.exists()
 
     def test_mis_claims_via_mapping_file(self, tmp_path):
         gfile = tmp_path / "g.el"

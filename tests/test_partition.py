@@ -25,6 +25,7 @@ from qiso.graph import Graph, bfs_distances, distance, distance_matrix
 from qiso.partition import (
     Partition,
     PartitionGraph,
+    SharpnessReport,
     build_partition_graph,
     collapse_basic,
     collapse_modified,
@@ -173,6 +174,24 @@ class TestSharpness:
                 expected = max(map(max, floyd_warshall(Graph(len(blk), inner))))
                 assert induced_diameter(g, blk) == expected
         assert induced_diameter(star_graph(400), range(400)) == 2
+
+    def test_tree_report_matches_induced_diameters(self):
+        # The one pass over a tree against a search per block.
+        trees = [seeded_tree(seed, min_n=1, max_n=40) for seed in range(60)]
+        trees += [path_graph(n) for n in (1, 2, 3, 9)] + [star_graph(n) for n in (2, 3, 9)]
+        for seed, t in enumerate(trees):
+            n = t.vertex_count
+            rotated = [(n // 2 + i) % n for i in range(n)]
+            parts = [outward_contraction(t, r) for r in {0, n // 3, n // 2, n - 1}]
+            parts += [collapse_basic(t), collapse_modified(t)]
+            parts += [collapse_basic(t, rotated), collapse_modified(t, rotated)]
+            parts += [singleton_partition(t), Partition(t, [list(t.vertices())])]
+            parts += [random_partition(t, seed, keep) for keep in (0.3, 0.7, 0.95)]
+            for p in parts:
+                diameters = [induced_diameter(t, blk) for blk in p.blocks]
+                assert sharpness_report(t, p) == SharpnessReport(
+                    max(diameters), min(diameters), Fraction(len(p.blocks), n)
+                )
 
     def test_compression_bound(self):
         for seed in range(40):
