@@ -74,6 +74,7 @@ from .quasi import (
 from .weighted import (
     WeightedGraph,
     locate_median_via_partition,
+    median_preserved,
     subset_weight,
     subtree_side,
     subtree_split_check,

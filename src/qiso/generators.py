@@ -7,8 +7,8 @@ sampled by decoding a random Pruefer sequence.
 
 from __future__ import annotations
 
+import heapq
 import random
-from typing import Sequence
 
 from .errors import EmptyGraph, InvalidEdgeCount
 from .graph import Graph
@@ -45,13 +45,16 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _decode_pruefer(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
+def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """A uniformly random labeled tree on ``n >= 1`` vertices, decoded
+    from a random Pruefer sequence."""
+    if n <= 2:
+        return [(0, 1)] if n == 2 else []
+    seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:
         degree[v] += 1
     edges = []
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for v in seq:
@@ -69,13 +72,7 @@ def _decode_pruefer(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
 def random_tree(n: int, seed: int) -> Graph:
     """Uniformly random labeled tree from a seeded Pruefer sequence."""
     _require_size(n)
-    if n == 1:
-        return Graph(1)
-    if n == 2:
-        return Graph(2, [(0, 1)])
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    return Graph(n, _decode_pruefer(seq, n))
+    return Graph(n, _random_tree_edges(n, random.Random(seed)))
 
 
 def random_connected_graph(n: int, m: int, seed: int) -> Graph:
@@ -87,14 +84,7 @@ def random_connected_graph(n: int, m: int, seed: int) -> Graph:
             f"need {n - 1} <= m <= {max_edges} for n={n}, got m={m}"
         )
     rng = random.Random(seed)
-    edges: set[tuple[int, int]]
-    if n == 1:
-        return Graph(1)
-    if n == 2:
-        edges = {(0, 1)}
-    else:
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        edges = set(_decode_pruefer(seq, n))
+    edges = set(_random_tree_edges(n, rng))
     extra = m - len(edges)
     if extra > 0:
         missing = max_edges - len(edges)

@@ -9,7 +9,7 @@ its smallest-id neighbor inside the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class MisResult:
     mis: tuple[int, ...]
     derived: Graph
     mapping: VertexMapping
+    # The mapping's guaranteed (stretch, additive); verify_mis_bounds shows why.
+    guarantee: ClassVar[tuple[int, int]] = (3, 1)
 
 
 def mis_derived(

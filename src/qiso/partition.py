@@ -81,6 +81,10 @@ class PartitionGraph:
     mapping: VertexMapping
     partition: Partition
 
+    def retains_tree(self) -> bool:
+        """Whether a tree's quotient is a tree (vacuously true off trees)."""
+        return self.quotient.is_tree or not self.mapping.source.is_tree
+
 
 def build_partition_graph(g: Graph, p: Partition) -> PartitionGraph:
     """Quotient of ``g`` by ``p``: one vertex per block, edges from cross edges."""
@@ -102,18 +106,12 @@ def build_partition_graph(g: Graph, p: Partition) -> PartitionGraph:
 def induced_diameter(g: Graph, members: Sequence[int]) -> int:
     """Diameter of the subgraph induced by a connected vertex set.
 
-    In a tree the set induces a tree, whose diameter two searches find:
-    the first reaches an end of a longest path, the second measures it.
-    Otherwise every member is searched from.
+    Every member is searched from. (:func:`sharpness_report` measures the
+    blocks of a tree in one pass instead.)
     """
     index = {v: i for i, v in enumerate(sorted(set(members)))}
     adj = [[index[u] for u in g.adjacency[v] if u in index] for v in index]
-    if not adj:
-        return 0
-    if g.is_tree:
-        first = _bfs(adj, (0,))
-        return max(_bfs(adj, (first.index(max(first)),)))
-    return max(max(_bfs(adj, (s,))) for s in range(len(adj)))
+    return max((max(_bfs(adj, (s,))) for s in range(len(adj))), default=0)
 
 
 @dataclass(frozen=True)
@@ -123,6 +121,15 @@ class SharpnessReport:
     sharpness: int
     coarseness: int
     compression_ratio: Fraction
+
+    @property
+    def guarantee(self) -> tuple[int, int]:
+        """The quotient mapping's guaranteed (stretch, additive) at density 0."""
+        return self.sharpness + 1, 1
+
+    def compresses(self) -> bool:
+        """Whether |quotient| * (c + 1) <= |graph|, with c the coarseness."""
+        return self.compression_ratio * (self.coarseness + 1) <= 1
 
 
 def sharpness_report(g: Graph, p: Partition) -> SharpnessReport:
@@ -226,13 +233,11 @@ def collapse_modified(g: Graph, order: Optional[Sequence[int]] = None) -> Partit
 def verify_partition_qiso(pg: PartitionGraph) -> bool:
     """Check the quotient mapping's guaranteed distortion exhaustively.
 
-    With ``c`` the measured sharpness, the distance inequality must hold
-    at stretch ``c + 1`` with additive 1, and quotient distances must
-    never exceed the original ones.
+    The distance inequality must hold at the sharpness report's
+    guarantee, and quotient distances must never exceed the original ones.
     """
     m = pg.mapping
-    c = sharpness_report(m.source, pg.partition).sharpness
-    if not verify_q1(m, c + 1, 1):
+    if not verify_q1(m, *sharpness_report(m.source, pg.partition).guarantee):
         return False
     (stretch_gap,) = _pair_max(m, (-1, 1))  # max of d2 - d1
     return stretch_gap <= 0

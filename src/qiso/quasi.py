@@ -98,10 +98,6 @@ def identity_mapping(g: Graph) -> VertexMapping:
     return VertexMapping(g, g, range(g.vertex_count))
 
 
-def _check_q1_constants(stretch: int, additive: int) -> None:
-    QuasiIsometryConstants(stretch, additive, 0)
-
-
 def _image_distances(target: Graph, image: Sequence[int]) -> np.ndarray:
     """Target distance between the images of every source pair, as a matrix."""
     img = np.asarray(image, dtype=np.intp)
@@ -224,7 +220,7 @@ def verify_q1(m: VertexMapping, stretch: int, additive: int) -> CheckResult:
     breaks the band; violations are symmetric, so every partner of x is
     larger, and one search from x finds the smallest.
     """
-    _check_q1_constants(stretch, additive)
+    QuasiIsometryConstants(stretch, additive)  # validates both
     # Every distance is below n, so clamping to n is exact and int64 cannot wrap.
     n = m.source.vertex_count
     stretch, additive = min(stretch, n), min(additive, n)
@@ -276,7 +272,7 @@ def minimal_additive_for_stretch(m: VertexMapping, stretch: int) -> int:
     result is tight: the inequality passes at this value and fails one
     below (unless already zero).
     """
-    _check_q1_constants(stretch, 0)
+    QuasiIsometryConstants(stretch, 0)  # validates the stretch
     # Every distance is below n, so clamping to n is exact and int64 cannot wrap.
     stretch = min(stretch, m.source.vertex_count)
     upper, diff = _pair_max(m, (-stretch, 1), (1, -stretch))
@@ -320,7 +316,7 @@ def verify_ecc_transfer(m: VertexMapping, stretch: int, additive: int) -> bool:
 
 def shift_bound_two_sided(stretch: int, additive: int, radius: int) -> Fraction:
     """Center-shift bound for a mapping from a uniform-eccentricity source."""
-    _check_q1_constants(stretch, additive)
+    QuasiIsometryConstants(stretch, additive)  # validates both
     a = Fraction(stretch)
     b = Fraction(additive)
     return (a - 1 / a) * radius + a * b + b / a
@@ -328,7 +324,7 @@ def shift_bound_two_sided(stretch: int, additive: int, radius: int) -> Fraction:
 
 def shift_bound_one_sided(stretch: int, additive: int, radius: int) -> Fraction:
     """Tighter bound when target distances never exceed source distances."""
-    _check_q1_constants(stretch, additive)
+    QuasiIsometryConstants(stretch, additive)  # validates both
     return Fraction((stretch - 1) * radius + stretch * additive)
 
 
@@ -348,6 +344,15 @@ class CenterShiftReport:
     two_sided_bound: Fraction
     one_sided_bound: Fraction
     constants: QuasiIsometryConstants
+
+    def within(self) -> dict[str, bool]:
+        """Whether the shift is at most each bound, keyed by side.
+
+        As ``(1 - 1/A)·r + B/A >= 0``, the one-sided bound is never above
+        the two-sided one, so where it applies its verdict decides both.
+        """
+        bounds = {"two-sided": self.two_sided_bound, "one-sided": self.one_sided_bound}
+        return {side: self.shift <= bound for side, bound in bounds.items()}
 
 
 def center_shift(

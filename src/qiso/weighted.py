@@ -83,12 +83,18 @@ def _cardinality_weighted(pg: PartitionGraph) -> WeightedGraph:
 
 
 def _median_blocks(pg: PartitionGraph) -> list[tuple[int, ...]]:
-    """Blocks forming the weighted quotient's median.
-
-    On a tree, each of them meets the tree's median.
-    """
+    """Blocks forming the weighted quotient's median."""
     blocks = pg.partition.blocks
     return [blocks[b] for b in weighted_median(_cardinality_weighted(pg))]
+
+
+def median_preserved(pg: PartitionGraph, source_median: Sequence[int]) -> bool:
+    """Whether each block of the weighted quotient's median meets
+    ``source_median``, the partitioned tree's median (true off trees)."""
+    if not pg.mapping.source.is_tree:
+        return True
+    kept = set(source_median)
+    return all(kept.intersection(blk) for blk in _median_blocks(pg))
 
 
 def locate_median_via_partition(t: Graph, p: Partition) -> tuple[int, ...]:

@@ -167,7 +167,7 @@ def test_criterion_04_tree_retention():
         n = random.Random(seed).randrange(2, 151)
         t = random_tree(n, seed)
         pg = build_partition_graph(t, random_partition(t, seed))
-        if not pg.quotient.is_tree:
+        if not pg.quotient.is_tree or not pg.retains_tree():
             violations.append(seed)
     report(4, "partitions of trees have tree quotients", violations)
 
@@ -284,9 +284,15 @@ def test_criterion_10_center_shift_bounds(suite6_trees, suite7_records):
         rep = center_shift(pg.mapping)
         if rep.shift > rep.two_sided_bound or rep.shift > rep.one_sided_bound:
             violations.append((6000 + i, rep.shift))
+        assert rep.within() == {
+            "two-sided": rep.shift <= rep.two_sided_bound,
+            "one-sided": rep.shift <= rep.one_sided_bound,
+        }
+        assert rep.one_sided_bound <= rep.two_sided_bound
     for seed, root, shift, two_sided, one_sided in suite7_records:
         if shift > two_sided or shift > one_sided:
             violations.append((seed, root, shift))
+        assert one_sided <= two_sided
     report(10, "measured shifts respect both closed-form bounds", violations)
 
 

@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from qiso.generators import (
 from qiso.graph import diameter_path, leaf_removal_center
 from qiso.mis import greedy_mis, mis_derived
 from qiso.partition import collapse_basic, singleton_partition
+from qiso.quasi import center_shift
 
 
 class TestEdgeListFormat:
@@ -215,6 +218,47 @@ class TestCliGenerate:
         assert main(["generate", "shift-family", "--t", "0", "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+    # Per family: the generator cli calls, flags giving just over 10^6
+    # edges, and flags giving exactly 10^6 or the largest count below it.
+    _BOUNDS = {
+        "path": ("path_graph", ["--n", "1000002"], ["--n", "1000001"]),
+        "star": ("star_graph", ["--n", "1000002"], ["--n", "1000001"]),
+        "complete": ("complete_graph", ["--n", "1415"], ["--n", "1414"]),
+        "random-tree": ("random_tree", ["--n", "1000002"], ["--n", "1000001"]),
+        "random-graph": (
+            "random_connected_graph",
+            ["--n", "1415", "--m", "1000001"],
+            ["--n", "1415", "--m", "1000000"],
+        ),
+        "shift-family": ("unbounded_shift_family", ["--t", "250001"], ["--t", "250000"]),
+    }
+
+    @pytest.mark.parametrize("family", list(_BOUNDS))
+    def test_edge_bound_precedes_generator(self, tmp_path, monkeypatch, capsys, family):
+        generator, above, at = self._BOUNDS[family]
+
+        def unreached(*args):
+            raise RuntimeError(f"{generator} ran")
+
+        monkeypatch.setattr(cli, generator, unreached)
+        out = tmp_path / "g.el"
+        assert main(["generate", family, *above, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+        # At the bound the generator runs (and here raises).
+        assert main(["generate", family, *at, "-o", str(out)]) == 3
+        assert f"{generator} ran" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_output_mode_follows_umask(self, tmp_path, umask):
+        out = tmp_path / "p5.el"
+        old = os.umask(umask)
+        try:
+            assert main(["generate", "path", "--n", "5", "-o", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_seeded_reruns_are_byte_identical(self, tmp_path):
         a = tmp_path / "a.el"
@@ -840,6 +884,47 @@ class TestClaimTable:
             assert list(verified["checks"].items()) == list(
                 simplified["checks"].items()
             )
+
+    def test_checks_are_library_calls(self):
+        # Every claim is decided in the library: no _CHECKS entry compares
+        # or combines values, and cli imports no private library name.
+        tree = ast.parse(Path(cli.__file__).read_text())
+        table = next(
+            node.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None) == "_CHECKS"
+        )
+        logic = (ast.Compare, ast.BoolOp, ast.Not)
+        for claim, entry in zip(table.keys, table.values):
+            assert not any(isinstance(n, logic) for n in ast.walk(entry)), claim.value
+        library = {"weighted", "partition", "mis", "quasi"}
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").removeprefix("qiso.") in library
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
+
+    def test_shift_bounds_side_per_construction(self, tmp_path, monkeypatch):
+        # A shift between the two bounds fails a quotient, whose one-sided
+        # bound applies, and passes an independent-set mapping.
+        def between(m):
+            rep = center_shift(m)
+            assert rep.one_sided_bound < int(rep.two_sided_bound)
+            return replace(rep, shift=int(rep.two_sided_bound))
+
+        monkeypatch.setattr(cli, "center_shift", between)
+        gfile, pfile = tmp_path / "p.el", tmp_path / "p.partition.txt"
+        fileio.write_edge_list(path_graph(12), gfile)
+        fileio.write_partition(collapse_basic(path_graph(12)), pfile)
+        given = ["--partition", str(pfile)]
+        out = ["-o", str(tmp_path / "v.json")]
+        assert main(["verify", str(gfile), *given, "--claims", "shift-bounds", *out]) == 1
+        assert main(["verify", str(gfile), "--claims", "shift-bounds", *out]) == 0
 
     def test_claims_are_the_names_verify_accepts(self, tmp_path, capsys):
         gfile = tmp_path / "t.el"

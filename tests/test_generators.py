@@ -73,6 +73,11 @@ class TestRandomConnectedGraph:
         a = random_connected_graph(10, 20, 5)
         b = random_connected_graph(10, 20, 5)
         assert a.edges() == b.edges()
+        # The spanning tree is random_tree's, drawn from the same seed.
+        for n in range(1, 40):
+            for seed in range(30):
+                tree = random_connected_graph(n, n - 1, seed)
+                assert tree.edges() == random_tree(n, seed).edges()
 
     def test_infeasible_rejected(self):
         with pytest.raises(InvalidEdgeCount):

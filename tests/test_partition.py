@@ -157,6 +157,7 @@ class TestSharpness:
         # In C6 the block {0, 1, 5} induces a path through 0, diameter 2.
         c6 = cycle_graph(6)
         assert induced_diameter(c6, (0, 1, 5)) == 2
+        assert induced_diameter(c6, ()) == 0
 
     def test_induced_diameter_matches_floyd_warshall(self):
         # On trees two searches replace the search from every member.
@@ -200,8 +201,11 @@ class TestSharpness:
             rep = sharpness_report(g, p)
             b = rep.coarseness
             assert len(p.blocks) * (b + 1) <= g.vertex_count or b == 0
+            assert rep.compresses() == (len(p.blocks) * (b + 1) <= g.vertex_count)
             if b > 0:
                 assert rep.compression_ratio <= Fraction(1, b + 1)
+        assert SharpnessReport(2, 2, Fraction(1, 3)).compresses()
+        assert not SharpnessReport(2, 2, Fraction(1, 2)).compresses()
 
 
 class TestCollapseBasic:

@@ -1,5 +1,6 @@
 import functools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -365,6 +366,9 @@ class TestCenterShift:
         rad = eccentricity_profile(m.target).radius
         assert rep.two_sided_bound == shift_bound_two_sided(3, 1, rad)
         assert rep.one_sided_bound == shift_bound_one_sided(3, 1, rad)
+        # At radius >= 1 the bounds are over 1 apart, so a shift fits between.
+        between = replace(rep, shift=int(rep.two_sided_bound))
+        assert rad >= 1 and between.within() == {"two-sided": True, "one-sided": False}
 
 
 def no_matrix(*args, **kwargs):

@@ -15,6 +15,7 @@ from qiso.weighted import (
     WeightedGraph,
     _median_blocks,
     locate_median_via_partition,
+    median_preserved,
     subset_weight,
     subtree_side,
     subtree_split_check,
@@ -244,13 +245,17 @@ class TestMedianRecovery:
     @pytest.mark.parametrize("kind", ["outward", "random", "hub"])
     def test_median_blocks_are_the_weighted_quotient_median(self, kind):
         for t, p in criterion_12_cases(kind):
-            blocks = _median_blocks(build_partition_graph(t, p))
+            pg = build_partition_graph(t, p)
+            blocks = _median_blocks(pg)
             wq, _ = weighted_partition_tree(t, p)
             assert blocks == [p.blocks[b] for b in weighted_median(wq)]
             union = tuple(sorted(v for blk in blocks for v in blk))
             assert locate_median_via_partition(t, p) == union
             true_median = set(median(t))
             assert blocks and all(true_median.intersection(blk) for blk in blocks)
+            assert median_preserved(pg, median(t))
+            outside = [v for v in t.vertices() if v not in union]
+            assert not median_preserved(pg, outside[:1])
 
     def test_weights_are_necessary(self):
         # Hub with six leaves and a tail of four; rooted at the tail tip,
