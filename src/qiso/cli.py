@@ -135,9 +135,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     g, partition = globals()[generator](*values), None
     if isinstance(g, tuple):
         g, partition = g
-    fileio.write_edge_list(g, args.output)
+    files = [(args.output, fileio._edge_list_text(g))]
     if partition is not None:
-        fileio.write_partition(partition, _partition_sibling(args.output))
+        files.append((_partition_sibling(args.output), fileio._partition_text(partition)))
+    fileio._atomic_write(files)
     return 0
 
 
@@ -271,16 +272,16 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
     report = fileio.build_report(
         input=args.input, method=args.method, checks=checks, **fields
     )
-    # Every field is computed before the first write, so a failure above
-    # leaves no partial output behind.
-    prefix = args.output
-    fileio.write_edge_list(mapping.target, f"{prefix}.quotient.el")
+    # Every field is computed before the first write, and the files are
+    # written all or none, so a failure leaves no partial output behind.
+    texts = {"quotient.el": fileio._edge_list_text(mapping.target)}
     if subject.pg is None:
         mis = subject.mis.mis
-        fileio.write_mapping([mis[i] for i in mapping.image], f"{prefix}.mapping.txt")
+        texts["mapping.txt"] = fileio._mapping_text([mis[i] for i in mapping.image])
     else:
-        fileio.write_partition(subject.pg.partition, f"{prefix}.partition.txt")
-    fileio.write_report(report, f"{prefix}.report.json")
+        texts["partition.txt"] = fileio._partition_text(subject.pg.partition)
+    texts["report.json"] = fileio._report_text(report)
+    fileio._atomic_write([(f"{args.output}.{end}", text) for end, text in texts.items()])
     return 0
 
 

@@ -1,8 +1,8 @@
 """Text formats for graphs, partitions, weights and mappings, plus reports.
 
 All writers emit canonical bytes (sorted edges, fixed key order, exact
-``p/q`` rationals) and write atomically via a temp file and rename, so
-identical inputs always produce identical files.
+``p/q`` rationals), so identical inputs always produce identical files.
+Files are written through temp files and renames, all or none.
 """
 
 from __future__ import annotations
@@ -24,20 +24,31 @@ PathLike = Union[str, Path]
 _WEIGHT_RE = re.compile(r"^\d+(/\d+)?$")
 
 
-def _atomic_write(path: PathLike, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
+def _atomic_write(files: Sequence[tuple[PathLike, str]]) -> None:
+    """Write every ``(path, text)`` file or none of them.
+
+    Each text goes to a temp file beside its path before the first
+    rename. If a write or rename fails, the files already renamed and
+    the temp files left over are removed.
+    """
+    # mkstemp makes files 0600; give them the mode open() would.
+    umask = os.umask(0)
+    os.umask(umask)
+    temps: list[str] = []
+    done = 0
     try:
-        # mkstemp makes the file 0600; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=Path(path).name)
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                os.fchmod(fd, 0o666 & ~umask)
+                handle.write(text)
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+            done += 1
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for leftover in [path for path, _ in files[:done]] + temps[done:]:
+            Path(leftover).unlink(missing_ok=True)
         raise
 
 
@@ -85,10 +96,14 @@ def read_edge_list(path: PathLike) -> Graph:
     return Graph(n, edges)
 
 
-def write_edge_list(g: Graph, path: PathLike) -> None:
+def _edge_list_text(g: Graph) -> str:
     lines = [f"{g.vertex_count} {g.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_edge_list(g: Graph, path: PathLike) -> None:
+    _atomic_write([(path, _edge_list_text(g))])
 
 
 def read_partition(path: PathLike, g: Graph) -> Partition:
@@ -105,9 +120,13 @@ def read_partition(path: PathLike, g: Graph) -> Partition:
     return Partition(g, blocks)
 
 
-def write_partition(p: Partition, path: PathLike) -> None:
+def _partition_text(p: Partition) -> str:
     lines = [" ".join(str(v) for v in blk) for blk in p.blocks]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_partition(p: Partition, path: PathLike) -> None:
+    _atomic_write([(path, _partition_text(p))])
 
 
 def _parse_weight(token: str, lineno: int) -> Fraction:
@@ -148,7 +167,7 @@ def weight_str(w: Union[int, Fraction]) -> str:
 
 def write_weights(weights: Sequence[Union[int, Fraction]], path: PathLike) -> None:
     lines = [f"{v} {weight_str(w)}" for v, w in enumerate(weights)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write([(path, "\n".join(lines) + "\n")])
 
 
 def read_mapping(path: PathLike, g: Graph) -> list[int]:
@@ -167,9 +186,13 @@ def read_mapping(path: PathLike, g: Graph) -> list[int]:
     return [image[v] for v in range(g.vertex_count)]
 
 
-def write_mapping(image: Sequence[int], path: PathLike) -> None:
+def _mapping_text(image: Sequence[int]) -> str:
     lines = [f"{v} {w}" for v, w in enumerate(image)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_mapping(image: Sequence[int], path: PathLike) -> None:
+    _atomic_write([(path, _mapping_text(image))])
 
 
 def fraction_str(x: Union[int, Fraction]) -> str:
@@ -216,5 +239,9 @@ def check_entry(result: object, witness: object = None) -> dict:
     return {"ok": ok, "witness": list(wit) if isinstance(wit, tuple) else wit}
 
 
+def _report_text(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
+
+
 def write_report(report: dict, path: PathLike) -> None:
-    _atomic_write(path, json.dumps(report, indent=2) + "\n")
+    _atomic_write([(path, _report_text(report))])

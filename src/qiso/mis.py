@@ -14,9 +14,9 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidMapping, NotIndependent, NotMaximal
-from .graph import CheckResult, Graph, distance_matrix
+from .graph import CheckResult, Graph
 from .partition import _sweep_order
-from .quasi import VertexMapping, _image_distances, _pair_check
+from .quasi import VertexMapping, _first_violation, _image_distances
 
 
 def greedy_mis(g: Graph, order: Optional[Sequence[int]] = None) -> tuple[int, ...]:
@@ -59,7 +59,9 @@ class MisResult:
     """An independent-set simplification: the set, its graph, the mapping.
 
     ``derived`` uses dense ids; its vertex ``i`` stands for ``mis[i]``.
-    The mapping goes from the original graph onto ``derived``.
+    The mapping goes from the original graph onto ``derived`` and sends
+    every vertex to itself or to an adjacent member, as
+    :func:`mis_derived` validates; :func:`verify_mis_bounds` relies on it.
     """
 
     mis: tuple[int, ...]
@@ -116,7 +118,7 @@ def verify_mis_bounds(r: MisResult) -> CheckResult:
     original path vertex by vertex gives a derived walk of the same
     length. Pairs sharing an image coincide in the derived graph.
     """
-    d1 = distance_matrix(r.mapping.source)
-    d2 = _image_distances(r.derived, r.mapping.image)
-    # Distinct images are exactly the pairs at positive derived distance.
-    return _pair_check((d2 > 0) & ((d2 > d1) | (d2 < d1 // 3)))
+    # d2 < d1 // 3 exactly when d1 - 3*d2 > 2. A vertex maps to itself or
+    # to an adjacent member, so a pair sharing an image lies within 2 and
+    # breaks neither side.
+    return _first_violation(r.mapping, (1, -3, 2), (-1, 1, 0))

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BlockNotConnected, InvalidVertex, NotAPartition
 from .graph import Graph, _bfs, _preorder
-from .quasi import VertexMapping, _pair_max, verify_q1
+from .quasi import VertexMapping, _first_violation, _q1_sides
 
 
 class Partition:
@@ -237,7 +237,6 @@ def verify_partition_qiso(pg: PartitionGraph) -> bool:
     guarantee, and quotient distances must never exceed the original ones.
     """
     m = pg.mapping
-    if not verify_q1(m, *sharpness_report(m.source, pg.partition).guarantee):
-        return False
-    (stretch_gap,) = _pair_max(m, (-1, 1))  # max of d2 - d1
-    return stretch_gap <= 0
+    guarantee = sharpness_report(m.source, pg.partition).guarantee
+    band = _q1_sides(*guarantee, m.source.vertex_count)
+    return bool(_first_violation(m, *band, (-1, 1, 0)))  # last side: d2 - d1 <= 0

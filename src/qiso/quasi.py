@@ -6,12 +6,17 @@ additive distortion, and the density of the image in the target. All
 comparisons are exact (integer cross-multiplication or rationals); no
 floating point enters any verdict.
 
-When the source is a tree and the mapping is its quotient by connected
-blocks (:func:`_tree_quotient`), every pair check and both eccentricity
-profiles are maximum-weight paths in the source tree, found in linear
-time without any matrix. Every other
-mapping is checked by reductions over the graphs' cached distance
-matrices (:func:`qiso.graph.distance_matrix`).
+Every pairwise claim bounds linear forms ``alpha*d1 + beta*d2``, with
+``d1`` the source distance of a pair and ``d2`` the target distance of
+its images: each side of the distance inequality, the independent-set
+sandwich and "quotients never stretch". :func:`_row_maxima` gives each
+vertex its maximum over all partners, and :func:`_first_violation` turns
+row maxima into a verdict with the first witness pair. When the source
+is a tree and the mapping is its quotient by connected blocks
+(:func:`_tree_quotient`), the row maxima and both eccentricity profiles
+are maximum-weight paths in the source tree, found in linear time
+without any matrix; every other mapping is reduced over the graphs'
+cached distance matrices (:func:`qiso.graph.distance_matrix`).
 """
 
 from __future__ import annotations
@@ -104,31 +109,6 @@ def _image_distances(target: Graph, image: Sequence[int]) -> np.ndarray:
     return distance_matrix(target).take(img, axis=0).take(img, axis=1)
 
 
-def _pair_check(bad: np.ndarray) -> CheckResult:
-    """Verdict over all pairs ``x < y`` of a symmetric violation mask.
-
-    The witness is the first violating pair in row-major order.
-    """
-    upper = np.triu(bad, 1)
-    k = int(upper.argmax())
-    if not upper.flat[k]:
-        return CheckResult(True)
-    x, y = divmod(k, bad.shape[1])
-    return CheckResult(False, (x, y))
-
-
-def _outside_band(
-    d1: np.ndarray, d2: np.ndarray, stretch: int, additive: int
-) -> np.ndarray:
-    """Where ``d2`` leaves ``[d1/stretch - additive, stretch*d1 + additive]``.
-
-    The lower side is cross-multiplied by ``stretch`` to stay in integers.
-    """
-    bad = d1 > stretch * (d2 + additive)
-    bad |= d2 > stretch * d1 + additive
-    return bad
-
-
 def _tree_quotient(m: VertexMapping) -> bool:
     """Whether ``m`` is the quotient map of a tree by connected blocks.
 
@@ -159,7 +139,7 @@ def _tree_quotient(m: VertexMapping) -> bool:
 def _path_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
     """Per ``(alpha, beta)``, each x's maximum over y of ``alpha*d1 + beta*d2``.
 
-    ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``, as in :func:`_pair_max`.
+    ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``, as in :func:`_row_maxima`.
 
     Only for a :func:`_tree_quotient` mapping, where the value is the
     weight of the x-y path with intra-block edges weighing ``alpha`` and
@@ -195,18 +175,62 @@ def _path_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
     return out
 
 
-def _pair_max(m: VertexMapping, *coeffs: tuple[int, int]) -> list[int]:
-    """Per ``(alpha, beta)``, the maximum of ``alpha*d1 + beta*d2`` over all pairs.
+def _row_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
+    """Per ``(alpha, beta)``, each x's maximum over y of ``alpha*d1 + beta*d2``.
 
-    ``d1`` is the source distance and ``d2`` the target distance of the
-    images; the pair ``x = y`` gives 0. Tree quotients take the
-    path-weight DP, every other mapping the distance matrices.
+    ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``; y = x gives 0. Tree
+    quotients take the path-weight DP, every other mapping the distance
+    matrices. Distances are below n, so every value is smaller than
+    ``(|alpha| + |beta|) * n`` in size, and the matrices are reduced in
+    the smallest signed dtype that holds that bound (at most int32 for
+    coefficients up to n below 32768 vertices): narrower integers make
+    every product and maximum cheaper than the cached int64.
     """
     if _tree_quotient(m):
-        return [max(best) for best in _path_maxima(m, *coeffs)]
-    d1 = distance_matrix(m.source)
-    d2 = _image_distances(m.target, m.image)
-    return [int((alpha * d1 + beta * d2).max()) for alpha, beta in coeffs]
+        return _path_maxima(m, *coeffs)
+    n = m.source.vertex_count
+    dtype = np.min_scalar_type(-n * max(abs(a) + abs(b) for a, b in coeffs))
+    d1 = distance_matrix(m.source).astype(dtype)
+    d2 = _image_distances(m.target, m.image).astype(dtype)
+    return [(alpha * d1 + beta * d2).max(axis=1).tolist() for alpha, beta in coeffs]
+
+
+def _first_violation(m: VertexMapping, *sides: tuple[int, int, int]) -> CheckResult:
+    """Whether ``alpha*d1 + beta*d2 <= limit`` for every pair and side.
+
+    Each side is ``(alpha, beta, limit)`` with ``limit >= 0``, so no pair
+    x = y violates. The witness is the first violating pair ``x < y`` in
+    row-major order: x is the smallest vertex whose row maximum breaks a
+    side, and as violations are symmetric every partner of x is larger,
+    so one search from x and one from f(x) find the smallest.
+    """
+    rows = _row_maxima(m, *((alpha, beta) for alpha, beta, _ in sides))
+    n = m.source.vertex_count
+    x = min(
+        next((v for v, best in enumerate(row) if best > limit), n)
+        for row, (_, _, limit) in zip(rows, sides)
+    )
+    if x == n:
+        return CheckResult(True)
+    d1 = np.array(_bfs(m.source.adjacency, (x,)))
+    d2 = np.array(_bfs(m.target.adjacency, (m.image[x],)))
+    d2 = d2[np.asarray(m.image, dtype=np.intp)]
+    bad = np.zeros(n, dtype=bool)
+    for alpha, beta, limit in sides:
+        bad |= alpha * d1 + beta * d2 > limit
+    return CheckResult(False, (x, int(bad.argmax())))
+
+
+def _q1_sides(stretch: int, additive: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """The band ``d1/stretch - additive <= d2 <= stretch*d1 + additive`` as sides.
+
+    The lower side is cross-multiplied by ``stretch`` to stay in
+    integers. Every distance is below ``n``, so clamping both constants
+    to ``n`` is exact and keeps every coefficient at most ``n``.
+    """
+    QuasiIsometryConstants(stretch, additive)  # validates both
+    stretch, additive = min(stretch, n), min(additive, n)
+    return (1, -stretch, stretch * additive), (-stretch, 1, additive)
 
 
 def verify_q1(m: VertexMapping, stretch: int, additive: int) -> CheckResult:
@@ -215,35 +239,8 @@ def verify_q1(m: VertexMapping, stretch: int, additive: int) -> CheckResult:
     For every source pair ``x, y`` the target distance must lie within
     ``[d(x,y)/stretch - additive, stretch*d(x,y) + additive]``. The first
     violating pair in row-major order is reported.
-
-    On a tree quotient, x is the smallest vertex whose best partner
-    breaks the band; violations are symmetric, so every partner of x is
-    larger, and one search from x finds the smallest.
     """
-    QuasiIsometryConstants(stretch, additive)  # validates both
-    # Every distance is below n, so clamping to n is exact and int64 cannot wrap.
-    n = m.source.vertex_count
-    stretch, additive = min(stretch, n), min(additive, n)
-    if not _tree_quotient(m):
-        return _pair_check(
-            _outside_band(
-                distance_matrix(m.source),
-                _image_distances(m.target, m.image),
-                stretch,
-                additive,
-            )
-        )
-    lower, upper = _path_maxima(m, (1, -stretch), (-stretch, 1))
-    bad_rows = (
-        v for v in range(n) if lower[v] > stretch * additive or upper[v] > additive
-    )
-    x = next(bad_rows, None)
-    if x is None:
-        return CheckResult(True)
-    d1 = np.array(_bfs(m.source.adjacency, (x,)))
-    d2 = np.array(_bfs(m.target.adjacency, (m.image[x],)))
-    bad = _outside_band(d1, d2[np.asarray(m.image, dtype=np.intp)], stretch, additive)
-    return CheckResult(False, (x, int(bad.argmax())))
+    return _first_violation(m, *_q1_sides(stretch, additive, m.source.vertex_count))
 
 
 def verify_q2_raw(target: Graph, images: Sequence[int], density: int) -> bool:
@@ -273,9 +270,10 @@ def minimal_additive_for_stretch(m: VertexMapping, stretch: int) -> int:
     below (unless already zero).
     """
     QuasiIsometryConstants(stretch, 0)  # validates the stretch
-    # Every distance is below n, so clamping to n is exact and int64 cannot wrap.
+    # Every distance is below n, so clamping to n is exact and keeps the
+    # coefficients within _row_maxima's bound.
     stretch = min(stretch, m.source.vertex_count)
-    upper, diff = _pair_max(m, (-stretch, 1), (1, -stretch))
+    upper, diff = map(max, _row_maxima(m, (-stretch, 1), (1, -stretch)))
     lower = -((-diff) // stretch)  # ceil(diff / stretch)
     return max(0, upper, lower)
 
@@ -303,15 +301,14 @@ def verify_ecc_transfer(m: VertexMapping, stretch: int, additive: int) -> bool:
         raise PreconditionViolated(
             f"constants ({stretch}, {additive}) fail the distance inequality"
         )
-    # Every eccentricity is below n, so clamping to n is exact.
-    n = m.source.vertex_count
     if _tree_quotient(m):
         # The image is onto, so the farthest image from f(x) is f(x)'s eccentricity.
         ecc1, ecc2 = map(np.array, _path_maxima(m, (1, 0), (0, 1)))
     else:
         ecc1 = distance_matrix(m.source).max(axis=1)
         ecc2 = distance_matrix(m.target).max(axis=1)[np.asarray(m.image, dtype=np.intp)]
-    return not _outside_band(ecc1, ecc2, min(stretch, n), min(additive, n)).any()
+    sides = _q1_sides(stretch, additive, m.source.vertex_count)
+    return all((a * ecc1 + b * ecc2 <= limit).all() for a, b, limit in sides)
 
 
 def shift_bound_two_sided(stretch: int, additive: int, radius: int) -> Fraction:

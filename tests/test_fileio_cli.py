@@ -180,6 +180,16 @@ class TestReports:
         fileio.write_report(report, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_write_renames_nothing(self, tmp_path):
+        # Every temp file is written before the first rename, so a text
+        # that cannot be encoded leaves the earlier file as it was.
+        first, second = tmp_path / "a.el", tmp_path / "b.txt"
+        first.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            fileio._atomic_write([(first, "new\n"), (second, "\udc80")])
+        assert first.read_text() == "old\n"
+        assert sorted(tmp_path.iterdir()) == [first]
+
 
 class TestCliGenerate:
     def test_families(self, tmp_path):
@@ -259,6 +269,15 @@ class TestCliGenerate:
         finally:
             os.umask(old)
         assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys):
+        # The partition cannot replace a directory, so the graph is not kept.
+        (tmp_path / "fam.partition.txt").mkdir()
+        out = tmp_path / "fam.el"
+        assert main(["generate", "shift-family", "--t", "3", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["fam.partition.txt"]
+        assert list((tmp_path / "fam.partition.txt").iterdir()) == []
 
     def test_seeded_reruns_are_byte_identical(self, tmp_path):
         a = tmp_path / "a.el"
@@ -420,6 +439,18 @@ class TestCliSimplify:
         assert main(argv + ["-o", str(outdir / "s")]) == 2
         assert capsys.readouterr().err == f"error: {flags[0]} needs --method outward\n"
         assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("blocked", ["quotient.el", "partition.txt", "report.json"])
+    def test_failed_write_leaves_no_output(self, tmp_path, tree_file, capsys, blocked):
+        # One output path is a directory: the files renamed before it and
+        # the temp files after it are all removed.
+        outdir = tmp_path / "out"
+        (outdir / f"s.{blocked}").mkdir(parents=True)
+        argv = ["simplify", str(tree_file), "--method", "outward"]
+        assert main(argv + ["-o", str(outdir / "s")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in outdir.iterdir()] == [f"s.{blocked}"]
+        assert list((outdir / f"s.{blocked}").iterdir()) == []
 
     def test_mis_writes_mapping(self, tmp_path):
         gfile = tmp_path / "star.el"

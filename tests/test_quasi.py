@@ -1,13 +1,16 @@
+import ast
 import functools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+import qiso
 from helpers import seeded_graph, seeded_tree
 from oracles import ecc_transfer_holds, floyd_warshall, minimal_additive, q1_witness
 from qiso.contraction import outward_contraction
@@ -49,6 +52,7 @@ from qiso.quasi import (
     QuasiIsometryConstants,
     VertexMapping,
     _path_maxima,
+    _row_maxima,
     _tree_quotient,
     center_shift,
     identity_mapping,
@@ -453,6 +457,28 @@ class TestTreeQuotient:
         # Failing constants occur wherever some block has an inner edge.
         assert verdicts == ({True} if kind == "singleton" else {True, False})
 
+    @pytest.mark.parametrize("kind", list(PARTITIONS))
+    def test_row_maxima_branches_agree(self, kind, monkeypatch):
+        # The path-weight DP against the matrices, row by row. The clamped
+        # extremes (1, -n) and (-n, 1) take the matrices from int8 to int16
+        # and, from n = 181, to int32.
+        def coeffs(n):
+            fixed = [(1, -3), (-1, 1), (1, -n), (-n, 1)]
+            return fixed + [c for s in (1, 2, 3) for c in ((1, -s), (-s, 1))]
+
+        trees = oracle_trees() + [random_tree(257, 257), path_graph(181), path_graph(257)]
+        mappings = [
+            build_partition_graph(t, PARTITIONS[kind](t, i)).mapping
+            for i, t in enumerate(trees)
+        ]
+        assert {m.source.vertex_count for m in mappings} >= {1, 2}
+        assert all(_tree_quotient(m) for m in mappings)
+        by_dp = [_row_maxima(m, *coeffs(m.source.vertex_count)) for m in mappings]
+        monkeypatch.setattr("qiso.quasi._tree_quotient", lambda m: False)
+        monkeypatch.setattr("qiso.quasi._path_maxima", no_dp)
+        for m, rows in zip(mappings, by_dp):
+            assert _row_maxima(m, *coeffs(m.source.vertex_count)) == rows
+
     def test_non_quotients_take_the_matrix_path(self, cached_oracles, monkeypatch):
         mappings = []
         for seed in range(60):
@@ -478,6 +504,30 @@ class TestTreeQuotient:
         for m in non_quotients:
             assert not _tree_quotient(m)
             assert_matches_oracles(m)
+
+    def test_pair_primitives_have_their_owners(self):
+        # Pair reductions go through _row_maxima, so that choosing between
+        # the tree DP and the matrices stays in one place; only the
+        # eccentricity profiles and the derived graph's edges bypass it.
+        owners = {
+            "_path_maxima": {"_row_maxima", "verify_ecc_transfer"},
+            "_image_distances": {"_row_maxima", "mis_derived"},
+        }
+        users = {name: set() for name in owners}
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name)
+                    continue
+                name = getattr(child, "id", None) or getattr(child, "attr", None)
+                if isinstance(child, (ast.Name, ast.Attribute)) and name in users:
+                    users[name].add(owner)
+                visit(child, owner)
+
+        for path in Path(qiso.__file__).parent.glob("*.py"):
+            visit(ast.parse(path.read_text()), f"{path.name} (module level)")
+        assert users == owners
 
     def test_predicate_matches_quotient_construction(self):
         rng = random.Random(5)
