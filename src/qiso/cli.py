@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Optional
@@ -154,7 +153,6 @@ class _Subject:
         g: Graph,
         partition: Optional[Partition] = None,
         mapping_path: Optional[str] = None,
-        report_mis: bool = False,
     ):
         self.g = g
         # The graph metrics come first: off a tree they build the matrix,
@@ -165,7 +163,6 @@ class _Subject:
             self.pg = build_partition_graph(g, partition)
             self.sharp = sharpness_report(g, partition)
         self._mapping_path = mapping_path
-        self._report_mis = report_mis
 
     @cached_property
     def mis(self) -> MisResult:
@@ -182,7 +179,7 @@ class _Subject:
         return (self.mis.mapping, *self.mis.guarantee, "two-sided")
 
     def fields(self) -> dict:
-        """Graph metrics plus the block diameters and compression, if any."""
+        """Graph metrics plus the partition's block diameters and compression."""
         cen, radius, diameter = self.extremes
         fields: dict[str, object] = {
             "radius": radius,
@@ -193,10 +190,7 @@ class _Subject:
         if self.sharp is not None:
             fields["sharpness"] = self.sharp.sharpness
             fields["coarseness"] = self.sharp.coarseness
-        if self.sharp is not None or self._report_mis:
-            target = self.guaranteed()[0].target
-            ratio = Fraction(target.vertex_count, self.g.vertex_count)
-            fields["compression_ratio"] = fileio.fraction_str(ratio)
+            fields["compression_ratio"] = fileio.fraction_str(self.sharp.compression_ratio)
         return fields
 
 
@@ -246,7 +240,7 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
     g = fileio.read_edge_list(args.input)
     claims: tuple[str, ...] = ("q1", "q2")
     if args.method == "mis":
-        subject = _Subject(g, report_mis=True)
+        subject = _Subject(g)
         claims += ("mis-bounds",)
     else:
         if args.method == "collapse":
@@ -261,6 +255,8 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
     mapping = subject.guaranteed()[0]
     fields, _ = _shift_fields(mapping)
     fields.update(subject.fields())
+    if subject.pg is None:
+        fields["compression_ratio"] = fileio.fraction_str(subject.mis.compression_ratio)
 
     checks = _run_checks(subject, claims)
     if args.all_roots:

@@ -3,11 +3,15 @@
 Distances are shortest-path hop counts. A :class:`Graph` never changes
 after construction, so its all-pairs matrix is built once, on first use,
 and cached read-only; every all-pairs metric here is a reduction over
-that matrix. A tree's matrix is filled row by row in preorder, any
-other graph's by a bit-parallel multi-source breadth-first search; a
-tree's center and median come from leaf removal and subtree weights
-without any matrix. Jobs that need only one or a few sources run the
-single breadth-first search :func:`_bfs` instead.
+that matrix. A tree also caches its preorder from vertex 0
+(:func:`_tree_preorder`), which every tree pass rooted there reads. A
+tree's matrix is filled row by row in that preorder, any other graph's
+by a bit-parallel multi-source breadth-first search. A tree's center
+comes from leaf removal without any matrix. Medians, plain and
+weighted, have one owner (:func:`_median`): subtree weights on a tree,
+else one exact integer product with the matrix. Jobs that need only one
+or a few sources run the single breadth-first search :func:`_bfs`
+instead.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ class Graph:
     are stored sorted, which keeps every traversal deterministic.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_dist")
+    __slots__ = ("_adj", "_edge_count", "_dist", "_tree")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 1:
@@ -74,6 +78,7 @@ class Graph:
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         self._edge_count = len(seen)
         self._dist: np.ndarray | None = None
+        self._tree: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         if min(_bfs(self._adj, (0,))) < 0:
             raise Disconnected("graph is not connected")
 
@@ -197,7 +202,7 @@ def _build_distances(g: Graph) -> np.ndarray:
     adj = g.adjacency
     n = len(adj)
     if g.is_tree:
-        order, parent = _preorder(adj)
+        order, parent = _tree_preorder(g)
         size = [1] * n
         for v in order[:0:-1]:
             size[parent[v]] += size[v]
@@ -212,7 +217,7 @@ def _build_distances(g: Graph) -> np.ndarray:
             np.add(rows[parent[v]], 1, out=row)
             row[i : i + size[v]] -= 2
         pos = np.empty(n, dtype=np.intp)
-        pos[order] = np.arange(n)
+        pos[list(order)] = np.arange(n)
         return rows.take(pos, axis=1)
     # Multi-source BFS (Then et al., PVLDB 2014): bit j of word w in a row
     # stands for source lo + 64 * w + j, so one level of up to _CHUNK
@@ -276,16 +281,44 @@ def _preorder(adj: Sequence[Sequence[int]], root: int = 0) -> tuple[list[int], l
     return order, parent
 
 
-def _tree_median(adj: Sequence[Sequence[int]], weights: Sequence) -> tuple[int, ...]:
+def _tree_preorder(t: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A tree's :func:`_preorder` from vertex 0, cached per graph as tuples.
+
+    Every tree pass rooted at vertex 0 reads this one copy, as every
+    all-pairs reduction reads the one cached matrix.
+    """
+    if t._tree is None:
+        order, parent = _preorder(t.adjacency)
+        t._tree = tuple(order), tuple(parent)
+    return t._tree
+
+
+def _median(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
+    """Vertices minimizing the ``weights``-weighted distance-sum, ascending.
+
+    The weights are positive ints, so every sum is an exact int: subtree
+    weights on a tree, else one product with the distance matrix, in
+    int64 while no sum can reach 2**63 (each is at most (n - 1) * total)
+    and in Python ints beyond.
+    """
+    if g.is_tree:
+        return _tree_median(g, weights)
+    if (g.vertex_count - 1) * sum(weights) < 2**63:
+        sums = distance_matrix(g) @ np.array(weights, dtype=np.int64)
+    else:
+        sums = distance_matrix(g).astype(object) @ np.array(weights, dtype=object)
+    return _argmin_all(sums)
+
+
+def _tree_median(t: Graph, weights: Sequence[int]) -> tuple[int, ...]:
     """Weighted median of a tree with positive weights, ascending.
 
     A vertex is a median exactly when no component of the tree minus that
-    vertex carries more than half the total weight (Goldman 1971); the
-    comparison ``2 * heaviest <= total`` is exact for ints and Fractions.
+    vertex carries more than half the total weight (Goldman 1971).
     """
-    order, parent = _preorder(adj)
+    order, parent = _tree_preorder(t)
     below = list(weights)  # weight of the subtree under each vertex
-    heaviest = [0] * len(adj)  # heaviest child subtree
+    heaviest = [0] * len(order)  # heaviest child subtree
     for v in order[:0:-1]:
         p = parent[v]
         below[p] += below[v]
@@ -293,7 +326,7 @@ def _tree_median(adj: Sequence[Sequence[int]], weights: Sequence) -> tuple[int, 
     total = below[0]
     return tuple(
         v
-        for v in range(len(adj))
+        for v in range(len(order))
         if 2 * max(heaviest[v], total - below[v]) <= total
     )
 
@@ -387,9 +420,7 @@ def distance_sum(g: Graph, v: int) -> int:
 
 def median(g: Graph) -> tuple[int, ...]:
     """Vertices of minimum distance-sum, ascending (subtree sizes on a tree)."""
-    if g.is_tree:
-        return _tree_median(g.adjacency, [1] * g.vertex_count)
-    return _argmin_all(distance_matrix(g).sum(axis=1))
+    return _median(g, [1] * g.vertex_count)
 
 
 def leaf_removal_center(t: Graph) -> tuple[int, ...]:

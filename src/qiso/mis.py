@@ -9,6 +9,7 @@ its smallest-id neighbor inside the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -69,6 +70,11 @@ class MisResult:
     mapping: VertexMapping
     # The mapping's guaranteed (stretch, additive); verify_mis_bounds shows why.
     guarantee: ClassVar[tuple[int, int]] = (3, 1)
+
+    @property
+    def compression_ratio(self) -> Fraction:
+        """|derived| / |graph|: the share of vertices the set keeps."""
+        return Fraction(len(self.mis), self.mapping.source.vertex_count)
 
 
 def mis_derived(

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import BlockNotConnected, InvalidVertex, NotAPartition
-from .graph import Graph, _bfs, _preorder
+from .graph import Graph, _bfs, _tree_preorder
 from .quasi import VertexMapping, _first_violation, _q1_sides
 
 
@@ -140,7 +140,7 @@ def sharpness_report(g: Graph, p: Partition) -> SharpnessReport:
     and a block's longest path turns at some member.
     """
     if g.is_tree:
-        order, parent = _preorder(g.adjacency)
+        order, parent = _tree_preorder(g)
         block_of = p.block_of
         height = [0] * g.vertex_count
         diameters = [0] * len(p.blocks)

@@ -11,7 +11,9 @@ Every pairwise claim bounds linear forms ``alpha*d1 + beta*d2``, with
 its images: each side of the distance inequality, the independent-set
 sandwich and "quotients never stretch". :func:`_row_maxima` gives each
 vertex its maximum over all partners, and :func:`_first_violation` turns
-row maxima into a verdict with the first witness pair. When the source
+row maxima into a verdict with the first witness pair. Eccentricities
+are row maxima too, of ``(1, 0)`` and ``(0, 1)``, so the eccentricity
+transfer reads them in the same pass as its precondition. When the source
 is a tree and the mapping is its quotient by connected blocks
 (:func:`_tree_quotient`), the row maxima and both eccentricity profiles
 are maximum-weight paths in the source tree, found in linear time
@@ -33,7 +35,7 @@ from .graph import (
     Graph,
     _bfs,
     _extremes,
-    _preorder,
+    _tree_preorder,
     center,
     distance_matrix,
     set_distance,
@@ -147,7 +149,7 @@ def _path_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
     vertex give every path that turns there (y = x weighs 0); a second,
     rerooting pass adds the best path leaving through the parent.
     """
-    order, parent = _preorder(m.source.adjacency)
+    order, parent = _tree_preorder(m.source)
     img = m.image
     # cut[v]: the edge from v to its parent crosses blocks (unused at the root).
     cut = [img[v] != img[p] for v, p in enumerate(parent)]
@@ -295,20 +297,20 @@ def verify_ecc_transfer(m: VertexMapping, stretch: int, additive: int) -> bool:
 
     Requires constants that already pass the distance inequality; the
     transfer to eccentricities is then a consequence worth re-verifying
-    directly.
+    directly. One :func:`_row_maxima` pass gives both: the band's row
+    maxima decide the precondition, and the rows of ``(1, 0)`` and
+    ``(0, 1)`` are the eccentricities of x and, as the image is onto,
+    of f(x).
     """
-    if not verify_q1(m, stretch, additive):
+    band = _q1_sides(stretch, additive, m.source.vertex_count)
+    *rows, ecc1, ecc2 = _row_maxima(m, *((a, b) for a, b, _ in band), (1, 0), (0, 1))
+    if any(max(row) > limit for row, (_, _, limit) in zip(rows, band)):
         raise PreconditionViolated(
             f"constants ({stretch}, {additive}) fail the distance inequality"
         )
-    if _tree_quotient(m):
-        # The image is onto, so the farthest image from f(x) is f(x)'s eccentricity.
-        ecc1, ecc2 = map(np.array, _path_maxima(m, (1, 0), (0, 1)))
-    else:
-        ecc1 = distance_matrix(m.source).max(axis=1)
-        ecc2 = distance_matrix(m.target).max(axis=1)[np.asarray(m.image, dtype=np.intp)]
-    sides = _q1_sides(stretch, additive, m.source.vertex_count)
-    return all((a * ecc1 + b * ecc2 <= limit).all() for a, b, limit in sides)
+    return all(
+        a * e1 + b * e2 <= limit for a, b, limit in band for e1, e2 in zip(ecc1, ecc2)
+    )
 
 
 def shift_bound_two_sided(stretch: int, additive: int, radius: int) -> Fraction:

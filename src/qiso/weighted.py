@@ -1,21 +1,21 @@
 """Vertex-weighted graphs, weighted medians, and median recovery on trees.
 
-Weights are exact (integers or rationals), so weighted distance-sums and
-their comparisons never carry rounding error. Turning a partition-tree
-into a weighted graph by recording block cardinalities lets the original
-median be located from the quotient alone.
+Weights are exact (ints or Fractions; anything else is refused), so
+weighted distance-sums and their comparisons never carry rounding error.
+Turning a partition-tree into a weighted graph by recording block
+cardinalities lets the original median be located from the quotient
+alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
-import numpy as np
-
 from .errors import InvalidWeight, NotAdjacent
-from .graph import Graph, _tree_median, bfs_distances, distance_matrix, require_tree
+from .graph import Graph, _median, bfs_distances, require_tree
 from .partition import Partition, PartitionGraph, build_partition_graph
 from .quasi import VertexMapping
 
@@ -35,6 +35,10 @@ class WeightedGraph:
                 f"{len(self.weights)} weights for {self.graph.vertex_count} vertices"
             )
         for v, w in enumerate(self.weights):
+            if not isinstance(w, (int, Fraction)):
+                raise InvalidWeight(
+                    f"weight of vertex {v} is {w!r}, must be an int or a Fraction"
+                )
             if w <= 0:
                 raise InvalidWeight(f"weight of vertex {v} is {w}, must be positive")
 
@@ -55,14 +59,12 @@ def weighted_distance_sum(wg: WeightedGraph, x: int) -> Weight:
 def weighted_median(wg: WeightedGraph) -> tuple[int, ...]:
     """Vertices minimizing the weighted distance-sum, ascending.
 
-    On a tree the median comes from subtree weights in linear time.
+    Scaling every weight by the least common multiple of their
+    denominators makes them ints and scales every sum alike, so the
+    argmin stays exact (see :func:`qiso.graph._median`).
     """
-    if wg.graph.is_tree:
-        return _tree_median(wg.graph.adjacency, wg.weights)
-    # Object dtype keeps the sums exact Python ints and Fractions.
-    sums = distance_matrix(wg.graph).dot(np.array(wg.weights, dtype=object)).tolist()
-    best = min(sums)
-    return tuple(v for v, s in enumerate(sums) if s == best)
+    scale = lcm(*(w.denominator for w in wg.weights))
+    return _median(wg.graph, [w.numerator * (scale // w.denominator) for w in wg.weights])
 
 
 def weighted_partition_tree(

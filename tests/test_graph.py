@@ -186,8 +186,9 @@ class TestCenterMedian:
     def test_median_matches_unit_weights(self):
         from qiso.weighted import WeightedGraph, weighted_median
 
-        t = random_tree(40, seed=9)
-        assert median(t) == weighted_median(WeightedGraph(t, (1,) * 40))
+        graphs = [random_tree(40, seed=9)] + [seeded_graph(seed) for seed in range(20)]
+        for g in graphs:
+            assert median(g) == weighted_median(WeightedGraph(g, (1,) * g.vertex_count))
 
     @given(seeds)
     def test_tree_center_small_and_adjacent(self, seed):

@@ -267,6 +267,27 @@ class TestEccTransfer:
             cst = minimal_constants(m)
             assert verify_ecc_transfer(m, cst.stretch, cst.additive)
 
+    def test_each_side_of_the_comparison_decides(self, monkeypatch):
+        # The real band rows pass the precondition; one vertex's
+        # eccentricities, pushed just past one side, must fail the check.
+        t = seeded_tree(4, min_n=10, max_n=30)
+        m = build_partition_graph(t, outward_contraction(t, 0)).mapping
+        stretch, additive = 3, 1
+        assert verify_ecc_transfer(m, stretch, additive)
+        pushes = {
+            "upper": lambda e1, e2: (e1, stretch * e1 + additive + 1),
+            "lower": lambda e1, e2: (stretch * (e2 + additive) + 1, e2),
+        }
+        for side, push in pushes.items():
+
+            def pushed(m, *coeffs, push=push):
+                *band, ecc1, ecc2 = _row_maxima(m, *coeffs)
+                ecc1[0], ecc2[0] = push(ecc1[0], ecc2[0])
+                return [*band, ecc1, ecc2]
+
+            monkeypatch.setattr("qiso.quasi._row_maxima", pushed)
+            assert not verify_ecc_transfer(m, stretch, additive), side
+
 
 class TestShiftBounds:
     def test_isometry_bound_is_zero(self):
@@ -463,7 +484,7 @@ class TestTreeQuotient:
         # extremes (1, -n) and (-n, 1) take the matrices from int8 to int16
         # and, from n = 181, to int32.
         def coeffs(n):
-            fixed = [(1, -3), (-1, 1), (1, -n), (-n, 1)]
+            fixed = [(1, -3), (-1, 1), (1, -n), (-n, 1), (1, 0), (0, 1)]
             return fixed + [c for s in (1, 2, 3) for c in ((1, -s), (-s, 1))]
 
         trees = oracle_trees() + [random_tree(257, 257), path_graph(181), path_graph(257)]
@@ -506,12 +527,15 @@ class TestTreeQuotient:
             assert_matches_oracles(m)
 
     def test_pair_primitives_have_their_owners(self):
-        # Pair reductions go through _row_maxima, so that choosing between
-        # the tree DP and the matrices stays in one place; only the
-        # eccentricity profiles and the derived graph's edges bypass it.
+        # Pair reductions, eccentricity profiles included, go through
+        # _row_maxima, so that choosing between the tree DP and the
+        # matrices stays in one place; only the derived graph's edges
+        # bypass it. Tree passes from vertex 0 read the cached preorder,
+        # and weighted medians reach the matrix only through graph._median.
         owners = {
-            "_path_maxima": {"_row_maxima", "verify_ecc_transfer"},
+            "_path_maxima": {"_row_maxima"},
             "_image_distances": {"_row_maxima", "mis_derived"},
+            "_preorder": {"_tree_preorder", "_rooted_extents", "_outward_blocks"},
         }
         users = {name: set() for name in owners}
 
@@ -525,9 +549,15 @@ class TestTreeQuotient:
                     users[name].add(owner)
                 visit(child, owner)
 
-        for path in Path(qiso.__file__).parent.glob("*.py"):
+        package = Path(qiso.__file__).parent
+        for path in package.glob("*.py"):
             visit(ast.parse(path.read_text()), f"{path.name} (module level)")
         assert users == owners
+        weighted = ast.parse((package / "weighted.py").read_text())
+        assert "distance_matrix" not in {
+            getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            for node in ast.walk(weighted)
+        }
 
     def test_predicate_matches_quotient_construction(self):
         rng = random.Random(5)

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import seeded_graph, seeded_tree, seeded_weights
 from qiso.errors import InvalidWeight, NotAdjacent, NotATree
-from qiso.generators import complete_graph, path_graph, random_partition, random_tree
+from qiso.generators import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_partition,
+    random_tree,
+)
 from qiso.graph import Graph, bfs_distances, distance_sum, median
 from qiso.contraction import outward_contraction
 from qiso.partition import Partition, build_partition_graph, singleton_partition
@@ -76,6 +82,8 @@ class TestWeightedGraph:
             WeightedGraph(path_graph(2), (1, 0))
         with pytest.raises(InvalidWeight):
             WeightedGraph(path_graph(2), (1, Fraction(-1, 2)))
+        with pytest.raises(InvalidWeight):
+            WeightedGraph(path_graph(2), (1, 0.5))
 
     def test_fraction_weights_accepted(self):
         wg = WeightedGraph(path_graph(2), (Fraction(1, 3), 2))
@@ -126,6 +134,15 @@ class TestWeightedMedian:
                 cases.append(WeightedGraph(g, tuple(weights)))
             wg, _, _ = mirrored_tree(seed)
             cases.append(WeightedGraph(wg.graph, tuple(Fraction(w, 3) for w in wg.weights)))
+            # Equal weights on a cycle: every vertex ties.
+            cases.append(WeightedGraph(cycle_graph(seed + 3), (Fraction(2, 3),) * (seed + 3)))
+            g = seeded_graph(seed, max_n=20)
+            n = g.vertex_count
+            # Scaled by a large common multiple of denominators that still fits int64.
+            cases.append(WeightedGraph(g, tuple(Fraction(1, v + 1) for v in range(n))))
+            # Sums past 2**63: the Python-int product.
+            big = [rng.randrange(10**17, 10**19) for _ in range(n)]
+            cases.append(WeightedGraph(g, tuple(big)))
         for wg in cases:
             sums = [weighted_distance_sum(wg, v) for v in wg.graph.vertices()]
             argmin = tuple(v for v, s in enumerate(sums) if s == min(sums))
