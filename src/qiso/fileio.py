@@ -8,10 +8,12 @@ Files are written through temp files and renames, all or none.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 import tempfile
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -52,22 +54,27 @@ def _atomic_write(files: Sequence[tuple[PathLike, str]]) -> None:
         raise
 
 
-def _content_lines(path: PathLike) -> list[tuple[int, str]]:
-    """Non-comment, non-blank lines with their 1-based line numbers."""
-    out = []
+def _content_lines(path: PathLike) -> list[tuple[int, list[str]]]:
+    """Fields of each non-comment, non-blank line, with its 1-based number.
+
+    The file is read in one piece and split at "\n" alone (after the
+    usual "\r\n" and "\r" translation), never at the other breaks that
+    ``str.splitlines`` knows, so line numbers count newlines only.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if line and not line.startswith("#"):
-                    out.append((lineno, line))
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    out = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            out.append((lineno, fields))
     return out
 
 
-def _ints(line: str, lineno: int, expect: int) -> list[int]:
-    fields = line.split()
+def _ints(fields: list[str], lineno: int, expect: int) -> list[int]:
     if len(fields) != expect:
         raise FormatError(f"line {lineno}: expected {expect} fields, got {len(fields)}")
     try:
@@ -85,15 +92,23 @@ def read_edge_list(path: PathLike) -> Graph:
     n, m = _ints(header, lineno, 2)
     if n > m + 1:  # before Graph allocates n adjacency lists
         raise FormatError(f"{path}: {m} edges cannot connect {n} vertices")
-    if len(lines) - 1 != m:
-        raise FormatError(f"{path}: header says {m} edges, found {len(lines) - 1}")
-    edges = []
-    for lineno, line in lines[1:]:
-        u, v = _ints(line, lineno, 2)
-        if not u < v:
-            raise FormatError(f"line {lineno}: edges must satisfy u < v, got {u} {v}")
-        edges.append((u, v))
-    return Graph(n, edges)
+    body = lines[1:]
+    if len(body) != m:
+        raise FormatError(f"{path}: header says {m} edges, found {len(body)}")
+    # All endpoints in one pass; only a bad file is walked line by line,
+    # to report its first error.
+    rows = [fields for _, fields in body]
+    try:
+        ends = list(map(int, chain.from_iterable(rows)))
+    except ValueError:
+        ends = []
+    us, vs = ends[0::2], ends[1::2]
+    if set(map(len, rows)) - {2} or len(ends) != 2 * m or not all(map(operator.lt, us, vs)):
+        for lineno, fields in body:
+            u, v = _ints(fields, lineno, 2)
+            if not u < v:
+                raise FormatError(f"line {lineno}: edges must satisfy u < v, got {u} {v}")
+    return Graph(n, zip(us, vs))
 
 
 def _edge_list_text(g: Graph) -> str:
@@ -109,9 +124,9 @@ def write_edge_list(g: Graph, path: PathLike) -> None:
 def read_partition(path: PathLike, g: Graph) -> Partition:
     """Parse a partition file: line ``i`` lists block ``i``, ids ascending."""
     blocks = []
-    for lineno, line in _content_lines(path):
+    for lineno, fields in _content_lines(path):
         try:
-            members = [int(f) for f in line.split()]
+            members = [int(f) for f in fields]
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
         if any(a >= b for a, b in zip(members, members[1:])):
@@ -141,8 +156,7 @@ def _parse_weight(token: str, lineno: int) -> Fraction:
 def read_weights(path: PathLike, g: Graph) -> list[Fraction]:
     """Parse a weight file of ``vertex weight`` lines covering every vertex."""
     weights: dict[int, Fraction] = {}
-    for lineno, line in _content_lines(path):
-        fields = line.split()
+    for lineno, fields in _content_lines(path):
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected 'vertex weight'")
         try:
@@ -173,8 +187,8 @@ def write_weights(weights: Sequence[Union[int, Fraction]], path: PathLike) -> No
 def read_mapping(path: PathLike, g: Graph) -> list[int]:
     """Parse a mapping file of ``vertex image`` lines (original vertex ids)."""
     image: dict[int, int] = {}
-    for lineno, line in _content_lines(path):
-        v, w = _ints(line, lineno, 2)
+    for lineno, fields in _content_lines(path):
+        v, w = _ints(fields, lineno, 2)
         if not (0 <= v < g.vertex_count and 0 <= w < g.vertex_count):
             raise FormatError(f"line {lineno}: vertex out of range")
         if v in image:

@@ -6,7 +6,10 @@ and cached read-only; every all-pairs metric here is a reduction over
 that matrix. A tree also caches its preorder from vertex 0
 (:func:`_tree_preorder`), which every tree pass rooted there reads. A
 tree's matrix is filled row by row in that preorder, any other graph's
-by a bit-parallel multi-source breadth-first search. A tree's center
+by a bit-parallel multi-source breadth-first search over the graph's
+cached CSR arrays. That search's level loop (:func:`_bfs_levels`) also
+measures, in one sweep, the diameter of every subgraph that a labelling
+of the vertices induces (:func:`_induced_diameters`). A tree's center
 comes from leaf removal without any matrix. Medians, plain and
 weighted, have one owner (:func:`_median`): subtree weights on a tree,
 else one exact integer product with the matrix. Jobs that need only one
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,7 +60,7 @@ class Graph:
     are stored sorted, which keeps every traversal deterministic.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_dist", "_tree")
+    __slots__ = ("_adj", "_edge_count", "_dist", "_tree", "_csr")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 1:
@@ -79,6 +82,7 @@ class Graph:
         self._edge_count = len(seen)
         self._dist: np.ndarray | None = None
         self._tree: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
         if min(_bfs(self._adj, (0,))) < 0:
             raise Disconnected("graph is not connected")
 
@@ -167,8 +171,9 @@ def _bfs(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> list[int]:
     return dist
 
 
-# Sources per multi-source BFS pass. A pass holds a few n x _CHUNK bit
-# arrays and, each level, gathers one _CHUNK-bit row per adjacency entry.
+# Sources per multi-source BFS pass (:func:`_bfs_levels`). A pass holds a
+# few n x _CHUNK bit arrays and, each level, gathers one _CHUNK-bit row per
+# adjacency entry.
 _CHUNK = 1024
 
 _MAX_VERTICES = 2000
@@ -219,47 +224,100 @@ def _build_distances(g: Graph) -> np.ndarray:
         pos = np.empty(n, dtype=np.intp)
         pos[list(order)] = np.arange(n)
         return rows.take(pos, axis=1)
-    # Multi-source BFS (Then et al., PVLDB 2014): bit j of word w in a row
-    # stands for source lo + 64 * w + j, so one level of up to _CHUNK
-    # searches is one gather and one OR-reduction over the CSR arrays.
     # Level d is OR-ed into bit plane i for every set bit i of d, which
     # writes each distance in binary.
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum([len(a) for a in adj], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=2 * g.edge_count)
-    starts = indptr[:-1]  # no empty row: connected with a cycle, so n >= 3
+    indptr, indices = _csr(g)  # no empty row: connected with a cycle, so n >= 3
     dist = np.empty((n, n), dtype=np.int64)
     for lo in range(0, n, _CHUNK):
         k = min(_CHUNK, n - lo)
-        bit = np.arange(k, dtype=np.uint64)
-        frontier = np.zeros((n, -(-k // 64)), dtype=np.uint64)
-        frontier[lo + bit, bit // 64] = np.uint64(1) << bit % 64
-        seen = frontier.copy()
         planes: list[np.ndarray] = []
-        d = 0
-        while True:
-            nxt = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
-            nxt &= ~seen
-            if not nxt.any():
-                break
-            seen |= nxt
-            d += 1
+        for d, nxt in enumerate(_bfs_levels(indptr, indices, lo, k), start=1):
             if d.bit_length() > len(planes):
                 planes.append(np.zeros_like(nxt))
             for i, plane in enumerate(planes):
                 if d >> i & 1:
                     plane |= nxt
-            frontier = nxt
         # Every distance is below n, so the smallest type that holds n can
         # assemble them; by symmetry the sources' columns equal their rows.
         acc = np.zeros((n, k), dtype=np.min_scalar_type(n))
         for i, plane in enumerate(planes):
-            # Little-endian words list source bits in order on any host.
-            bits = plane.astype("<u8", copy=False).view(np.uint8)
-            bits = np.unpackbits(bits, axis=1, count=k, bitorder="little")
-            acc |= np.left_shift(bits, i, dtype=acc.dtype)
+            acc |= np.left_shift(_source_bits(plane, k), i, dtype=acc.dtype)
         dist[:, lo : lo + k] = acc
     return dist
+
+
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency lists as read-only CSR arrays, cached per graph."""
+    if g._csr is None:
+        adj = g.adjacency
+        indptr = np.zeros(len(adj) + 1, dtype=np.intp)
+        np.cumsum([len(a) for a in adj], out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=indptr[-1])
+        indptr.flags.writeable = indices.flags.writeable = False
+        g._csr = indptr, indices
+    return g._csr
+
+
+def _bfs_levels(
+    indptr: np.ndarray, indices: np.ndarray, lo: int, k: int
+) -> Iterator[np.ndarray]:
+    """Multi-source BFS from ``lo .. lo+k-1`` over CSR arrays, level by level.
+
+    Bit-parallel (Then et al., PVLDB 2014): bit j of word w in a row stands
+    for source lo + 64 * w + j, so one level of all k searches is one
+    gather and one OR-reduction. Yields, for d = 1, 2, ..., the bits of
+    the sources whose search first reaches each vertex at level d, as an
+    n x ceil(k / 64) uint64 array. Every CSR row must be non-empty, as
+    ``reduceat`` returns the entry at an empty segment's start, not zero.
+    """
+    bit = np.arange(k, dtype=np.uint64)
+    frontier = np.zeros((len(indptr) - 1, -(-k // 64)), dtype=np.uint64)
+    frontier[lo + bit, bit // 64] = np.uint64(1) << bit % 64
+    seen = frontier.copy()
+    starts = indptr[:-1]
+    while True:
+        nxt = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+        nxt &= ~seen
+        if not nxt.any():
+            return
+        seen |= nxt
+        yield nxt
+        frontier = nxt
+
+
+def _source_bits(words: np.ndarray, k: int) -> np.ndarray:
+    """The first k source bits of each row of uint64 words, as 0/1 bytes."""
+    # Little-endian words list source bits in order on any host.
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=k, bitorder="little")
+
+
+def _induced_diameters(g: Graph, label: Sequence[int], count: int) -> list[int]:
+    """Diameter of the subgraph each label ``0 .. count-1`` induces.
+
+    Each labelled vertex set must induce a connected subgraph. One
+    multi-source BFS from every vertex runs over the edges inside the
+    sets plus a self-loop per vertex, which keeps every CSR row non-empty
+    and adds nothing, as a vertex's own bit is seen from the start. A
+    vertex's eccentricity in its set is the last level at which its
+    source bit newly reaches a vertex; a set's diameter is the largest.
+    """
+    n = g.vertex_count
+    indptr, indices = _csr(g)
+    lab = np.asarray(label, dtype=np.intp)
+    inner = np.repeat(lab, np.diff(indptr)) == lab[indices]
+    kept = np.concatenate(([0], np.cumsum(inner)))[indptr]  # inner entries before each row
+    inner_indices = np.insert(indices[inner], kept[:-1], np.arange(n))
+    inner_indptr = kept + np.arange(n + 1)
+    ecc = np.zeros(n, dtype=np.intp)
+    for lo in range(0, n, _CHUNK):
+        k = min(_CHUNK, n - lo)
+        for d, nxt in enumerate(_bfs_levels(inner_indptr, inner_indices, lo, k), start=1):
+            reached = _source_bits(np.bitwise_or.reduce(nxt, axis=0), k)
+            ecc[lo + np.flatnonzero(reached)] = d
+    diameters = np.zeros(count, dtype=np.intp)
+    np.maximum.at(diameters, lab, ecc)
+    return diameters.tolist()
 
 
 def _preorder(adj: Sequence[Sequence[int]], root: int = 0) -> tuple[list[int], list[int]]:
@@ -304,7 +362,8 @@ def _median(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
     if g.is_tree:
         return _tree_median(g, weights)
     if (g.vertex_count - 1) * sum(weights) < 2**63:
-        sums = distance_matrix(g) @ np.array(weights, dtype=np.int64)
+        # einsum's integer kernel is faster here than matmul's.
+        sums = np.einsum("ij,j->i", distance_matrix(g), np.array(weights, dtype=np.int64))
     else:
         sums = distance_matrix(g).astype(object) @ np.array(weights, dtype=object)
     return _argmin_all(sums)

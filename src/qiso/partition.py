@@ -3,7 +3,9 @@
 Blocks ("super-vertices") must induce connected subgraphs; the quotient
 joins two blocks whenever some cross edge exists. Sharpness bounds block
 diameters from above and drives the distortion of the quotient mapping,
-coarseness bounds them from below and drives compression.
+coarseness bounds them from below and drives compression. Every block
+diameter comes from one pass: up the preorder on a tree, else one
+bit-parallel breadth-first sweep over the intra-block edges.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import BlockNotConnected, InvalidVertex, NotAPartition
-from .graph import Graph, _bfs, _tree_preorder
+from .graph import Graph, _bfs, _induced_diameters, _tree_preorder
 from .quasi import VertexMapping, _first_violation, _q1_sides
 
 
@@ -106,8 +108,8 @@ def build_partition_graph(g: Graph, p: Partition) -> PartitionGraph:
 def induced_diameter(g: Graph, members: Sequence[int]) -> int:
     """Diameter of the subgraph induced by a connected vertex set.
 
-    Every member is searched from. (:func:`sharpness_report` measures the
-    blocks of a tree in one pass instead.)
+    Every member is searched from, one search each: the reference that
+    :func:`sharpness_report`'s one sweep over all blocks is tested against.
     """
     index = {v: i for i, v in enumerate(sorted(set(members)))}
     adj = [[index[u] for u in g.adjacency[v] if u in index] for v in index]
@@ -137,7 +139,9 @@ def sharpness_report(g: Graph, p: Partition) -> SharpnessReport:
 
     A tree's blocks are subtrees, so one pass up a preorder measures them
     all: each vertex's height within its block grows from its children's,
-    and a block's longest path turns at some member.
+    and a block's longest path turns at some member. Any other graph's
+    blocks are measured together by one bit-parallel search from every
+    vertex over the intra-block edges (:func:`qiso.graph._induced_diameters`).
     """
     if g.is_tree:
         order, parent = _tree_preorder(g)
@@ -150,7 +154,7 @@ def sharpness_report(g: Graph, p: Partition) -> SharpnessReport:
                 diameters[b] = max(diameters[b], height[u] + height[v] + 1)
                 height[u] = max(height[u], height[v] + 1)
     else:
-        diameters = [induced_diameter(g, blk) for blk in p.blocks]
+        diameters = _induced_diameters(g, p.block_of, len(p.blocks))
     return SharpnessReport(
         sharpness=max(diameters),
         coarseness=min(diameters),

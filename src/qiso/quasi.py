@@ -18,7 +18,9 @@ is a tree and the mapping is its quotient by connected blocks
 (:func:`_tree_quotient`), the row maxima and both eccentricity profiles
 are maximum-weight paths in the source tree, found in linear time
 without any matrix; every other mapping is reduced over the graphs'
-cached distance matrices (:func:`qiso.graph.distance_matrix`).
+cached distance matrices (:func:`qiso.graph.distance_matrix`), read once
+per mapping into one narrow matrix pair (:func:`_distance_pair`) that
+every later claim on that mapping reduces again.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class VertexMapping:
     is an invariant: simplifications never leave unused target vertices.
     """
 
-    __slots__ = ("source", "target", "image")
+    __slots__ = ("source", "target", "image", "_pair")
 
     def __init__(self, source: Graph, target: Graph, image: Sequence[int]):
         img = tuple(image)
@@ -86,6 +88,7 @@ class VertexMapping:
         self.source = source
         self.target = target
         self.image = img
+        self._pair: tuple[np.ndarray, np.ndarray] | None = None
 
     def preimage(self, target_vertices: Sequence[int]) -> tuple[int, ...]:
         """Source vertices mapping into the given target set, ascending."""
@@ -105,10 +108,31 @@ def identity_mapping(g: Graph) -> VertexMapping:
     return VertexMapping(g, g, range(g.vertex_count))
 
 
-def _image_distances(target: Graph, image: Sequence[int]) -> np.ndarray:
+def _image_distances(target: Graph, image: Sequence[int], dtype=np.int64) -> np.ndarray:
     """Target distance between the images of every source pair, as a matrix."""
     img = np.asarray(image, dtype=np.intp)
-    return distance_matrix(target).take(img, axis=0).take(img, axis=1)
+    dist = distance_matrix(target).astype(dtype, copy=False)
+    # Rows are copied whole and columns entry by entry, so the columns are
+    # taken from the smaller side: first when the image list is the longer.
+    if len(img) > len(dist):
+        return dist.take(img, axis=1).take(img, axis=0)
+    return dist.take(img, axis=0).take(img, axis=1)
+
+
+def _distance_pair(m: VertexMapping) -> tuple[np.ndarray, np.ndarray]:
+    """``d1`` and ``d2`` of every source pair as two matrices, cached per mapping.
+
+    Distances are below n, so both are kept read-only in the smallest
+    signed dtype that holds n: narrower integers make every product and
+    maximum cheaper than the graphs' cached int64 matrices.
+    """
+    if m._pair is None:
+        dtype = np.min_scalar_type(-m.source.vertex_count)
+        d1 = distance_matrix(m.source).astype(dtype)
+        d2 = _image_distances(m.target, m.image, dtype)
+        d1.flags.writeable = d2.flags.writeable = False
+        m._pair = d1, d2
+    return m._pair
 
 
 def _tree_quotient(m: VertexMapping) -> bool:
@@ -181,20 +205,29 @@ def _row_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
     """Per ``(alpha, beta)``, each x's maximum over y of ``alpha*d1 + beta*d2``.
 
     ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``; y = x gives 0. Tree
-    quotients take the path-weight DP, every other mapping the distance
-    matrices. Distances are below n, so every value is smaller than
-    ``(|alpha| + |beta|) * n`` in size, and the matrices are reduced in
-    the smallest signed dtype that holds that bound (at most int32 for
-    coefficients up to n below 32768 vertices): narrower integers make
-    every product and maximum cheaper than the cached int64.
+    quotients take the path-weight DP, every other mapping the cached
+    :func:`_distance_pair`. A term with a zero coefficient is skipped, so
+    a row with one term is that matrix's row extreme; otherwise every
+    value is smaller than ``(|alpha| + |beta|) * n`` in size, and the sum
+    is formed in the smallest signed dtype that holds that bound (at most
+    int32 for coefficients up to n below 32768 vertices).
     """
     if _tree_quotient(m):
         return _path_maxima(m, *coeffs)
     n = m.source.vertex_count
-    dtype = np.min_scalar_type(-n * max(abs(a) + abs(b) for a, b in coeffs))
-    d1 = distance_matrix(m.source).astype(dtype)
-    d2 = _image_distances(m.target, m.image).astype(dtype)
-    return [(alpha * d1 + beta * d2).max(axis=1).tolist() for alpha, beta in coeffs]
+    d1, d2 = _distance_pair(m)
+    out = []
+    for alpha, beta in coeffs:
+        if alpha and beta:
+            dtype = np.min_scalar_type(-n * (abs(alpha) + abs(beta)))
+            values = np.multiply(alpha, d1, dtype=dtype)
+            values += np.multiply(beta, d2, dtype=dtype)
+            out.append(values.max(axis=1).tolist())
+        else:
+            c, d = (beta, d2) if beta else (alpha, d1)
+            extreme = d.max(axis=1) if c > 0 else d.min(axis=1)
+            out.append([c * v for v in extreme.tolist()])
+    return out
 
 
 def _first_violation(m: VertexMapping, *sides: tuple[int, int, int]) -> CheckResult:

@@ -30,6 +30,22 @@ from qiso.partition import collapse_basic, singleton_partition
 from qiso.quasi import center_shift
 
 
+# Malformed edge lists and the error each must report: the first bad
+# line, numbered by "\n" breaks alone ("\r\n" ends a line, "\u2028"
+# inside one is whitespace).
+_BAD_EDGE_LISTS = {
+    b"": "empty file$",
+    b"3\n0 1\n1 2\n": "^line 1: expected 2 fields, got 1$",
+    b"3 2\n0 1\n": "header says 2 edges, found 1$",
+    b"3 1\n0 1\n1 2\n": "1 edges cannot connect 3 vertices$",
+    b"3 2\n1 0\n1 2\n": "^line 2: edges must satisfy u < v, got 1 0$",
+    b"3 2\n0 x\n1 2\n": "^line 2: invalid literal for int",
+    b"3 1\n0 1\n": "1 edges cannot connect 3 vertices$",
+    b"\xff 3 2\n": "not UTF-8 text",
+    b"3 3\r\n0\xe2\x80\xa81\r\n\r\n1 2\r\n1 x\r\n": "^line 5: invalid literal for int",
+}
+
+
 class TestEdgeListFormat:
     def test_round_trip(self, tmp_path):
         for seed in range(10):
@@ -51,23 +67,11 @@ class TestEdgeListFormat:
         path.write_text("# a path\n\n3 2\n0 1\n\n# tail\n1 2\n")
         assert fileio.read_edge_list(path) == path_graph(3)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            b"",
-            b"3\n0 1\n1 2\n",
-            b"3 2\n0 1\n",
-            b"3 1\n0 1\n1 2\n",
-            b"3 2\n1 0\n1 2\n",
-            b"3 2\n0 x\n1 2\n",
-            b"3 1\n0 1\n",
-            b"\xff 3 2\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", list(_BAD_EDGE_LISTS))
     def test_malformed_rejected(self, tmp_path, text):
         path = tmp_path / "bad.el"
         path.write_bytes(text)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=_BAD_EDGE_LISTS[text]):
             fileio.read_edge_list(path)
 
 

@@ -16,6 +16,7 @@ from oracles import (
 from qiso.contraction import outward_contraction
 from qiso.errors import BlockNotConnected, InvalidVertex, NotAPartition
 from qiso.generators import (
+    complete_graph,
     cycle_graph,
     path_graph,
     random_partition,
@@ -159,7 +160,7 @@ class TestSharpness:
         assert induced_diameter(c6, (0, 1, 5)) == 2
         assert induced_diameter(c6, ()) == 0
 
-    def test_induced_diameter_matches_floyd_warshall(self):
+    def test_induced_diameter_matches_floyd_warshall(self, monkeypatch):
         # On trees two searches replace the search from every member.
         cases = []
         for seed in range(60):
@@ -175,6 +176,24 @@ class TestSharpness:
                 expected = max(map(max, floyd_warshall(Graph(len(blk), inner))))
                 assert induced_diameter(g, blk) == expected
         assert induced_diameter(star_graph(400), range(400)) == 2
+        # Off trees sharpness_report measures every block in one sweep;
+        # the search per member is its reference, at every chunk width.
+        graphs = [seeded_graph(seed, max_n=30) for seed in range(40)]
+        graphs += [seeded_graph(seed, min_n=66, max_n=140) for seed in range(6)]
+        graphs = [g for g in graphs if not g.is_tree] + [cycle_graph(70), complete_graph(9)]
+        assert len(graphs) > 40
+        for chunk in (1, 63, 64, 65, "n-1"):
+            for seed, g in enumerate(graphs):
+                n = g.vertex_count
+                monkeypatch.setattr("qiso.graph._CHUNK", n - 1 if chunk == "n-1" else chunk)
+                parts = [singleton_partition(g), Partition(g, [list(g.vertices())])]
+                parts += [collapse_basic(g), collapse_modified(g)]
+                parts += [random_partition(g, seed, keep) for keep in (0.3, 0.7, 0.95)]
+                for p in parts:
+                    diameters = [induced_diameter(g, blk) for blk in p.blocks]
+                    assert sharpness_report(g, p) == SharpnessReport(
+                        max(diameters), min(diameters), Fraction(len(p.blocks), n)
+                    ), (g, p, chunk)
 
     def test_tree_report_matches_induced_diameters(self):
         # The one pass over a tree against a search per block.

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -51,6 +52,7 @@ from qiso.partition import (
 from qiso.quasi import (
     QuasiIsometryConstants,
     VertexMapping,
+    _distance_pair,
     _path_maxima,
     _row_maxima,
     _tree_quotient,
@@ -482,10 +484,15 @@ class TestTreeQuotient:
     def test_row_maxima_branches_agree(self, kind, monkeypatch):
         # The path-weight DP against the matrices, row by row. The clamped
         # extremes (1, -n) and (-n, 1) take the matrices from int8 to int16
-        # and, from n = 181, to int32.
+        # and, from n = 181, to int32. A second call on the same mapping,
+        # with other coefficients, reuses its cached matrix pair and must
+        # agree with a fresh mapping.
         def coeffs(n):
             fixed = [(1, -3), (-1, 1), (1, -n), (-n, 1), (1, 0), (0, 1)]
             return fixed + [c for s in (1, 2, 3) for c in ((1, -s), (-s, 1))]
+
+        def more_coeffs(n):
+            return [(0, 1), (-n, 1), (1, 0), (2, -1), (0, -1), (-1, 0), (0, 0)]
 
         trees = oracle_trees() + [random_tree(257, 257), path_graph(181), path_graph(257)]
         mappings = [
@@ -494,11 +501,25 @@ class TestTreeQuotient:
         ]
         assert {m.source.vertex_count for m in mappings} >= {1, 2}
         assert all(_tree_quotient(m) for m in mappings)
-        by_dp = [_row_maxima(m, *coeffs(m.source.vertex_count)) for m in mappings]
+        by_dp = [
+            (_row_maxima(m, *coeffs(n)), _row_maxima(m, *more_coeffs(n)))
+            for m in mappings
+            for n in [m.source.vertex_count]
+        ]
         monkeypatch.setattr("qiso.quasi._tree_quotient", lambda m: False)
         monkeypatch.setattr("qiso.quasi._path_maxima", no_dp)
-        for m, rows in zip(mappings, by_dp):
-            assert _row_maxima(m, *coeffs(m.source.vertex_count)) == rows
+        for m, (rows, more_rows) in zip(mappings, by_dp):
+            n = m.source.vertex_count
+            assert _row_maxima(m, *coeffs(n)) == rows
+            assert _row_maxima(m, *more_coeffs(n)) == more_rows
+            fresh = VertexMapping(m.source, m.target, m.image)
+            assert _row_maxima(fresh, *more_coeffs(n)) == more_rows
+            pair = _distance_pair(m)
+            assert _distance_pair(m) is pair
+            for mat in pair:
+                assert mat.dtype == np.min_scalar_type(-n) and not mat.flags.writeable
+                with pytest.raises(ValueError):
+                    mat[0, 0] = 1
 
     def test_non_quotients_take_the_matrix_path(self, cached_oracles, monkeypatch):
         mappings = []
@@ -532,10 +553,14 @@ class TestTreeQuotient:
         # matrices stays in one place; only the derived graph's edges
         # bypass it. Tree passes from vertex 0 read the cached preorder,
         # and weighted medians reach the matrix only through graph._median.
+        # One bit-parallel level loop serves the matrix and the block
+        # diameters, and the per-member search is left to the tests.
         owners = {
             "_path_maxima": {"_row_maxima"},
-            "_image_distances": {"_row_maxima", "mis_derived"},
+            "_image_distances": {"_distance_pair", "mis_derived"},
             "_preorder": {"_tree_preorder", "_rooted_extents", "_outward_blocks"},
+            "_bfs_levels": {"_build_distances", "_induced_diameters"},
+            "induced_diameter": set(),
         }
         users = {name: set() for name in owners}
 
