@@ -2,15 +2,16 @@
 
 Distances are shortest-path hop counts. A :class:`Graph` never changes
 after construction, so its all-pairs matrix is built once, on first use,
-and cached read-only; every all-pairs metric here is a reduction over
-that matrix. A tree also caches its preorder from vertex 0
-(:func:`_tree_preorder`), which every tree pass rooted there reads. A
-tree's matrix is filled row by row in that preorder, any other graph's
-by a bit-parallel multi-source breadth-first search over the graph's
-cached CSR arrays. That search's level loop (:func:`_bfs_levels`) also
-measures, in one sweep, the diameter of every subgraph that a labelling
-of the vertices induces (:func:`_induced_diameters`). A tree's center
-comes from leaf removal without any matrix. Medians, plain and
+and cached read-only in the smallest signed integer type that holds n;
+every all-pairs metric here, and every pair claim in :mod:`qiso.quasi`,
+reads that one store in place. A tree also caches its preorder from
+vertex 0 (:func:`_tree_preorder`), which every tree pass rooted there
+reads. A tree's matrix is filled row by row in that preorder, any other
+graph's by a bit-parallel multi-source breadth-first search over the
+graph's cached CSR arrays. That search's level loop (:func:`_bfs_levels`)
+also measures, in one sweep, the diameter of every subgraph that a
+labelling of the vertices induces (:func:`_induced_diameters`). A tree's
+center comes from leaf removal without any matrix. Medians, plain and
 weighted, have one owner (:func:`_median`): subtree weights on a tree,
 else one exact integer product with the matrix. Jobs that need only one
 or a few sources run the single breadth-first search :func:`_bfs`
@@ -189,8 +190,11 @@ def _check_size(g: Graph) -> None:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs hop distances as a read-only int64 matrix, cached per graph.
+    """All-pairs hop distances, cached per graph as its one distance store.
 
+    Read-only, C-contiguous, in ``np.min_scalar_type(-n)``: int8 up to 128
+    vertices, else int16. It is signed, so a difference of two distances
+    never wraps; callers widen before any arithmetic that can exceed n.
     The one place a matrix is built, so the one size guard: a graph above
     2000 vertices raises :class:`TooLarge` before any distance is computed.
     """
@@ -203,9 +207,10 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
 
 def _build_distances(g: Graph) -> np.ndarray:
-    """The int64 all-pairs matrix: preorder on a tree, else multi-source BFS."""
+    """The all-pairs matrix: preorder on a tree, else multi-source BFS."""
     adj = g.adjacency
     n = len(adj)
+    dtype = np.min_scalar_type(-n)
     if g.is_tree:
         order, parent = _tree_preorder(g)
         size = [1] * n
@@ -213,13 +218,13 @@ def _build_distances(g: Graph) -> np.ndarray:
             size[parent[v]] += size[v]
         # rows[v, i] is the distance from v to order[i]; a subtree is the
         # contiguous preorder range starting at its root.
-        rows = np.empty((n, n), dtype=np.int64)
+        rows = np.empty((n, n), dtype=dtype)
         depth = _bfs(adj, (0,))
         rows[0] = [depth[v] for v in order]
         for i in range(1, n):
             v = order[i]
             row = rows[v]
-            np.add(rows[parent[v]], 1, out=row)
+            np.add(rows[parent[v]], 1, out=row)  # may wrap at n; the modular -= 2 restores it
             row[i : i + size[v]] -= 2
         pos = np.empty(n, dtype=np.intp)
         pos[list(order)] = np.arange(n)
@@ -227,7 +232,7 @@ def _build_distances(g: Graph) -> np.ndarray:
     # Level d is OR-ed into bit plane i for every set bit i of d, which
     # writes each distance in binary.
     indptr, indices = _csr(g)  # no empty row: connected with a cycle, so n >= 3
-    dist = np.empty((n, n), dtype=np.int64)
+    dist = np.zeros((n, n), dtype=dtype)
     for lo in range(0, n, _CHUNK):
         k = min(_CHUNK, n - lo)
         planes: list[np.ndarray] = []
@@ -237,12 +242,9 @@ def _build_distances(g: Graph) -> np.ndarray:
             for i, plane in enumerate(planes):
                 if d >> i & 1:
                     plane |= nxt
-        # Every distance is below n, so the smallest type that holds n can
-        # assemble them; by symmetry the sources' columns equal their rows.
-        acc = np.zeros((n, k), dtype=np.min_scalar_type(n))
+        # By symmetry the sources' columns equal their rows.
         for i, plane in enumerate(planes):
-            acc |= np.left_shift(_source_bits(plane, k), i, dtype=acc.dtype)
-        dist[:, lo : lo + k] = acc
+            dist[:, lo : lo + k] |= np.left_shift(_source_bits(plane, k), i, dtype=dtype)
     return dist
 
 

@@ -17,10 +17,10 @@ transfer reads them in the same pass as its precondition. When the source
 is a tree and the mapping is its quotient by connected blocks
 (:func:`_tree_quotient`), the row maxima and both eccentricity profiles
 are maximum-weight paths in the source tree, found in linear time
-without any matrix; every other mapping is reduced over the graphs'
-cached distance matrices (:func:`qiso.graph.distance_matrix`), read once
-per mapping into one narrow matrix pair (:func:`_distance_pair`) that
-every later claim on that mapping reduces again.
+without any matrix; every other mapping is reduced over the source's
+cached distance matrix (:func:`qiso.graph.distance_matrix`), read in
+place, and the images' rows of the target's, gathered once per mapping
+(:func:`_distance_pair`) for every later claim on that mapping.
 """
 
 from __future__ import annotations
@@ -81,8 +81,9 @@ class VertexMapping:
             raise NotSurjective(
                 f"image has {len(img)} entries for {source.vertex_count} vertices"
             )
-        for v in img:
-            target.check_vertex(v)
+        if not 0 <= min(img) <= max(img) < target.vertex_count:
+            for v in img:  # raises at the first entry out of range
+                target.check_vertex(v)
         if len(set(img)) != target.vertex_count:
             raise NotSurjective("every target vertex must be hit")
         self.source = source
@@ -108,10 +109,10 @@ def identity_mapping(g: Graph) -> VertexMapping:
     return VertexMapping(g, g, range(g.vertex_count))
 
 
-def _image_distances(target: Graph, image: Sequence[int], dtype=np.int64) -> np.ndarray:
+def _image_distances(target: Graph, image: Sequence[int]) -> np.ndarray:
     """Target distance between the images of every source pair, as a matrix."""
     img = np.asarray(image, dtype=np.intp)
-    dist = distance_matrix(target).astype(dtype, copy=False)
+    dist = distance_matrix(target)
     # Rows are copied whole and columns entry by entry, so the columns are
     # taken from the smaller side: first when the image list is the longer.
     if len(img) > len(dist):
@@ -122,16 +123,13 @@ def _image_distances(target: Graph, image: Sequence[int], dtype=np.int64) -> np.
 def _distance_pair(m: VertexMapping) -> tuple[np.ndarray, np.ndarray]:
     """``d1`` and ``d2`` of every source pair as two matrices, cached per mapping.
 
-    Distances are below n, so both are kept read-only in the smallest
-    signed dtype that holds n: narrower integers make every product and
-    maximum cheaper than the graphs' cached int64 matrices.
+    ``d1`` is the source's own matrix, read in place; ``d2`` gathers the
+    images' rows of the target's, in its type, and is kept read-only.
     """
     if m._pair is None:
-        dtype = np.min_scalar_type(-m.source.vertex_count)
-        d1 = distance_matrix(m.source).astype(dtype)
-        d2 = _image_distances(m.target, m.image, dtype)
-        d1.flags.writeable = d2.flags.writeable = False
-        m._pair = d1, d2
+        d2 = _image_distances(m.target, m.image)
+        d2.flags.writeable = False
+        m._pair = distance_matrix(m.source), d2
     return m._pair
 
 

@@ -1,6 +1,7 @@
 import ast
 import functools
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from qiso.contraction import outward_contraction
 from qiso.errors import (
     BlockNotConnected,
     InvalidConstants,
+    InvalidVertex,
     NotSurjective,
     PreconditionViolated,
     TooLarge,
@@ -27,6 +29,7 @@ from qiso.generators import (
     cycle_graph,
     non_uniecc_chordal,
     path_graph,
+    random_connected_graph,
     random_tree,
     star_graph,
 )
@@ -126,6 +129,19 @@ class TestVertexMapping:
     def test_rejects_missed_target(self):
         with pytest.raises(NotSurjective):
             VertexMapping(path_graph(3), path_graph(2), [0, 0, 0])
+
+    def test_rejects_images_out_of_range(self):
+        # The first entry out of range names the error, whichever side it
+        # is on; the length is checked before the range, and the range
+        # before surjectivity.
+        source, target = path_graph(6), path_graph(3)
+        for image, bad in (([0, 1, -1, 2, 3, 2], -1), ([0, 2, 1, 3, 0, -2], 3)):
+            with pytest.raises(InvalidVertex, match=rf"^vertex {bad} outside 0\.\.2$"):
+                VertexMapping(source, target, image)
+        with pytest.raises(NotSurjective, match="6 entries for 5 vertices"):
+            VertexMapping(path_graph(5), target, [0, 1, -1, 2, 3, 2])
+        with pytest.raises(InvalidVertex, match="vertex 3 outside"):
+            VertexMapping(source, target, [0, 0, 0, 0, 0, 3])
 
     def test_preimage(self):
         m = VertexMapping(path_graph(4), path_graph(2), [0, 0, 1, 1])
@@ -344,7 +360,7 @@ class TestDistanceMatrix:
             n = g.vertex_count
             monkeypatch.setattr("qiso.graph._CHUNK", n - 1 if chunk == "n-1" else chunk)
             mat = distance_matrix(Graph(n, g.edges()))  # a fresh, uncached copy
-            assert mat.dtype == "int64" and mat.flags.c_contiguous
+            assert mat.dtype == np.min_scalar_type(-n) and mat.flags.c_contiguous
             assert not mat.flags.writeable
             assert mat.tolist() == oracle, (g, chunk)
 
@@ -356,11 +372,44 @@ class TestDistanceMatrix:
                 bfs_distances(g, v) for v in g.vertices()
             ]
 
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129])
+    def test_both_kernels_across_the_narrow_types(self, n):
+        # int8 holds n up to 128, int16 from 129; on a 128-vertex path the
+        # tree kernel's parent row plus one reaches 128 and wraps in int8.
+        graphs = [path_graph(n), star_graph(n) if n > 1 else Graph(1)]
+        graphs += [random_tree(n, seed) for seed in range(3)]
+        if n >= 3:
+            graphs += [cycle_graph(n), random_connected_graph(n, min(3 * n, n * (n - 1) // 2), n)]
+        assert {g.is_tree for g in graphs} == ({True} if n < 3 else {True, False})
+        for g in graphs:
+            mat = distance_matrix(g)
+            assert mat.dtype == np.min_scalar_type(-n) and mat.flags.c_contiguous
+            assert not mat.flags.writeable
+            assert mat.tolist() == [bfs_distances(g, v) for v in g.vertices()], g
+
+    @pytest.mark.parametrize("kind", ["graph", "tree"])
+    def test_peak_memory_below_one_int64_matrix(self, kind):
+        # The one narrow store, at the size guard: the build never holds an
+        # n x n int64 array (30.5 MiB at n = 2000).
+        for seed in (7, 8):
+            if kind == "tree":
+                g = random_tree(2000, seed)
+            else:
+                g = random_connected_graph(2000, 6000, seed)
+            tracemalloc.start()
+            try:
+                distance_matrix(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2000 * 2000 * np.dtype(np.int64).itemsize, (kind, seed, peak)
+
     def test_cached_and_read_only(self):
         for g in (seeded_graph(5), seeded_tree(5, min_n=2)):
             mat = distance_matrix(g)
             assert distance_matrix(g) is mat
-            assert mat.dtype == "int64" and mat.flags.c_contiguous
+            assert mat.dtype == np.min_scalar_type(-g.vertex_count)
+            assert mat.flags.c_contiguous
             with pytest.raises(ValueError):
                 mat[0, 1] = 7
 
@@ -516,8 +565,10 @@ class TestTreeQuotient:
             assert _row_maxima(fresh, *more_coeffs(n)) == more_rows
             pair = _distance_pair(m)
             assert _distance_pair(m) is pair
-            for mat in pair:
-                assert mat.dtype == np.min_scalar_type(-n) and not mat.flags.writeable
+            assert pair[0] is distance_matrix(m.source)
+            k = m.target.vertex_count
+            for mat, size in zip(pair, (n, k)):
+                assert mat.dtype == np.min_scalar_type(-size) and not mat.flags.writeable
                 with pytest.raises(ValueError):
                     mat[0, 0] = 1
 
@@ -554,8 +605,12 @@ class TestTreeQuotient:
         # bypass it. Tree passes from vertex 0 read the cached preorder,
         # and weighted medians reach the matrix only through graph._median.
         # One bit-parallel level loop serves the matrix and the block
-        # diameters, and the per-member search is left to the tests.
+        # diameters, and the per-member search is left to the tests. The
+        # distance matrix's type is decided where it is built and never
+        # cast: the only casts are the median's Python-int fallback and
+        # the byte order of the search's bit words.
         owners = {
+            "astype": {"_median", "_source_bits"},
             "_path_maxima": {"_row_maxima"},
             "_image_distances": {"_distance_pair", "mis_derived"},
             "_preorder": {"_tree_preorder", "_rooted_extents", "_outward_blocks"},
