@@ -226,9 +226,10 @@ def _build_distances(g: Graph) -> np.ndarray:
             row = rows[v]
             np.add(rows[parent[v]], 1, out=row)  # may wrap at n; the modular -= 2 restores it
             row[i : i + size[v]] -= 2
-        pos = np.empty(n, dtype=np.intp)
-        pos[list(order)] = np.arange(n)
-        return rows.take(pos, axis=1)
+        pos = np.argsort(order)  # each vertex's preorder position
+        for lo in range(0, n, _CHUNK):  # columns back to vertex order, a chunk at a time
+            rows[lo : lo + _CHUNK] = rows[lo : lo + _CHUNK].take(pos, axis=1)
+        return rows
     # Level d is OR-ed into bit plane i for every set bit i of d, which
     # writes each distance in binary.
     indptr, indices = _csr(g)  # no empty row: connected with a cycle, so n >= 3

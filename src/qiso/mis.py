@@ -15,9 +15,9 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidMapping, NotIndependent, NotMaximal
-from .graph import CheckResult, Graph
+from .graph import CheckResult, Graph, distance_matrix
 from .partition import _sweep_order
-from .quasi import VertexMapping, _first_violation, _image_distances
+from .quasi import VertexMapping, _first_violation
 
 
 def greedy_mis(g: Graph, order: Optional[Sequence[int]] = None) -> tuple[int, ...]:
@@ -90,7 +90,7 @@ def mis_derived(
     check_maximal_independent(g, s)
     mis = tuple(sorted(set(s)))
     index = {v: i for i, v in enumerate(mis)}
-    near = _image_distances(g, mis) <= 3
+    near = distance_matrix(g).take(mis, axis=0).take(mis, axis=1) <= 3
     derived = Graph(len(mis), np.argwhere(np.triu(near, 1)).tolist())
 
     if image is None:

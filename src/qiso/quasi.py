@@ -17,10 +17,10 @@ transfer reads them in the same pass as its precondition. When the source
 is a tree and the mapping is its quotient by connected blocks
 (:func:`_tree_quotient`), the row maxima and both eccentricity profiles
 are maximum-weight paths in the source tree, found in linear time
-without any matrix; every other mapping is reduced over the source's
-cached distance matrix (:func:`qiso.graph.distance_matrix`), read in
-place, and the images' rows of the target's, gathered once per mapping
-(:func:`_distance_pair`) for every later claim on that mapping.
+without any matrix. Every other mapping groups each x's partners by
+their image block (:func:`_block_extremes`), so no n x n matrix is
+formed beside the source's own cached one
+(:func:`qiso.graph.distance_matrix`).
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class VertexMapping:
     is an invariant: simplifications never leave unused target vertices.
     """
 
-    __slots__ = ("source", "target", "image", "_pair")
+    __slots__ = ("source", "target", "image")
 
     def __init__(self, source: Graph, target: Graph, image: Sequence[int]):
         img = tuple(image)
@@ -89,7 +89,6 @@ class VertexMapping:
         self.source = source
         self.target = target
         self.image = img
-        self._pair: tuple[np.ndarray, np.ndarray] | None = None
 
     def preimage(self, target_vertices: Sequence[int]) -> tuple[int, ...]:
         """Source vertices mapping into the given target set, ascending."""
@@ -107,30 +106,6 @@ class VertexMapping:
 
 def identity_mapping(g: Graph) -> VertexMapping:
     return VertexMapping(g, g, range(g.vertex_count))
-
-
-def _image_distances(target: Graph, image: Sequence[int]) -> np.ndarray:
-    """Target distance between the images of every source pair, as a matrix."""
-    img = np.asarray(image, dtype=np.intp)
-    dist = distance_matrix(target)
-    # Rows are copied whole and columns entry by entry, so the columns are
-    # taken from the smaller side: first when the image list is the longer.
-    if len(img) > len(dist):
-        return dist.take(img, axis=1).take(img, axis=0)
-    return dist.take(img, axis=0).take(img, axis=1)
-
-
-def _distance_pair(m: VertexMapping) -> tuple[np.ndarray, np.ndarray]:
-    """``d1`` and ``d2`` of every source pair as two matrices, cached per mapping.
-
-    ``d1`` is the source's own matrix, read in place; ``d2`` gathers the
-    images' rows of the target's, in its type, and is kept read-only.
-    """
-    if m._pair is None:
-        d2 = _image_distances(m.target, m.image)
-        d2.flags.writeable = False
-        m._pair = distance_matrix(m.source), d2
-    return m._pair
 
 
 def _tree_quotient(m: VertexMapping) -> bool:
@@ -199,32 +174,52 @@ def _path_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
     return out
 
 
+def _block_extremes(m: VertexMapping) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks, largest first, and each x's nearest and farthest member of each.
+
+    ``near[i, x]`` and ``far[i, x]`` are the least and greatest ``d(x, y)``
+    over the preimage y of ``blocks[i]``. Slot j gathers the j-th member
+    of every block with more than j members, a prefix in this order.
+    """
+    img = np.asarray(m.image, dtype=np.intp)
+    sizes = np.bincount(img)
+    blocks = np.argsort(-sizes)
+    members = np.argsort(img)  # source vertices, block by block
+    first = (np.cumsum(sizes) - sizes)[blocks]
+    sizes = sizes[blocks]
+    dist = distance_matrix(m.source)  # symmetric: member rows are member columns
+    near = dist.take(members[first], axis=0)
+    far = near.copy()
+    for j in range(1, sizes[0]):
+        c = np.count_nonzero(sizes > j)
+        rows = dist.take(members[first[:c] + j], axis=0)
+        np.minimum(near[:c], rows, out=near[:c])
+        np.maximum(far[:c], rows, out=far[:c])
+    return blocks, near, far
+
+
 def _row_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
     """Per ``(alpha, beta)``, each x's maximum over y of ``alpha*d1 + beta*d2``.
 
     ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``; y = x gives 0. Tree
-    quotients take the path-weight DP, every other mapping the cached
-    :func:`_distance_pair`. A term with a zero coefficient is skipped, so
-    a row with one term is that matrix's row extreme; otherwise every
-    value is smaller than ``(|alpha| + |beta|) * n`` in size, and the sum
-    is formed in the smallest signed dtype that holds that bound (at most
-    int32 for coefficients up to n below 32768 vertices).
+    quotients take the path-weight DP. Otherwise, as the image is onto,
+    the maximum is that over blocks b of ``alpha*E + beta*d'(f(x), b)``,
+    with E x's distance to b's farthest member when ``alpha > 0`` and to
+    its nearest otherwise (:func:`_block_extremes`; x is its own block's
+    nearest). Values are at most ``(|alpha| + |beta|) * n`` in size, and
+    the k x n sums take the smallest signed dtype that holds that bound.
     """
     if _tree_quotient(m):
         return _path_maxima(m, *coeffs)
     n = m.source.vertex_count
-    d1, d2 = _distance_pair(m)
+    blocks, near, far = _block_extremes(m)
+    d2 = distance_matrix(m.target).take(blocks, axis=0).take(m.image, axis=1)
     out = []
     for alpha, beta in coeffs:
-        if alpha and beta:
-            dtype = np.min_scalar_type(-n * (abs(alpha) + abs(beta)))
-            values = np.multiply(alpha, d1, dtype=dtype)
-            values += np.multiply(beta, d2, dtype=dtype)
-            out.append(values.max(axis=1).tolist())
-        else:
-            c, d = (beta, d2) if beta else (alpha, d1)
-            extreme = d.max(axis=1) if c > 0 else d.min(axis=1)
-            out.append([c * v for v in extreme.tolist()])
+        dtype = np.min_scalar_type(-1 - n * (abs(alpha) + abs(beta)))
+        values = np.multiply(alpha, far if alpha > 0 else near, dtype=dtype)
+        values += np.multiply(beta, d2, dtype=dtype)
+        out.append(values.max(axis=0).tolist())
     return out
 
 

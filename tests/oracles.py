@@ -126,6 +126,20 @@ def ecc_transfer_holds(m, stretch: int, additive: int) -> bool:
     return True
 
 
+def row_maxima(m, alpha: int, beta: int) -> list[int]:
+    """Each x's maximum over all y of ``alpha*d(x, y) + beta*d'(f(x), f(y))``.
+
+    The per-pair loop in Python ints that ``quasi._row_maxima`` reduces.
+    """
+    d1 = floyd_warshall(m.source)
+    d2 = floyd_warshall(m.target)
+    img = m.image
+    return [
+        max(alpha * d1[x][y] + beta * d2[img[x]][img[y]] for y in range(len(img)))
+        for x in range(len(img))
+    ]
+
+
 def mis_bounds_witness(r):
     """First pair (row-major, ``x < y``) with distinct images whose derived
     distance leaves ``[max(1, d // 3), d]``, or None."""

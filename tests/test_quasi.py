@@ -30,6 +30,7 @@ from qiso.generators import (
     non_uniecc_chordal,
     path_graph,
     random_connected_graph,
+    random_partition,
     random_tree,
     star_graph,
 )
@@ -55,7 +56,6 @@ from qiso.partition import (
 from qiso.quasi import (
     QuasiIsometryConstants,
     VertexMapping,
-    _distance_pair,
     _path_maxima,
     _row_maxima,
     _tree_quotient,
@@ -354,6 +354,15 @@ class TestDistanceMatrix:
         for t in trees:
             assert distance_matrix(t).tolist() == floyd_warshall(t)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7, "n-1"])
+    def test_tree_kernel_in_row_chunks(self, monkeypatch, chunk):
+        # The preorder columns are put back in vertex order chunk by chunk.
+        trees = [seeded_tree(seed, min_n=2) for seed in range(40)] + [path_graph(9)]
+        for t in trees:
+            n = t.vertex_count
+            monkeypatch.setattr("qiso.graph._CHUNK", n - 1 if chunk == "n-1" else chunk)
+            assert distance_matrix(Graph(n, t.edges())).tolist() == floyd_warshall(t), (t, chunk)
+
     @pytest.mark.parametrize("chunk", [1, 63, 64, 65, "n-1"])
     def test_bfs_kernel_matches_floyd_warshall(self, cyclic_cases, monkeypatch, chunk):
         for g, oracle in cyclic_cases:
@@ -403,6 +412,18 @@ class TestDistanceMatrix:
             finally:
                 tracemalloc.stop()
             assert peak < 2000 * 2000 * np.dtype(np.int64).itemsize, (kind, seed, peak)
+
+    def test_tree_kernel_peak_below_two_matrices(self):
+        # The preorder columns go back to vertex order one chunk of rows
+        # at a time, so the build holds the matrix and one chunk.
+        g = random_tree(2000, 7)
+        tracemalloc.start()
+        try:
+            mat = distance_matrix(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * mat.nbytes, (peak, mat.nbytes)
 
     def test_cached_and_read_only(self):
         for g in (seeded_graph(5), seeded_tree(5, min_n=2)):
@@ -534,8 +555,7 @@ class TestTreeQuotient:
         # The path-weight DP against the matrices, row by row. The clamped
         # extremes (1, -n) and (-n, 1) take the matrices from int8 to int16
         # and, from n = 181, to int32. A second call on the same mapping,
-        # with other coefficients, reuses its cached matrix pair and must
-        # agree with a fresh mapping.
+        # with other coefficients, must agree with a fresh mapping.
         def coeffs(n):
             fixed = [(1, -3), (-1, 1), (1, -n), (-n, 1), (1, 0), (0, 1)]
             return fixed + [c for s in (1, 2, 3) for c in ((1, -s), (-s, 1))]
@@ -563,14 +583,6 @@ class TestTreeQuotient:
             assert _row_maxima(m, *more_coeffs(n)) == more_rows
             fresh = VertexMapping(m.source, m.target, m.image)
             assert _row_maxima(fresh, *more_coeffs(n)) == more_rows
-            pair = _distance_pair(m)
-            assert _distance_pair(m) is pair
-            assert pair[0] is distance_matrix(m.source)
-            k = m.target.vertex_count
-            for mat, size in zip(pair, (n, k)):
-                assert mat.dtype == np.min_scalar_type(-size) and not mat.flags.writeable
-                with pytest.raises(ValueError):
-                    mat[0, 0] = 1
 
     def test_non_quotients_take_the_matrix_path(self, cached_oracles, monkeypatch):
         mappings = []
@@ -598,12 +610,72 @@ class TestTreeQuotient:
             assert not _tree_quotient(m)
             assert_matches_oracles(m)
 
+    def test_block_reduction_matches_oracle(self, cached_oracles, monkeypatch):
+        # Every mapping takes the block tables, trees included, and each
+        # row equals the per-pair loop's. Singleton partitions never run a
+        # second slot; the whole graph onto one vertex runs n - 1 of them.
+        def coeffs(n):
+            fixed = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -n), (-n, 1)]
+            return fixed + [(2, -1), (-1, -1), (1, -3), (-1, 1)]
+
+        def independent_set_images(g, seed):
+            rng = random.Random(seed)
+            s = greedy_mis(g, rng.sample(range(g.vertex_count), g.vertex_count))
+            image = [
+                v if v in s else rng.choice([u for u in g.adjacency[v] if u in s])
+                for v in g.vertices()
+            ]
+            return mis_derived(g, s, image).mapping
+
+        graphs = [Graph(1), path_graph(2), path_graph(3), cycle_graph(3)]
+        graphs += [seeded_graph(seed, min_n=4, max_n=40) for seed in range(30)]
+        graphs += [seeded_tree(seed, min_n=4, max_n=40) for seed in range(10)]
+        mappings = []
+        for i, g in enumerate(graphs):
+            partitions = [singleton_partition(g), Partition(g, [list(g.vertices())])]
+            if g.vertex_count > 1:
+                partitions += [collapse_basic(g), collapse_modified(g), random_partition(g, i)]
+            mappings += [build_partition_graph(g, p).mapping for p in partitions]
+            mappings.append(identity_mapping(g))
+            mappings.append(mis_derived(g, greedy_mis(g)).mapping)
+            mappings.append(independent_set_images(g, i))
+        # Tied block sizes: four pairs, and two triples with two singletons.
+        c8 = cycle_graph(8)
+        for blocks in ([[0, 1], [2, 3], [4, 5], [6, 7]], [[0, 1, 2], [3], [4, 5, 6], [7]]):
+            mappings.append(build_partition_graph(c8, Partition(c8, blocks)).mapping)
+        monkeypatch.setattr("qiso.quasi._tree_quotient", lambda m: False)
+        monkeypatch.setattr("qiso.quasi._path_maxima", no_dp)
+        assert {m.source.vertex_count for m in mappings} >= {1, 2, 3}
+        for m in mappings:
+            pairs = coeffs(m.source.vertex_count)
+            assert _row_maxima(m, *pairs) == [oracles.row_maxima(m, a, b) for a, b in pairs], m
+
+    @pytest.mark.parametrize("kind", ["collapse", "mis"])
+    def test_claims_peak_below_one_int32_matrix(self, kind):
+        # With both matrices cached, the claims hold k x n tables only:
+        # no n x n image matrix (7.6 MiB in int16) and no n x n sum.
+        g = random_connected_graph(2000, 6000, 7)
+        if kind == "mis":
+            m = mis_derived(g, greedy_mis(g)).mapping
+        else:
+            m = build_partition_graph(g, collapse_basic(g)).mapping
+        distance_matrix(m.source), distance_matrix(m.target)
+        tracemalloc.start()
+        try:
+            verify_q1(m, 3, 1)
+            minimal_constants(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000 * np.dtype(np.int32).itemsize, (kind, peak)
+
     def test_pair_primitives_have_their_owners(self):
         # Pair reductions, eccentricity profiles included, go through
         # _row_maxima, so that choosing between the tree DP and the
-        # matrices stays in one place; only the derived graph's edges
-        # bypass it. Tree passes from vertex 0 read the cached preorder,
-        # and weighted medians reach the matrix only through graph._median.
+        # block tables stays in one place, and no mapping caches a matrix;
+        # only the derived graph's edges bypass it. Tree passes from vertex
+        # 0 read the cached preorder, and weighted medians reach the matrix
+        # only through graph._median.
         # One bit-parallel level loop serves the matrix and the block
         # diameters, and the per-member search is left to the tests. The
         # distance matrix's type is decided where it is built and never
@@ -612,7 +684,8 @@ class TestTreeQuotient:
         owners = {
             "astype": {"_median", "_source_bits"},
             "_path_maxima": {"_row_maxima"},
-            "_image_distances": {"_distance_pair", "mis_derived"},
+            "_image_distances": set(),
+            "_block_extremes": {"_row_maxima"},
             "_preorder": {"_tree_preorder", "_rooted_extents", "_outward_blocks"},
             "_bfs_levels": {"_build_distances", "_induced_diameters"},
             "induced_diameter": set(),
@@ -633,6 +706,7 @@ class TestTreeQuotient:
         for path in package.glob("*.py"):
             visit(ast.parse(path.read_text()), f"{path.name} (module level)")
         assert users == owners
+        assert VertexMapping.__slots__ == ("source", "target", "image")
         weighted = ast.parse((package / "weighted.py").read_text())
         assert "distance_matrix" not in {
             getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
