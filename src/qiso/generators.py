@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from itertools import combinations, compress
 
 from .errors import EmptyGraph, InvalidEdgeCount
 from .graph import Graph
@@ -89,13 +90,13 @@ def random_connected_graph(n: int, m: int, seed: int) -> Graph:
     if extra > 0:
         missing = max_edges - len(edges)
         if extra * 3 >= missing:
-            pool = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if (u, v) not in edges
-            ]
-            edges.update(rng.sample(pool, extra))
+            # Index i draws the i-th missing pair in lexicographic order;
+            # sample() draws by length alone, as from a list of those pairs.
+            chosen = bytearray(missing)
+            for i in rng.sample(range(missing), extra):
+                chosen[i] = 1
+            pairs = (e for e in combinations(range(n), 2) if e not in edges)
+            edges.update(list(compress(pairs, chosen)))
         else:
             while extra > 0:
                 u = rng.randrange(n)

@@ -11,7 +11,8 @@ graph's by a bit-parallel multi-source breadth-first search over the
 graph's cached CSR arrays. That search's level loop (:func:`_bfs_levels`)
 also measures, in one sweep, the diameter of every subgraph that a
 labelling of the vertices induces (:func:`_induced_diameters`). A tree's
-center comes from leaf removal without any matrix. Medians, plain and
+longest paths, and so its center, come from one top-two pass
+(:func:`_down_paths`) without any matrix. Medians, plain and
 weighted, have one owner (:func:`_median`): subtree weights on a tree,
 else one exact integer product with the matrix. Jobs that need only one
 or a few sources run the single breadth-first search :func:`_bfs`
@@ -23,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -354,6 +356,25 @@ def _tree_preorder(t: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return t._tree
 
 
+def _down_paths(t: Graph, w: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Each vertex's heaviest and second-heaviest downward path, by distinct children.
+
+    ``w[v]`` weighs the edge from v to its parent in the tree rooted at
+    vertex 0; the empty path weighs 0 and is in both.
+    """
+    order, parent = _tree_preorder(t)
+    top1 = [0] * len(order)
+    top2 = [0] * len(order)
+    for v in order[:0:-1]:
+        p = parent[v]
+        val = w[v] + top1[v]
+        if val > top1[p]:
+            top1[p], top2[p] = val, top1[p]
+        elif val > top2[p]:
+            top2[p] = val
+    return top1, top2
+
+
 def _median(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
     """Vertices minimizing the ``weights``-weighted distance-sum, ascending.
 
@@ -461,17 +482,31 @@ def _argmin_all(values: np.ndarray) -> tuple[int, ...]:
 
 
 def center(g: Graph) -> tuple[int, ...]:
-    """Vertices of minimum eccentricity, ascending (leaf removal on a tree)."""
+    """Vertices of minimum eccentricity, ascending (a longest path's middle on a tree)."""
     return _extremes(g)[0]
 
 
 def _extremes(g: Graph) -> tuple[tuple[int, ...], int, int]:
-    """Center, radius and diameter: leaf removal on a tree, else the matrix."""
-    if g.is_tree:
-        cen, rounds = _leaf_removal(g.adjacency)
-        return cen, rounds + len(cen) - 1, 2 * rounds + len(cen) - 1
-    ecc = distance_matrix(g).max(axis=1)
-    return _argmin_all(ecc), int(ecc.min()), int(ecc.max())
+    """Center, radius and diameter: a longest path on a tree, else the matrix.
+
+    A tree's diameter turns where two downward paths sum to the most, and
+    its center is the middle of that path (Jordan): walking down the
+    heavier one, the vertex ceil(D / 2) above its end, and the next one
+    when D is odd.
+    """
+    if not g.is_tree:
+        ecc = distance_matrix(g).max(axis=1)
+        return _argmin_all(ecc), int(ecc.min()), int(ecc.max())
+    adj, parent = g.adjacency, _tree_preorder(g)[1]
+    top1, top2 = _down_paths(g, [1] * len(adj))
+    turns = list(map(add, top1, top2))
+    diameter = max(turns)
+    radius = (diameter + 1) // 2
+    path = [turns.index(diameter)]
+    for _ in range(top1[path[0]] - radius + diameter % 2):
+        v = path[-1]
+        path.append(next(c for c in adj[v] if c != parent[v] and top1[c] + 1 == top1[v]))
+    return tuple(sorted(path[-1 - diameter % 2 :])), radius, diameter
 
 
 def distance_sum(g: Graph, v: int) -> int:
@@ -486,43 +521,9 @@ def median(g: Graph) -> tuple[int, ...]:
 
 
 def leaf_removal_center(t: Graph) -> tuple[int, ...]:
-    """Locate a tree's center by repeatedly deleting all current leaves.
-
-    Returns the one or two surviving vertices, ascending: the vertices of
-    minimum eccentricity (Jordan).
-    """
+    """A tree's center, ascending: the middle of a longest path (Jordan), no matrix."""
     require_tree(t)
-    return _leaf_removal(t.adjacency)[0]
-
-
-def _leaf_removal(adj: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
-    """A tree's center and the number of leaf layers deleted to reach it.
-
-    Each round lowers every remaining eccentricity by one, so with ``r``
-    rounds the radius is ``r + len(center) - 1`` and the diameter
-    ``2 * r + len(center) - 1``.
-    """
-    n = len(adj)
-    if n <= 2:
-        return tuple(range(n)), 0
-    degree = [len(a) for a in adj]
-    removed = bytearray(n)
-    layer = [v for v in range(n) if degree[v] == 1]
-    alive = n
-    rounds = 0
-    while alive > 2:
-        nxt = []
-        for v in layer:
-            removed[v] = 1
-            for u in adj[v]:
-                if not removed[u]:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-        alive -= len(layer)
-        layer = nxt
-        rounds += 1
-    return tuple(v for v in range(n) if not removed[v]), rounds
+    return _extremes(t)[0]
 
 
 def diameter_path(t: Graph) -> list[int]:

@@ -4,18 +4,19 @@ Blocks ("super-vertices") must induce connected subgraphs; the quotient
 joins two blocks whenever some cross edge exists. Sharpness bounds block
 diameters from above and drives the distortion of the quotient mapping,
 coarseness bounds them from below and drives compression. Every block
-diameter comes from one pass: up the preorder on a tree, else one
-bit-parallel breadth-first sweep over the intra-block edges.
+diameter comes from one pass: longest paths within blocks on a tree,
+else one bit-parallel breadth-first sweep over the intra-block edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import BlockNotConnected, InvalidVertex, NotAPartition
-from .graph import Graph, _bfs, _induced_diameters, _tree_preorder
+from .graph import Graph, _bfs, _down_paths, _induced_diameters, _tree_preorder
 from .quasi import VertexMapping, _first_violation, _q1_sides
 
 
@@ -137,22 +138,21 @@ class SharpnessReport:
 def sharpness_report(g: Graph, p: Partition) -> SharpnessReport:
     """Max and min induced block diameter, and |quotient| / |graph|.
 
-    A tree's blocks are subtrees, so one pass up a preorder measures them
-    all: each vertex's height within its block grows from its children's,
-    and a block's longest path turns at some member. Any other graph's
-    blocks are measured together by one bit-parallel search from every
-    vertex over the intra-block edges (:func:`qiso.graph._induced_diameters`).
+    A tree's blocks are subtrees, so one longest-path pass measures them
+    all (:func:`qiso.graph._down_paths`), with edges between blocks
+    weighing -n so that no path crosses one. Any other graph's blocks are
+    measured together by one bit-parallel search from every vertex over
+    the intra-block edges (:func:`qiso.graph._induced_diameters`).
     """
     if g.is_tree:
-        order, parent = _tree_preorder(g)
-        block_of = p.block_of
-        height = [0] * g.vertex_count
+        n, block_of = g.vertex_count, p.block_of
+        parent = _tree_preorder(g)[1]
+        w = [1 if b == block_of[u] else -n for b, u in zip(block_of, parent)]
+        top1, top2 = _down_paths(g, w)
         diameters = [0] * len(p.blocks)
-        for v in order[:0:-1]:
-            u, b = parent[v], block_of[v]
-            if block_of[u] == b:
-                diameters[b] = max(diameters[b], height[u] + height[v] + 1)
-                height[u] = max(height[u], height[v] + 1)
+        for b, turn in zip(block_of, map(add, top1, top2)):
+            if turn > diameters[b]:
+                diameters[b] = turn
     else:
         diameters = _induced_diameters(g, p.block_of, len(p.blocks))
     return SharpnessReport(

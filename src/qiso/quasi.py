@@ -36,6 +36,7 @@ from .graph import (
     CheckResult,
     Graph,
     _bfs,
+    _down_paths,
     _extremes,
     _tree_preorder,
     center,
@@ -142,9 +143,10 @@ def _path_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
 
     Only for a :func:`_tree_quotient` mapping, where the value is the
     weight of the x-y path with intra-block edges weighing ``alpha`` and
-    cross-block edges ``alpha + beta``. Two best child branches per
-    vertex give every path that turns there (y = x weighs 0); a second,
-    rerooting pass adds the best path leaving through the parent.
+    cross-block edges ``alpha + beta``. The two best child branches of
+    each vertex (:func:`qiso.graph._down_paths`) give every path that
+    turns there (y = x weighs 0); a rerooting pass adds the best path
+    leaving through the parent.
     """
     order, parent = _tree_preorder(m.source)
     img = m.image
@@ -153,15 +155,7 @@ def _path_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
     out = []
     for alpha, beta in coeffs:
         w = [alpha + beta if c else alpha for c in cut]
-        top1 = [0] * len(order)  # best path down from v, the empty one included
-        top2 = [0] * len(order)  # best down path through another child of v
-        for v in order[:0:-1]:
-            p = parent[v]
-            val = w[v] + top1[v]
-            if val > top1[p]:
-                top1[p], top2[p] = val, top1[p]
-            elif val > top2[p]:
-                top2[p] = val
+        top1, top2 = _down_paths(m.source, w)
         up = [0] * len(order)  # best path from v through its parent
         best = top1[:]
         for v in order[1:]:

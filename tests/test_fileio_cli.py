@@ -24,7 +24,7 @@ from qiso.generators import (
     random_partition,
     random_tree,
 )
-from qiso.graph import diameter_path, leaf_removal_center
+from qiso.graph import diameter_path
 from qiso.mis import greedy_mis, mis_derived
 from qiso.partition import collapse_basic, singleton_partition
 from qiso.quasi import center_shift
@@ -596,10 +596,11 @@ class TestCliAnalyze:
         out = tmp_path / "rep.json"
         assert main(argv + ["-o", str(out)]) == 0
         report = json.loads(out.read_text())
-        diameter = len(diameter_path(t)) - 1
+        path = diameter_path(t)
+        diameter = len(path) - 1
         assert report["diameter"] == diameter
         assert report["radius"] == (diameter + 1) // 2
-        assert report["center"] == list(leaf_removal_center(t))
+        assert report["center"] == sorted(path[diameter // 2 : (diameter + 3) // 2])
         if weighted:
             assert report["weighted_median"] == report["median"]
 

@@ -1,8 +1,12 @@
+import hashlib
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import floyd_warshall, is_chordal, longest_simple_cycle
+from qiso import generators
 from qiso.errors import EmptyGraph, InvalidEdgeCount, TooLarge
 from qiso.generators import (
     NON_UNIECC_CHORDAL_EDGES,
@@ -78,6 +82,39 @@ class TestRandomConnectedGraph:
             for seed in range(30):
                 tree = random_connected_graph(n, n - 1, seed)
                 assert tree.edges() == random_tree(n, seed).edges()
+
+    @pytest.mark.parametrize(
+        "n, m, seed, digest",
+        [
+            (8, 28, 5, "d717339572074889d50ccb124970c48d7edc446c6f8fe65d7db1526809ff8072"),
+            (12, 50, 3, "71ade8b99810b643f6348c1a9ab4411e545ddcb3a01b7d2680cdb491dd6e51be"),
+            (50, 441, 9, "f6b215ca8b24e172863f047b8460a903c48ee8c434576c6eb69f0cc9fe0a1e20"),
+            (100, 4500, 0, "0f3afa730129b0b2e05fa2c19135b43914e43a92bea1df52d0ae0de2653c35c7"),
+            (200, 15000, 42, "f258a8000bc1ac22cfa73c261a9bd593b09af64cc78898e73c6cef5637f69041"),
+        ],
+    )
+    def test_dense_edges_are_pinned(self, n, m, seed, digest):
+        # Dense requests (3 * extra >= missing pairs) draw their extra edges
+        # by index among the missing pairs; these digests pin the edge lists
+        # that drawing gives, so a seed keeps its graph across versions.
+        edges = repr(random_connected_graph(n, m, seed).edges()).encode()
+        assert hashlib.sha256(edges).hexdigest() == digest
+
+    def test_dense_draw_lists_no_missing_pair(self, monkeypatch):
+        # At the dense threshold a list of every missing pair would cost a
+        # 2-tuple and a list slot, 64 bytes, per pair; the draw keeps a byte
+        # and sample()'s copy of the index range, about 41 bytes, per pair.
+        # Graph() is stubbed out so that only the drawing is measured.
+        monkeypatch.setattr(generators, "Graph", lambda n, edges: edges)
+        n = 600
+        missing = n * (n - 1) // 2 - (n - 1)
+        tracemalloc.start()
+        try:
+            random_connected_graph(n, n - 1 + -(-missing // 3), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * missing, peak
 
     def test_infeasible_rejected(self):
         with pytest.raises(InvalidEdgeCount):

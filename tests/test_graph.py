@@ -24,7 +24,7 @@ from qiso.generators import (
 from qiso.graph import (
     EccentricityProfile,
     Graph,
-    _leaf_removal,
+    _extremes,
     bfs_distances,
     center,
     diameter_path,
@@ -241,15 +241,13 @@ class TestLeafRemoval:
             assert leaf_removal_center(t) == expected
             assert center(t) == expected
 
-    def test_rounds_give_radius_and_diameter(self):
+    def test_longest_path_gives_center_radius_and_diameter(self):
         trees = [seeded_tree(seed, min_n=1, max_n=50) for seed in range(150)]
         trees += [path_graph(n) for n in range(1, 9)] + [star_graph(n) for n in range(2, 9)]
         for t in trees:
             ecc = [max(row) for row in floyd_warshall(t)]
-            cen, rounds = _leaf_removal(t.adjacency)
-            assert cen == leaf_removal_center(t)
-            assert rounds + len(cen) - 1 == min(ecc)
-            assert 2 * rounds + len(cen) - 1 == max(ecc)
+            cen = tuple(v for v, e in enumerate(ecc) if e == min(ecc))
+            assert _extremes(t) == (cen, min(ecc), max(ecc))
 
 
 class TestDiameterPath:

@@ -675,7 +675,9 @@ class TestTreeQuotient:
         # block tables stays in one place, and no mapping caches a matrix;
         # only the derived graph's edges bypass it. Tree passes from vertex
         # 0 read the cached preorder, and weighted medians reach the matrix
-        # only through graph._median.
+        # only through graph._median. Every longest path of a tree, in the
+        # graph metrics, the block diameters and the tree-quotient DP, comes
+        # from the one top-two pass, with no leaf-removal pass beside it.
         # One bit-parallel level loop serves the matrix and the block
         # diameters, and the per-member search is left to the tests. The
         # distance matrix's type is decided where it is built and never
@@ -684,6 +686,8 @@ class TestTreeQuotient:
         owners = {
             "astype": {"_median", "_source_bits"},
             "_path_maxima": {"_row_maxima"},
+            "_down_paths": {"_extremes", "sharpness_report", "_path_maxima"},
+            "_leaf_removal": set(),
             "_image_distances": set(),
             "_block_extremes": {"_row_maxima"},
             "_preorder": {"_tree_preorder", "_rooted_extents", "_outward_blocks"},
