@@ -10,20 +10,17 @@ from __future__ import annotations
 import json
 import operator
 import os
-import re
 import tempfile
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import FormatError
 from .graph import Graph
 from .partition import Partition
 
 PathLike = Union[str, Path]
-
-_WEIGHT_RE = re.compile(r"^\d+(/\d+)?$")
 
 
 def _atomic_write(files: Sequence[tuple[PathLike, str]]) -> None:
@@ -74,12 +71,24 @@ def _content_lines(path: PathLike) -> list[tuple[int, list[str]]]:
     return out
 
 
-def _ints(fields: list[str], lineno: int, expect: int) -> list[int]:
-    if len(fields) != expect:
+def _digits(token: str) -> bool:
+    """Whether ``token`` is ASCII ``0``-``9`` alone, as every integer read must be.
+
+    ``int()`` alone would also take a sign, ``_`` and other scripts' digits.
+    """
+    return token.isascii() and token.isdigit()
+
+
+def _ints(fields: list[str], lineno: int, expect: Optional[int] = None) -> list[int]:
+    """The fields as integers, ``expect`` of them when given."""
+    if expect is not None and len(fields) != expect:
         raise FormatError(f"line {lineno}: expected {expect} fields, got {len(fields)}")
+    for f in fields:
+        if not _digits(f):
+            raise FormatError(f"line {lineno}: invalid literal for int() with base 10: {f!r}")
     try:
         return [int(f) for f in fields]
-    except ValueError as exc:
+    except ValueError as exc:  # more digits than int() converts
         raise FormatError(f"line {lineno}: {exc}") from None
 
 
@@ -98,9 +107,10 @@ def read_edge_list(path: PathLike) -> Graph:
     # All endpoints in one pass; only a bad file is walked line by line,
     # to report its first error.
     rows = [fields for _, fields in body]
+    tokens = list(chain.from_iterable(rows))
     try:
-        ends = list(map(int, chain.from_iterable(rows)))
-    except ValueError:
+        ends = list(map(int, tokens)) if _digits("".join(tokens)) else []
+    except ValueError:  # more digits than int() converts
         ends = []
     us, vs = ends[0::2], ends[1::2]
     if set(map(len, rows)) - {2} or len(ends) != 2 * m or not all(map(operator.lt, us, vs)):
@@ -125,10 +135,7 @@ def read_partition(path: PathLike, g: Graph) -> Partition:
     """Parse a partition file: line ``i`` lists block ``i``, ids ascending."""
     blocks = []
     for lineno, fields in _content_lines(path):
-        try:
-            members = [int(f) for f in fields]
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
+        members = _ints(fields, lineno)
         if any(a >= b for a, b in zip(members, members[1:])):
             raise FormatError(f"line {lineno}: ids must be strictly increasing")
         blocks.append(members)
@@ -145,7 +152,7 @@ def write_partition(p: Partition, path: PathLike) -> None:
 
 
 def _parse_weight(token: str, lineno: int) -> Fraction:
-    if not _WEIGHT_RE.match(token):
+    if not all(map(_digits, token.split("/", 1))):
         raise FormatError(f"line {lineno}: weight must be an integer or p/q, got {token!r}")
     try:
         return Fraction(token)
@@ -159,10 +166,7 @@ def read_weights(path: PathLike, g: Graph) -> list[Fraction]:
     for lineno, fields in _content_lines(path):
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected 'vertex weight'")
-        try:
-            v = int(fields[0])
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
+        (v,) = _ints(fields[:1], lineno)
         if not (0 <= v < g.vertex_count):
             raise FormatError(f"line {lineno}: vertex {v} out of range")
         if v in weights:

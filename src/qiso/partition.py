@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BlockNotConnected, InvalidVertex, NotAPartition
 from .graph import Graph, _bfs, _down_paths, _induced_diameters, _tree_preorder
-from .quasi import VertexMapping, _first_violation, _q1_sides
+from .quasi import VertexMapping, _row_maxima, verify_q1
 
 
 class Partition:
@@ -242,5 +242,4 @@ def verify_partition_qiso(pg: PartitionGraph) -> bool:
     """
     m = pg.mapping
     guarantee = sharpness_report(m.source, pg.partition).guarantee
-    band = _q1_sides(*guarantee, m.source.vertex_count)
-    return bool(_first_violation(m, *band, (-1, 1, 0)))  # last side: d2 - d1 <= 0
+    return bool(verify_q1(m, *guarantee)) and max(_row_maxima(m, (-1, 1))[0]) <= 0

@@ -12,15 +12,14 @@ its images: each side of the distance inequality, the independent-set
 sandwich and "quotients never stretch". :func:`_row_maxima` gives each
 vertex its maximum over all partners, and :func:`_first_violation` turns
 row maxima into a verdict with the first witness pair. Eccentricities
-are row maxima too, of ``(1, 0)`` and ``(0, 1)``, so the eccentricity
-transfer reads them in the same pass as its precondition. When the source
-is a tree and the mapping is its quotient by connected blocks
-(:func:`_tree_quotient`), the row maxima and both eccentricity profiles
-are maximum-weight paths in the source tree, found in linear time
-without any matrix. Every other mapping groups each x's partners by
-their image block (:func:`_block_extremes`), so no n x n matrix is
-formed beside the source's own cached one
-(:func:`qiso.graph.distance_matrix`).
+are row maxima too, of ``(1, 0)`` and ``(0, 1)``. A mapping keeps its
+tables and rows, so each ``(alpha, beta)`` is computed once per mapping.
+When the source is a tree and the mapping is its quotient by connected
+blocks (:func:`_tree_quotient`), each row is a maximum-weight path in
+the source tree, found in linear time without any matrix. Every other
+mapping groups each x's partners by their image block
+(:func:`_block_extremes`), so no n x n matrix is formed beside the
+source's own cached one (:func:`qiso.graph.distance_matrix`).
 """
 
 from __future__ import annotations
@@ -72,9 +71,11 @@ class VertexMapping:
 
     ``image[v]`` is the target vertex of source vertex ``v``. Surjectivity
     is an invariant: simplifications never leave unused target vertices.
+    A mapping is immutable, as a :class:`Graph` is, so it keeps its pass
+    in ``_pass``, which :func:`_row_maxima` alone fills and reads.
     """
 
-    __slots__ = ("source", "target", "image")
+    __slots__ = ("source", "target", "image", "_pass")
 
     def __init__(self, source: Graph, target: Graph, image: Sequence[int]):
         img = tuple(image)
@@ -90,6 +91,7 @@ class VertexMapping:
         self.source = source
         self.target = target
         self.image = img
+        self._pass = None
 
     def preimage(self, target_vertices: Sequence[int]) -> tuple[int, ...]:
         """Source vertices mapping into the given target set, ascending."""
@@ -136,10 +138,8 @@ def _tree_quotient(m: VertexMapping) -> bool:
     return len(cross) == k - 1 and set(cross) == set(target.edges())
 
 
-def _path_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
-    """Per ``(alpha, beta)``, each x's maximum over y of ``alpha*d1 + beta*d2``.
-
-    ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``, as in :func:`_row_maxima`.
+def _path_maxima(m: VertexMapping, alpha: int, beta: int) -> list[int]:
+    """Each x's maximum over y of ``alpha*d1 + beta*d2``, as in :func:`_row_maxima`.
 
     Only for a :func:`_tree_quotient` mapping, where the value is the
     weight of the x-y path with intra-block edges weighing ``alpha`` and
@@ -150,30 +150,26 @@ def _path_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
     """
     order, parent = _tree_preorder(m.source)
     img = m.image
-    # cut[v]: the edge from v to its parent crosses blocks (unused at the root).
-    cut = [img[v] != img[p] for v, p in enumerate(parent)]
-    out = []
-    for alpha, beta in coeffs:
-        w = [alpha + beta if c else alpha for c in cut]
-        top1, top2 = _down_paths(m.source, w)
-        up = [0] * len(order)  # best path from v through its parent
-        best = top1[:]
-        for v in order[1:]:
-            p = parent[v]
-            val = w[v] + top1[v]
-            up[v] = w[v] + max(up[p], top2[p] if val == top1[p] else top1[p])
-            if up[v] > best[v]:
-                best[v] = up[v]
-        out.append(best)
-    return out
+    # w[v]: the weight of the edge from v to its parent (unused at the root).
+    w = [alpha + beta if img[v] != img[p] else alpha for v, p in enumerate(parent)]
+    top1, top2 = _down_paths(m.source, w)
+    up = [0] * len(order)  # best path from v through its parent
+    best = top1[:]
+    for v in order[1:]:
+        p = parent[v]
+        val = w[v] + top1[v]
+        up[v] = w[v] + max(up[p], top2[p] if val == top1[p] else top1[p])
+        if up[v] > best[v]:
+            best[v] = up[v]
+    return best
 
 
 def _block_extremes(m: VertexMapping) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The blocks, largest first, and each x's nearest and farthest member of each.
+    """With blocks b_i largest first, the tables ``near``, ``far`` and ``d2``.
 
     ``near[i, x]`` and ``far[i, x]`` are the least and greatest ``d(x, y)``
-    over the preimage y of ``blocks[i]``. Slot j gathers the j-th member
-    of every block with more than j members, a prefix in this order.
+    over the preimage y of b_i, and ``d2[i, x] = d'(b_i, f(x))``. Slot j
+    gathers the j-th member of each block with more than j: a prefix.
     """
     img = np.asarray(m.image, dtype=np.intp)
     sizes = np.bincount(img)
@@ -189,32 +185,41 @@ def _block_extremes(m: VertexMapping) -> tuple[np.ndarray, np.ndarray, np.ndarra
         rows = dist.take(members[first[:c] + j], axis=0)
         np.minimum(near[:c], rows, out=near[:c])
         np.maximum(far[:c], rows, out=far[:c])
-    return blocks, near, far
+    return near, far, distance_matrix(m.target).take(blocks, axis=0).take(img, axis=1)
+
+
+def _block_maxima(m: VertexMapping, tables: tuple, alpha: int, beta: int) -> list[int]:
+    """:func:`_row_maxima` off tree quotients, from :func:`_block_extremes`.
+
+    The image is onto, so x's maximum is that over blocks b of
+    ``alpha*E + beta*d'(f(x), b)``, E being x's distance to b's farthest
+    member if ``alpha > 0``, else to its nearest (x is its own block's
+    nearest). The k x n sum takes the smallest signed dtype that holds
+    ``(|alpha| + |beta|) * n``, a bound on every value.
+    """
+    near, far, d2 = tables
+    dtype = np.min_scalar_type(-1 - m.source.vertex_count * (abs(alpha) + abs(beta)))
+    values = np.multiply(alpha, far if alpha > 0 else near, dtype=dtype)
+    values += np.multiply(beta, d2, dtype=dtype)
+    return values.max(axis=0).tolist()
 
 
 def _row_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
     """Per ``(alpha, beta)``, each x's maximum over y of ``alpha*d1 + beta*d2``.
 
-    ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``; y = x gives 0. Tree
-    quotients take the path-weight DP. Otherwise, as the image is onto,
-    the maximum is that over blocks b of ``alpha*E + beta*d'(f(x), b)``,
-    with E x's distance to b's farthest member when ``alpha > 0`` and to
-    its nearest otherwise (:func:`_block_extremes`; x is its own block's
-    nearest). Values are at most ``(|alpha| + |beta|) * n`` in size, and
-    the k x n sums take the smallest signed dtype that holds that bound.
+    ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``; y = x gives 0. The
+    mapping keeps whether it is a tree quotient (:func:`_path_maxima`),
+    else its block tables (:func:`_block_maxima`), and every row, so no
+    pair is computed twice. Callers get copies of the kept rows.
     """
-    if _tree_quotient(m):
-        return _path_maxima(m, *coeffs)
-    n = m.source.vertex_count
-    blocks, near, far = _block_extremes(m)
-    d2 = distance_matrix(m.target).take(blocks, axis=0).take(m.image, axis=1)
-    out = []
-    for alpha, beta in coeffs:
-        dtype = np.min_scalar_type(-1 - n * (abs(alpha) + abs(beta)))
-        values = np.multiply(alpha, far if alpha > 0 else near, dtype=dtype)
-        values += np.multiply(beta, d2, dtype=dtype)
-        out.append(values.max(axis=0).tolist())
-    return out
+    if m._pass is None:
+        m._pass = (None if _tree_quotient(m) else _block_extremes(m)), {}
+    tables, rows = m._pass
+    for c in coeffs:
+        if c not in rows:
+            row = _block_maxima(m, tables, *c) if tables else _path_maxima(m, *c)
+            rows[c] = tuple(row)
+    return [list(rows[c]) for c in coeffs]
 
 
 def _first_violation(m: VertexMapping, *sides: tuple[int, int, int]) -> CheckResult:
@@ -293,7 +298,7 @@ def minimal_additive_for_stretch(m: VertexMapping, stretch: int) -> int:
     """
     QuasiIsometryConstants(stretch, 0)  # validates the stretch
     # Every distance is below n, so clamping to n is exact and keeps the
-    # coefficients within _row_maxima's bound.
+    # coefficients within _block_maxima's dtype bound.
     stretch = min(stretch, m.source.vertex_count)
     upper, diff = map(max, _row_maxima(m, (-stretch, 1), (1, -stretch)))
     lower = -((-diff) // stretch)  # ceil(diff / stretch)
@@ -315,19 +320,18 @@ def minimal_constants(m: VertexMapping) -> QuasiIsometryConstants:
 def verify_ecc_transfer(m: VertexMapping, stretch: int, additive: int) -> bool:
     """Check that eccentricities obey the same two-sided inequality.
 
-    Requires constants that already pass the distance inequality; the
-    transfer to eccentricities is then a consequence worth re-verifying
-    directly. One :func:`_row_maxima` pass gives both: the band's row
-    maxima decide the precondition, and the rows of ``(1, 0)`` and
+    Requires constants that already pass the distance inequality
+    (:func:`verify_q1`); the transfer to eccentricities is then a
+    consequence worth re-verifying directly. The rows of ``(1, 0)`` and
     ``(0, 1)`` are the eccentricities of x and, as the image is onto,
     of f(x).
     """
-    band = _q1_sides(stretch, additive, m.source.vertex_count)
-    *rows, ecc1, ecc2 = _row_maxima(m, *((a, b) for a, b, _ in band), (1, 0), (0, 1))
-    if any(max(row) > limit for row, (_, _, limit) in zip(rows, band)):
+    if not verify_q1(m, stretch, additive):
         raise PreconditionViolated(
             f"constants ({stretch}, {additive}) fail the distance inequality"
         )
+    band = _q1_sides(stretch, additive, m.source.vertex_count)
+    ecc1, ecc2 = _row_maxima(m, (1, 0), (0, 1))
     return all(
         a * e1 + b * e2 <= limit for a, b, limit in band for e1, e2 in zip(ecc1, ecc2)
     )
@@ -386,16 +390,12 @@ def center_shift(
     src_center = center(m.source)
     tgt_center, radius_t, _ = _extremes(m.target)
     pre = m.preimage(tgt_center)
-    shift = set_distance(m.source, src_center, pre)
+    bound = (constants.stretch, constants.additive, radius_t)
     return CenterShiftReport(
-        shift=shift,
+        shift=set_distance(m.source, src_center, pre),
         source_center=src_center,
         target_center_preimage=pre,
-        two_sided_bound=shift_bound_two_sided(
-            constants.stretch, constants.additive, radius_t
-        ),
-        one_sided_bound=shift_bound_one_sided(
-            constants.stretch, constants.additive, radius_t
-        ),
+        two_sided_bound=shift_bound_two_sided(*bound),
+        one_sided_bound=shift_bound_one_sided(*bound),
         constants=constants,
     )

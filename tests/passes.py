@@ -1,0 +1,60 @@
+"""Counts of the pair work that ``qiso.quasi`` does for each mapping.
+
+:class:`PassCounter` wraps the primitives behind ``quasi._row_maxima``:
+the tree-quotient test, the block tables, and the two per-pair branches.
+Each call is counted against the mapping it works on, so one in-process
+``qiso.cli.main`` run shows whether any mapping built its tables twice
+or computed one ``(alpha, beta)`` twice.
+"""
+
+from collections import Counter, defaultdict
+
+from qiso import quasi
+
+# The per-pair branches take the mapping first and end with alpha, beta;
+# a branch that takes several pairs gets them as (alpha, beta) tuples.
+_WRAPPED = ("_tree_quotient", "_block_extremes", "_path_maxima", "_block_maxima")
+
+
+class PassCounter:
+    """Patch ``quasi``'s pass primitives, through ``monkeypatch``, to count them.
+
+    ``calls[name][m]`` is how often primitive ``name`` ran on mapping
+    ``m``; ``pairs[m]`` lists every ``(alpha, beta)`` computed for ``m``,
+    in order. Mappings are the keys themselves, kept alive, so no two
+    share an identity. A primitive that the module lacks is skipped.
+    """
+
+    def __init__(self, monkeypatch):
+        self.calls = {name: Counter() for name in _WRAPPED}
+        self.pairs = defaultdict(list)
+        for name in _WRAPPED:
+            original = getattr(quasi, name, None)
+            if original is not None:
+                monkeypatch.setattr(quasi, name, self._wrap(name, original))
+
+    def _wrap(self, name, original):
+        def counted(m, *args):
+            self.calls[name][m] += 1
+            if name in ("_path_maxima", "_block_maxima"):
+                if args and all(isinstance(a, tuple) for a in args):
+                    self.pairs[m].extend(args)
+                else:
+                    self.pairs[m].append(tuple(args[-2:]))
+            return original(m, *args)
+
+        return counted
+
+    def repeats(self):
+        """Per mapping that did any work twice, what it did more than once."""
+        out = []
+        for m in set(self.pairs).union(*self.calls.values()):
+            again = {
+                name: self.calls[name][m]
+                for name in ("_tree_quotient", "_block_extremes")
+                if self.calls[name][m] > 1
+            }
+            again.update({pair: k for pair, k in Counter(self.pairs[m]).items() if k > 1})
+            if again:
+                out.append((repr(m), again))
+        return out

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import seeded_graph, seeded_tree
+from passes import PassCounter
 from qiso import cli, contraction, fileio
 from qiso.cli import CLAIMS, main
 from qiso.errors import FormatError, QisoError
@@ -26,7 +28,7 @@ from qiso.generators import (
 )
 from qiso.graph import diameter_path
 from qiso.mis import greedy_mis, mis_derived
-from qiso.partition import collapse_basic, singleton_partition
+from qiso.partition import collapse_basic, collapse_modified, singleton_partition
 from qiso.quasi import center_shift
 
 
@@ -44,6 +46,26 @@ _BAD_EDGE_LISTS = {
     b"\xff 3 2\n": "not UTF-8 text",
     b"3 3\r\n0\xe2\x80\xa81\r\n\r\n1 2\r\n1 x\r\n": "^line 5: invalid literal for int",
 }
+
+
+# Tokens that int() alone would take, and a reader must not: every
+# integer is ASCII digits alone.
+_NOT_ASCII_DIGITS = ["1_0", "+1", "\u0662", "\uff13"]
+
+
+def assert_rejected(tmp_path, capsys, text, read, argv, lineno):
+    """``text`` fails ``read`` at ``lineno`` on its first bad token, and
+    exits 2 through the CLI command ``argv``."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    bad = next(f for f in text.split() if not (f.isascii() and f.replace("/", "").isdigit()))
+    with pytest.raises(FormatError, match=f"^line {lineno}: .*{re.escape(repr(bad))}"):
+        read(path)
+    gfile = tmp_path / "g.el"
+    fileio.write_edge_list(path_graph(3), gfile)
+    argv = [a.format(graph=gfile, bad=path, out=tmp_path / "r.json") for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {lineno}: ")
 
 
 class TestEdgeListFormat:
@@ -74,6 +96,12 @@ class TestEdgeListFormat:
         with pytest.raises(FormatError, match=_BAD_EDGE_LISTS[text]):
             fileio.read_edge_list(path)
 
+    @pytest.mark.parametrize("token", _NOT_ASCII_DIGITS)
+    def test_only_ascii_digits(self, tmp_path, capsys, token):
+        for text, lineno in [(f"3 2\n0 1\n1 {token}\n", 3), (f"{token} 2\n0 1\n1 2\n", 1)]:
+            argv = ["analyze", "{bad}", "-o", "{out}"]
+            assert_rejected(tmp_path, capsys, text, fileio.read_edge_list, argv, lineno)
+
 
 class TestPartitionFormat:
     def test_round_trip(self, tmp_path):
@@ -88,6 +116,12 @@ class TestPartitionFormat:
         path.write_text("1 0\n2\n")
         with pytest.raises(FormatError):
             fileio.read_partition(path, path_graph(3))
+
+    @pytest.mark.parametrize("token", _NOT_ASCII_DIGITS + ["1_0 1_1"])
+    def test_only_ascii_digits(self, tmp_path, capsys, token):
+        read = lambda p: fileio.read_partition(p, path_graph(3))  # noqa: E731
+        argv = ["analyze", "{graph}", "--partition", "{bad}", "-o", "{out}"]
+        assert_rejected(tmp_path, capsys, f"0\n1 {token}\n", read, argv, 2)
 
 
 class TestWeightsFormat:
@@ -114,6 +148,13 @@ class TestWeightsFormat:
         with pytest.raises(FormatError):
             fileio.read_weights(path, path_graph(3))
 
+    @pytest.mark.parametrize("token", _NOT_ASCII_DIGITS + ["\u0661/\u0662"])
+    def test_only_ascii_digits(self, tmp_path, capsys, token):
+        read = lambda p: fileio.read_weights(p, path_graph(3))  # noqa: E731
+        argv = ["analyze", "{graph}", "--weights", "{bad}", "-o", "{out}"]
+        for text in (f"0 1\n1 {token}\n2 1\n", f"0 1\n{token} 1\n2 1\n"):
+            assert_rejected(tmp_path, capsys, text, read, argv, 2)
+
 
 class TestMappingFormat:
     def test_round_trip(self, tmp_path):
@@ -129,6 +170,13 @@ class TestMappingFormat:
         path.write_text("0 0\n1 0\n")
         with pytest.raises(FormatError):
             fileio.read_mapping(path, path_graph(3))
+
+    @pytest.mark.parametrize("token", _NOT_ASCII_DIGITS)
+    def test_only_ascii_digits(self, tmp_path, capsys, token):
+        read = lambda p: fileio.read_mapping(p, path_graph(3))  # noqa: E731
+        argv = ["verify", "{graph}", "--mapping", "{bad}", "--claims", "q1", "-o", "{out}"]
+        for text in (f"0 0\n1 {token}\n2 2\n", f"0 0\n{token} 0\n2 2\n"):
+            assert_rejected(tmp_path, capsys, text, read, argv, 2)
 
 
 # Tokens that make up well-formed files, plus the ones that break them.
@@ -975,6 +1023,43 @@ class TestClaimTable:
         assert main(["verify", str(gfile), *given, "--claims", "q3", "-o", out]) == 2
         known = capsys.readouterr().err.strip().split("known: ")[1]
         assert tuple(known.split(", ")) == CLAIMS
+
+
+class TestMappingPasses:
+    # Each mapping keeps its pass: within one command, no mapping builds
+    # its block tables or decides whether it is a tree quotient twice,
+    # and no (alpha, beta) row is computed twice for it.
+    INSTANCES = {
+        "graph": (lambda: random_connected_graph(400, 1200, 3), collapse_modified),
+        "tree": (lambda: random_tree(30, 3), lambda t: contraction.outward_contraction(t, 0)),
+    }
+
+    @pytest.mark.parametrize("kind", list(INSTANCES))
+    def test_each_pair_once_per_mapping(self, tmp_path, monkeypatch, kind):
+        build, partition = self.INSTANCES[kind]
+        g = build()
+        gfile, pfile, mfile = (str(tmp_path / name) for name in ("g.el", "p.txt", "m.txt"))
+        fileio.write_edge_list(g, gfile)
+        fileio.write_partition(partition(g), pfile)
+        mis = mis_derived(g, greedy_mis(g))
+        fileio.write_mapping([mis.mis[i] for i in mis.mapping.image], mfile)
+        every = ["--claims", ",".join(CLAIMS)]
+        mapped = ["--claims", ",".join(c for c in CLAIMS if c not in cli._PARTITION_CLAIMS)]
+        methods = ["mis", "collapse", "collapse-modified"] + ["outward"] * g.is_tree
+        commands = [["simplify", gfile, "--method", method] for method in methods]
+        commands += [
+            ["analyze", gfile, "--partition", pfile],
+            ["verify", gfile, "--partition", pfile, *every],
+            ["verify", gfile, "--mapping", mfile, *mapped],
+            ["verify", gfile, "--partition", pfile, "--mapping", mfile, *every],
+        ]
+        tables = "_tree_quotient" if g.is_tree else "_block_extremes"
+        for argv in commands:
+            counter = PassCounter(monkeypatch)
+            assert main([*argv, "-o", str(tmp_path / "out")]) in (0, 1), argv
+            assert counter.repeats() == [], argv
+            assert counter.pairs and sum(counter.calls[tables].values()) >= 1, argv
+            monkeypatch.undo()
 
 
 class TestInternalError:

@@ -299,12 +299,36 @@ class TestEccTransfer:
         for side, push in pushes.items():
 
             def pushed(m, *coeffs, push=push):
-                *band, ecc1, ecc2 = _row_maxima(m, *coeffs)
-                ecc1[0], ecc2[0] = push(ecc1[0], ecc2[0])
-                return [*band, ecc1, ecc2]
+                rows = _row_maxima(m, *coeffs)
+                if coeffs == ((1, 0), (0, 1)):  # the eccentricities, not the band
+                    ecc1, ecc2 = rows
+                    ecc1[0], ecc2[0] = push(ecc1[0], ecc2[0])
+                return rows
 
             monkeypatch.setattr("qiso.quasi._row_maxima", pushed)
             assert not verify_ecc_transfer(m, stretch, additive), side
+
+
+class TestMappingPass:
+    def test_edited_rows_change_no_later_verdict(self):
+        # A mapping keeps every row it computed; the rows handed out are
+        # copies, so editing them in place reaches no later claim.
+        t = seeded_tree(4, min_n=10, max_n=30)
+        g = seeded_graph(5)
+        pairs = [(1, -3), (-3, 1), (1, 0), (0, 1), (-1, 1), (1, -1)]
+        for make in (
+            lambda: build_partition_graph(t, outward_contraction(t, 0)).mapping,
+            lambda: build_partition_graph(g, collapse_basic(g)).mapping,
+            lambda: mis_derived(g, greedy_mis(g)).mapping,
+        ):
+            m, fresh = make(), make()
+            for row in _row_maxima(m, *pairs):
+                row[:] = [-1] * len(row) if row[0] > 0 else [len(row)] * len(row)
+            assert _row_maxima(m, *pairs) == _row_maxima(fresh, *pairs)
+            assert verify_q1(m, 3, 1) == verify_q1(fresh, 3, 1)
+            assert verify_q1(m, 1, 0).witness == verify_q1(fresh, 1, 0).witness
+            assert verify_ecc_transfer(m, 3, 1) == verify_ecc_transfer(fresh, 3, 1)
+            assert minimal_constants(m) == minimal_constants(fresh)
 
 
 class TestShiftBounds:
@@ -542,7 +566,7 @@ class TestTreeQuotient:
             assert _tree_quotient(pg.mapping)
             verdicts |= assert_matches_oracles(pg.mapping)
             # Both eccentricity profiles, as verify_ecc_transfer reads them.
-            ecc1, ecc2 = _path_maxima(pg.mapping, (1, 0), (0, 1))
+            ecc1, ecc2 = _path_maxima(pg.mapping, 1, 0), _path_maxima(pg.mapping, 0, 1)
             assert ecc1 == [max(row) for row in oracles.floyd_warshall(t)]
             ecc_q = [max(row) for row in oracles.floyd_warshall(pg.quotient)]
             assert ecc2 == [ecc_q[b] for b in pg.mapping.image]
@@ -672,8 +696,10 @@ class TestTreeQuotient:
     def test_pair_primitives_have_their_owners(self):
         # Pair reductions, eccentricity profiles included, go through
         # _row_maxima, so that choosing between the tree DP and the
-        # block tables stays in one place, and no mapping caches a matrix;
-        # only the derived graph's edges bypass it. Tree passes from vertex
+        # block tables stays in one place; only the derived graph's edges
+        # bypass it. A mapping keeps its pass in one slot, which only
+        # _row_maxima reads or writes (VertexMapping.__init__ starts it
+        # empty), so no claim bypasses the kept tables and rows. Tree passes from vertex
         # 0 read the cached preorder, and weighted medians reach the matrix
         # only through graph._median. Every longest path of a tree, in the
         # graph metrics, the block diameters and the tree-quotient DP, comes
@@ -690,6 +716,8 @@ class TestTreeQuotient:
             "_leaf_removal": set(),
             "_image_distances": set(),
             "_block_extremes": {"_row_maxima"},
+            "_block_maxima": {"_row_maxima"},
+            "_pass": {"__init__", "_row_maxima"},
             "_preorder": {"_tree_preorder", "_rooted_extents", "_outward_blocks"},
             "_bfs_levels": {"_build_distances", "_induced_diameters"},
             "induced_diameter": set(),
@@ -710,7 +738,7 @@ class TestTreeQuotient:
         for path in package.glob("*.py"):
             visit(ast.parse(path.read_text()), f"{path.name} (module level)")
         assert users == owners
-        assert VertexMapping.__slots__ == ("source", "target", "image")
+        assert VertexMapping.__slots__ == ("source", "target", "image", "_pass")
         weighted = ast.parse((package / "weighted.py").read_text())
         assert "distance_matrix" not in {
             getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
