@@ -61,6 +61,14 @@ class Graph:
     Construction validates all structural invariants: endpoints in range,
     no self-loops, no parallel edges, and connectivity. Adjacency lists
     are stored sorted, which keeps every traversal deterministic.
+
+    Every graph built from outside input, parsed or passed to
+    ``Graph(...)``, is validated. Only the two graphs the package derives
+    from a graph it already holds skip the checks: a partition's quotient
+    and an independent set's distance-3 graph, built by
+    :func:`_trusted_graph`. The functions that make them give sorted,
+    simple adjacency, and each docstring proves the result connected; the
+    tests check both against this constructor on seeded ensembles.
     """
 
     __slots__ = ("_adj", "_edge_count", "_dist", "_tree", "_csr")
@@ -81,13 +89,17 @@ class Graph:
             seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
-        self._edge_count = len(seen)
+        self._fill(tuple(tuple(sorted(a)) for a in adj), len(seen))
+        if min(_bfs(self._adj, (0,))) < 0:
+            raise Disconnected("graph is not connected")
+
+    def _fill(self, adj: tuple[tuple[int, ...], ...], edge_count: int) -> None:
+        """Set every slot: the one place a graph's slots are first written."""
+        self._adj = adj
+        self._edge_count = edge_count
         self._dist: np.ndarray | None = None
         self._tree: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
-        if min(_bfs(self._adj, (0,))) < 0:
-            raise Disconnected("graph is not connected")
 
     @property
     def vertex_count(self) -> int:
@@ -120,12 +132,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ``(u, v)`` with ``u < v``, in lexicographic order."""
-        out = []
-        for u, nbrs in enumerate(self._adj):
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v))
-        return out
+        return [(u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if u < v]
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < len(self._adj)):
@@ -145,6 +152,19 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
+
+
+def _trusted_graph(adj: tuple[tuple[int, ...], ...]) -> Graph:
+    """A :class:`Graph` on adjacency that is valid by construction, unchecked.
+
+    ``adj`` must be what validation would have built: one sorted tuple of
+    Python ints per vertex, at least one vertex, no self-loop, no repeated
+    neighbour, each edge listed from both ends, and connected. The caller
+    owns that proof; nothing here checks it.
+    """
+    g = Graph.__new__(Graph)
+    g._fill(adj, sum(map(len, adj)) // 2)
+    return g
 
 
 def require_tree(g: Graph) -> None:

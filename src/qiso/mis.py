@@ -3,7 +3,10 @@
 The derived graph keeps only the vertices of a maximal independent set
 and joins two of them whenever their original distance is at most three.
 The canonical mapping fixes set members and sends every other vertex to
-its smallest-id neighbor inside the set.
+its smallest-id neighbor inside the set. The derived graph of a maximal
+independent set is simple and connected by construction, so its
+adjacency is read off the members' distance rows and not validated
+again.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidMapping, NotIndependent, NotMaximal
-from .graph import CheckResult, Graph, distance_matrix
+from .graph import CheckResult, Graph, _trusted_graph, distance_matrix
 from .partition import _sweep_order
 from .quasi import VertexMapping, _first_violation
 
@@ -86,12 +89,23 @@ def mis_derived(
     become adjacent. ``image`` may override the canonical mapping with
     any per-vertex choice of adjacent set member (fixed on the set
     itself); it is validated, not trusted.
+
+    The derived graph is built unchecked
+    (:func:`qiso.graph._trusted_graph`). With the diagonal cleared, the
+    members' "within 3" matrix is symmetric with no self-loop, and its
+    non-zero entries in row-major order give each row's neighbours
+    sorted. It is connected: send each vertex of a shortest path in
+    ``g`` between two members to itself or an adjacent member, which a
+    maximal set has; consecutive vertices then go to members within 3.
     """
     check_maximal_independent(g, s)
     mis = tuple(sorted(set(s)))
     index = {v: i for i, v in enumerate(mis)}
     near = distance_matrix(g).take(mis, axis=0).take(mis, axis=1) <= 3
-    derived = Graph(len(mis), np.argwhere(np.triu(near, 1)).tolist())
+    np.fill_diagonal(near, False)
+    cols = np.nonzero(near)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(near, axis=1)).tolist()
+    derived = _trusted_graph(tuple(tuple(cols[a:b]) for a, b in zip([0, *ends], ends)))
 
     if image is None:
         # Adjacency lists are sorted, so this is the smallest-id neighbor.

@@ -1,7 +1,10 @@
 """Partitions into connected blocks and the quotient graph they induce.
 
-Blocks ("super-vertices") must induce connected subgraphs; the quotient
-joins two blocks whenever some cross edge exists. Sharpness bounds block
+Blocks ("super-vertices") must induce connected subgraphs, which
+:class:`Partition` checks, as block validity is what the claims test;
+the quotient joins two blocks whenever some cross edge exists. The
+quotient is simple and connected by construction, so it is built in one
+pass over the adjacency and not validated again. Sharpness bounds block
 diameters from above and drives the distortion of the quotient mapping,
 coarseness bounds them from below and drives compression. Every block
 diameter comes from one pass: longest paths within blocks on a tree,
@@ -16,7 +19,14 @@ from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import BlockNotConnected, InvalidVertex, NotAPartition
-from .graph import Graph, _bfs, _down_paths, _induced_diameters, _tree_preorder
+from .graph import (
+    Graph,
+    _bfs,
+    _down_paths,
+    _induced_diameters,
+    _tree_preorder,
+    _trusted_graph,
+)
 from .quasi import VertexMapping, _row_maxima, verify_q1
 
 
@@ -90,15 +100,27 @@ class PartitionGraph:
 
 
 def build_partition_graph(g: Graph, p: Partition) -> PartitionGraph:
-    """Quotient of ``g`` by ``p``: one vertex per block, edges from cross edges."""
+    """Quotient of ``g`` by ``p``: one vertex per block, edges from cross edges.
+
+    One pass over the adjacency collects each block's neighbour blocks
+    in a set, so no block pair repeats; removing the block itself leaves
+    no self-loop, and each cross edge is seen from both ends, so both
+    blocks list each other. The quotient is connected: the blocks cover
+    the vertices, and a path of ``g`` between members of two blocks maps
+    to a walk between them. So it is built unchecked
+    (:func:`qiso.graph._trusted_graph`).
+    """
     if p.graph is not g and p.graph != g:
         raise NotAPartition("partition belongs to a different graph")
-    quotient_edges = set()
-    for u, v in g.edges():
-        bu, bv = p.block_of[u], p.block_of[v]
-        if bu != bv:
-            quotient_edges.add((min(bu, bv), max(bu, bv)))
-    quotient = Graph(len(p.blocks), sorted(quotient_edges))
+    block_of = p.block_of
+    near: list[set[int]] = [set() for _ in p.blocks]
+    for b, nbrs in zip(block_of, g.adjacency):
+        blocks = near[b]
+        for u in nbrs:
+            blocks.add(block_of[u])
+    for b, blocks in enumerate(near):
+        blocks.discard(b)
+    quotient = _trusted_graph(tuple(tuple(sorted(blocks)) for blocks in near))
     return PartitionGraph(
         quotient=quotient,
         mapping=VertexMapping(g, quotient, p.block_of),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import seeded_graph, seeded_tree
-from passes import PassCounter
+from passes import BuildCounter, PassCounter
 from qiso import cli, contraction, fileio
 from qiso.cli import CLAIMS, main
 from qiso.errors import FormatError, QisoError
@@ -1034,8 +1034,8 @@ class TestMappingPasses:
         "tree": (lambda: random_tree(30, 3), lambda t: contraction.outward_contraction(t, 0)),
     }
 
-    @pytest.mark.parametrize("kind", list(INSTANCES))
-    def test_each_pair_once_per_mapping(self, tmp_path, monkeypatch, kind):
+    def commands(self, tmp_path, kind):
+        """The input graph, and every simplify, analyze and verify command on it."""
         build, partition = self.INSTANCES[kind]
         g = build()
         gfile, pfile, mfile = (str(tmp_path / name) for name in ("g.el", "p.txt", "m.txt"))
@@ -1053,12 +1053,28 @@ class TestMappingPasses:
             ["verify", gfile, "--mapping", mfile, *mapped],
             ["verify", gfile, "--partition", pfile, "--mapping", mfile, *every],
         ]
+        return g, [[*argv, "-o", str(tmp_path / "out")] for argv in commands]
+
+    @pytest.mark.parametrize("kind", list(INSTANCES))
+    def test_each_pair_once_per_mapping(self, tmp_path, monkeypatch, kind):
+        g, commands = self.commands(tmp_path, kind)
         tables = "_tree_quotient" if g.is_tree else "_block_extremes"
         for argv in commands:
             counter = PassCounter(monkeypatch)
-            assert main([*argv, "-o", str(tmp_path / "out")]) in (0, 1), argv
+            assert main(argv) in (0, 1), argv
             assert counter.repeats() == [], argv
             assert counter.pairs and sum(counter.calls[tables].values()) >= 1, argv
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("kind", list(INSTANCES))
+    def test_only_the_input_is_validated(self, tmp_path, monkeypatch, kind):
+        # Quotients and derived graphs are valid by construction; the
+        # parsed input is the one graph a command validates.
+        _, commands = self.commands(tmp_path, kind)
+        for argv in commands:
+            builds = BuildCounter(monkeypatch)
+            assert main(argv) in (0, 1), argv
+            assert builds.count == 1, argv
             monkeypatch.undo()
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import seeded_graph, seeded_tree
+from helpers import assert_validated_equal, seeded_graph, seeded_tree
 from oracles import floyd_warshall, mis_bounds_witness
 from qiso.errors import InvalidMapping, InvalidVertex, NotIndependent, NotMaximal
 from qiso.generators import complete_graph, path_graph, star_graph
@@ -92,11 +92,38 @@ class TestDerivedGraph:
             mis_derived(path_graph(5), (0,))
 
     def test_derived_connected_on_ensemble(self):
-        # Construction would raise Disconnected if connectivity ever failed.
+        # The derived graph is built unchecked, so connectivity is tested here.
         for seed in range(30):
             g = seeded_graph(seed, max_n=40)
             r = mis_derived(g, greedy_mis(g))
             assert r.derived.vertex_count == len(r.mis)
+            assert -1 not in bfs_distances(r.derived, 0)
+
+    def test_equals_validated_build(self):
+        # The derived graph is built unchecked; it must equal the graph
+        # validated on the pairs of members within distance 3.
+        rng = random.Random(11)
+        graphs = [path_graph(n) for n in (1, 2, 3)] + [hub_last_star(6), complete_graph(5)]
+        graphs += [seeded_tree(seed, min_n=1, max_n=60) for seed in range(60)]
+        graphs += [seeded_graph(seed, min_n=1, max_n=60) for seed in range(60)]
+        for g in graphs:
+            order = list(g.vertices())
+            rng.shuffle(order)
+            for s in (greedy_mis(g), greedy_mis(g, order)):
+                members = set(s)
+                image = [
+                    v if v in members else rng.choice([u for u in g.adjacency[v] if u in members])
+                    for v in g.vertices()
+                ]
+                for r in (mis_derived(g, s), mis_derived(g, s, image)):
+                    dist = [bfs_distances(g, v) for v in r.mis]
+                    near = [
+                        (i, j)
+                        for i in range(len(r.mis))
+                        for j in range(i + 1, len(r.mis))
+                        if dist[i][r.mis[j]] <= 3
+                    ]
+                    assert_validated_equal(r.derived, near)
 
     def test_custom_image_accepted(self):
         g = path_graph(5)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import seeded_graph, seeded_tree
+from helpers import assert_validated_equal, seeded_graph, seeded_tree
 from oracles import (
     collapse_modified_blocks,
     first_disconnected_block,
@@ -145,6 +145,36 @@ class TestQuotient:
         g = seeded_graph(seed, min_n=4, max_n=10)
         pg = build_partition_graph(g, random_partition(g, seed + 17))
         assert longest_simple_cycle(pg.quotient) <= longest_simple_cycle(g)
+
+
+class TestTrustedQuotient:
+    """The quotient is built unchecked; it must equal the validated one."""
+
+    PARTITIONS = {
+        "singleton": lambda g, i: singleton_partition(g),
+        "whole": lambda g, i: Partition(g, [list(g.vertices())]),
+        "collapse": lambda g, i: collapse_basic(g),
+        "collapse-modified": lambda g, i: collapse_modified(g),
+        "outward": lambda g, i: outward_contraction(g, i % g.vertex_count),
+        "random": lambda g, i: random_partition(g, i),
+    }
+
+    @pytest.mark.parametrize("kind", list(PARTITIONS))
+    def test_equals_validated_build(self, kind):
+        graphs = [path_graph(n) for n in (1, 2, 3)]
+        graphs += [seeded_tree(seed, min_n=1, max_n=60) for seed in range(60)]
+        if kind != "outward":
+            graphs += [cycle_graph(3), complete_graph(5), star_graph(9)]
+            graphs += [seeded_graph(seed, min_n=1, max_n=60) for seed in range(60)]
+        for i, g in enumerate(graphs):
+            p = self.PARTITIONS[kind](g, i)
+            block_of = p.block_of
+            cross = {
+                (min(block_of[u], block_of[v]), max(block_of[u], block_of[v]))
+                for u, v in g.edges()
+                if block_of[u] != block_of[v]
+            }
+            assert_validated_equal(build_partition_graph(g, p).quotient, cross)
 
 
 class TestSharpness:

@@ -708,7 +708,9 @@ class TestTreeQuotient:
         # diameters, and the per-member search is left to the tests. The
         # distance matrix's type is decided where it is built and never
         # cast: the only casts are the median's Python-int fallback and
-        # the byte order of the search's bit words.
+        # the byte order of the search's bit words. Only the quotient and
+        # the derived graph, valid by construction, skip Graph validation,
+        # and a graph's slots are filled in one place.
         owners = {
             "astype": {"_median", "_source_bits"},
             "_path_maxima": {"_row_maxima"},
@@ -721,6 +723,8 @@ class TestTreeQuotient:
             "_preorder": {"_tree_preorder", "_rooted_extents", "_outward_blocks"},
             "_bfs_levels": {"_build_distances", "_induced_diameters"},
             "induced_diameter": set(),
+            "_trusted_graph": {"build_partition_graph", "mis_derived"},
+            "_fill": {"__init__", "_trusted_graph"},
         }
         users = {name: set() for name in owners}
 
