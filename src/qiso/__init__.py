@@ -38,7 +38,6 @@ from .graph import (
     distance_matrix,
     distance_sum,
     eccentricity_profile,
-    leaf_removal_center,
     median,
     set_distance,
     uni_ecc_holds,
@@ -51,7 +50,6 @@ from .partition import (
     build_partition_graph,
     collapse_basic,
     collapse_modified,
-    induced_diameter,
     sharpness_report,
     singleton_partition,
     verify_partition_qiso,

@@ -319,6 +319,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for claim in claims:
             if claim in _PARTITION_CLAIMS:
                 raise UsageError(f"{claim} needs --partition")
+    elif args.mapping is not None and "mis-bounds" not in claims:
+        # Beside a partition, only mis-bounds reads the mapping.
+        raise UsageError("--mapping with --partition needs the mis-bounds claim")
 
     g = fileio.read_edge_list(args.input)
     subject = _Subject(g, _partition_arg(args, g), args.mapping)

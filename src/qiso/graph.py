@@ -77,15 +77,15 @@ class Graph:
         if vertex_count < 1:
             raise EmptyGraph("a graph needs at least one vertex")
         adj: list[list[int]] = [[] for _ in range(vertex_count)]
-        seen: set[tuple[int, int]] = set()
+        seen: set[int] = set()  # each edge as u * n + v, u < v
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InvalidVertex(f"edge ({u}, {v}) outside 0..{vertex_count - 1}")
             if u == v:
                 raise InvalidEdge(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
+            key = u * vertex_count + v if u < v else v * vertex_count + u
             if key in seen:
-                raise InvalidEdge(f"duplicate edge {key}")
+                raise InvalidEdge(f"duplicate edge {divmod(key, vertex_count)}")
             seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
@@ -538,12 +538,6 @@ def distance_sum(g: Graph, v: int) -> int:
 def median(g: Graph) -> tuple[int, ...]:
     """Vertices of minimum distance-sum, ascending (subtree sizes on a tree)."""
     return _median(g, [1] * g.vertex_count)
-
-
-def leaf_removal_center(t: Graph) -> tuple[int, ...]:
-    """A tree's center, ascending: the middle of a longest path (Jordan), no matrix."""
-    require_tree(t)
-    return _extremes(t)[0]
 
 
 def diameter_path(t: Graph) -> list[int]:

@@ -128,17 +128,6 @@ def build_partition_graph(g: Graph, p: Partition) -> PartitionGraph:
     )
 
 
-def induced_diameter(g: Graph, members: Sequence[int]) -> int:
-    """Diameter of the subgraph induced by a connected vertex set.
-
-    Every member is searched from, one search each: the reference that
-    :func:`sharpness_report`'s one sweep over all blocks is tested against.
-    """
-    index = {v: i for i, v in enumerate(sorted(set(members)))}
-    adj = [[index[u] for u in g.adjacency[v] if u in index] for v in index]
-    return max((max(_bfs(adj, (s,))) for s in range(len(adj))), default=0)
-
-
 @dataclass(frozen=True)
 class SharpnessReport:
     """Extreme block diameters and the vertex compression they imply."""

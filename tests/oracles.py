@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from qiso.errors import TooLarge
-from qiso.graph import Graph, bfs_distances, center
+from qiso.graph import Graph, _bfs, bfs_distances, center
 from qiso.partition import Partition, build_partition_graph
 
 
@@ -84,6 +84,18 @@ def is_chordal(g: Graph) -> bool:
             return False
         alive.discard(found)
     return True
+
+
+def induced_diameter(g: Graph, members) -> int:
+    """Diameter of the subgraph induced by a connected vertex set.
+
+    Every member is searched from, one search each: the reference that
+    ``partition.sharpness_report``'s one sweep over all blocks is tested
+    against.
+    """
+    index = {v: i for i, v in enumerate(sorted(set(members)))}
+    adj = [[index[u] for u in g.adjacency[v] if u in index] for v in index]
+    return max((max(_bfs(adj, (s,))) for s in range(len(adj))), default=0)
 
 
 def q1_witness(m, stretch: int, additive: int):

@@ -4,32 +4,33 @@
 the tree-quotient test, the block tables, and the two per-pair branches.
 Each call is counted against the mapping it works on, so one in-process
 ``qiso.cli.main`` run shows whether any mapping built its tables twice
-or computed one ``(alpha, beta)`` twice. :class:`BuildCounter` counts
-the graphs that go through ``Graph.__init__``'s validation.
+or computed one ``(alpha, beta)`` twice. :class:`CallCounter` counts
+the calls of any one function or method, such as the graphs that go
+through ``Graph.__init__``'s validation.
 """
 
 from collections import Counter, defaultdict
 
 from qiso import quasi
-from qiso.graph import Graph
 
 
-class BuildCounter:
-    """Patch ``Graph.__init__``, through ``monkeypatch``, to count its runs.
+class CallCounter:
+    """Patch ``owner.name``, through ``monkeypatch``, to count its calls.
 
-    ``count`` is how many graphs were validated since the patch; graphs
-    built unchecked by ``graph._trusted_graph`` do not run it.
+    ``count`` is how many calls were made since the patch. On
+    ``Graph.__init__`` it counts the graphs validated; graphs built
+    unchecked by ``graph._trusted_graph`` do not run it.
     """
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, owner, name):
         self.count = 0
-        original = Graph.__init__
+        original = getattr(owner, name)
 
-        def counted(g, *args, **kwargs):
+        def counted(*args, **kwargs):
             self.count += 1
-            original(g, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(Graph, "__init__", counted)
+        monkeypatch.setattr(owner, name, counted)
 
 # The per-pair branches take the mapping first and end with alpha, beta;
 # a branch that takes several pairs gets them as (alpha, beta) tuples.

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import seeded_graph, seeded_tree
-from passes import BuildCounter, PassCounter
+from passes import CallCounter, PassCounter
 from qiso import cli, contraction, fileio
 from qiso.cli import CLAIMS, main
 from qiso.errors import FormatError, QisoError
@@ -26,7 +26,7 @@ from qiso.generators import (
     random_partition,
     random_tree,
 )
-from qiso.graph import diameter_path
+from qiso.graph import Graph, diameter_path
 from qiso.mis import greedy_mis, mis_derived
 from qiso.partition import collapse_basic, collapse_modified, singleton_partition
 from qiso.quasi import center_shift
@@ -101,6 +101,14 @@ class TestEdgeListFormat:
         for text, lineno in [(f"3 2\n0 1\n1 {token}\n", 3), (f"{token} 2\n0 1\n1 2\n", 1)]:
             argv = ["analyze", "{bad}", "-o", "{out}"]
             assert_rejected(tmp_path, capsys, text, fileio.read_edge_list, argv, lineno)
+
+    def test_repeated_edge_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "dup.el"
+        path.write_text("3 2\n0 1\n0 1\n")
+        out = tmp_path / "r.json"
+        assert main(["analyze", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: duplicate edge (0, 1)\n"
+        assert not out.exists()
 
 
 class TestPartitionFormat:
@@ -719,6 +727,31 @@ class TestCliVerify:
         assert capsys.readouterr().err == f"error: {claim} needs --partition\n"
         assert not out.exists()
 
+    def test_mapping_beside_partition_needs_mis_bounds(self, tmp_path, monkeypatch, capsys):
+        # Beside a partition only mis-bounds reads the mapping, so an
+        # unread one is refused before any input is read.
+        gfile, pfile, mfile = (tmp_path / name for name in ("g.el", "p.txt", "m.txt"))
+        g = path_graph(6)
+        fileio.write_edge_list(g, gfile)
+        fileio.write_partition(collapse_basic(g), pfile)
+        mfile.write_text("")
+        out = tmp_path / "v.json"
+        argv = ["verify", str(gfile), "--partition", str(pfile), "--mapping", str(mfile)]
+
+        def unread(*args, **kwargs):
+            raise AssertionError("input read before the usage check")
+
+        monkeypatch.setattr(fileio, "read_edge_list", unread)
+        assert main(argv + ["--claims", "q1,q2", "-o", str(out)]) == 2
+        message = "error: --mapping with --partition needs the mis-bounds claim\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+        # With mis-bounds claimed the empty mapping is read, and refused.
+        monkeypatch.undo()
+        assert main(argv + ["--claims", "q1,mis-bounds", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {mfile}: 6 vertices have no image\n"
+        assert not out.exists()
+
     def test_mis_claims_via_mapping_file(self, tmp_path):
         gfile = tmp_path / "g.el"
         main(["generate", "random-graph", "--n", "15", "--m", "25", "-o", str(gfile)])
@@ -1072,7 +1105,7 @@ class TestMappingPasses:
         # parsed input is the one graph a command validates.
         _, commands = self.commands(tmp_path, kind)
         for argv in commands:
-            builds = BuildCounter(monkeypatch)
+            builds = CallCounter(monkeypatch, Graph, "__init__")
             assert main(argv) in (0, 1), argv
             assert builds.count == 1, argv
             monkeypatch.undo()

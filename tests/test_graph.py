@@ -30,8 +30,8 @@ from qiso.graph import (
     diameter_path,
     distance_sum,
     eccentricity_profile,
-    leaf_removal_center,
     median,
+    require_tree,
     set_distance,
     uni_ecc_holds,
 )
@@ -53,8 +53,10 @@ class TestConstruction:
             Graph(2, [(0, 0), (0, 1)])
 
     def test_rejects_parallel_edge(self):
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(InvalidEdge, match=r"^duplicate edge \(0, 1\)$"):
             Graph(2, [(0, 1), (1, 0)])
+        with pytest.raises(InvalidEdge, match=r"^duplicate edge \(2, 4\)$"):
+            Graph(5, [(0, 2), (2, 4), (1, 4), (4, 3), (4, 2)])
 
     def test_rejects_disconnected(self):
         with pytest.raises(Disconnected):
@@ -220,25 +222,26 @@ class TestMatrixReductions:
 
 
 class TestLeafRemoval:
+    """A tree's center, which peeling leaves would find, from its longest path."""
+
     def test_path7(self):
-        assert leaf_removal_center(path_graph(7)) == (3,)
+        assert center(path_graph(7)) == (3,)
 
     def test_star(self):
-        assert leaf_removal_center(star_graph(7)) == (0,)
+        assert center(star_graph(7)) == (0,)
 
     def test_two_vertices(self):
-        assert leaf_removal_center(path_graph(2)) == (0, 1)
+        assert center(path_graph(2)) == (0, 1)
 
     def test_rejects_non_tree(self):
         with pytest.raises(NotATree):
-            leaf_removal_center(complete_graph(4))
+            require_tree(complete_graph(4))
 
     def test_matches_center_on_random_trees(self):
         for seed in range(200):
             t = seeded_tree(seed)
             ecc = [max(row) for row in floyd_warshall(t)]
             expected = tuple(v for v, e in enumerate(ecc) if e == min(ecc))
-            assert leaf_removal_center(t) == expected
             assert center(t) == expected
 
     def test_longest_path_gives_center_radius_and_diameter(self):

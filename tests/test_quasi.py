@@ -15,6 +15,7 @@ import oracles
 import qiso
 from helpers import seeded_graph, seeded_tree
 from oracles import ecc_transfer_holds, floyd_warshall, minimal_additive, q1_witness
+from passes import CallCounter
 from qiso.contraction import outward_contraction
 from qiso.errors import (
     BlockNotConnected,
@@ -81,6 +82,16 @@ def singleton_mapping(g):
 def collapse_mapping(seed, max_n=30):
     g = seeded_graph(seed, max_n=max_n)
     return build_partition_graph(g, collapse_basic(g)).mapping
+
+
+def quotient_and_mis_mappings():
+    """A quotient and an independent-set mapping per seeded graph and tree."""
+    mappings = []
+    for seed in range(20):
+        for g in (seeded_graph(seed, max_n=30), seeded_tree(seed, max_n=30)):
+            mappings.append(build_partition_graph(g, collapse_modified(g)).mapping)
+            mappings.append(mis_derived(g, greedy_mis(g)).mapping)
+    return mappings
 
 
 def grid_graph(rows, cols):
@@ -213,8 +224,23 @@ class TestQ2:
         assert verify_q2_raw(g, [2], 2)
 
     def test_negative_density_rejected(self):
-        with pytest.raises(InvalidConstants):
+        with pytest.raises(InvalidConstants, match=r"^density must be >= 0, got -1$"):
             verify_q2_raw(path_graph(2), [0, 1], -1)
+        with pytest.raises(InvalidConstants, match=r"^density must be >= 0, got -1$"):
+            verify_q2(collapse_mapping(5), -1)
+
+    def test_mapping_needs_no_search(self, monkeypatch):
+        # A mapping is onto by construction, so verify_q2 searches nothing;
+        # the raw search over the same images is its reference.
+        mappings = quotient_and_mis_mappings()
+        searches = [CallCounter(monkeypatch, mod, "_bfs") for mod in (qiso.graph, qiso.quasi)]
+        verdicts = [verify_q2(m, density) for m in mappings for density in range(3)]
+        assert [c.count for c in searches] == [0, 0]
+        monkeypatch.undo()
+        assert verdicts == [
+            verify_q2_raw(m.target, m.image, density) for m in mappings for density in range(3)
+        ]
+        assert all(verdicts)
 
 
 class TestMinimalConstants:
@@ -481,6 +507,19 @@ class TestCenterShift:
         assert tuple(pre) == rep.target_center_preimage
         assert rep.shift == set_distance(m.source, src_center, pre)
 
+    def test_checks_no_vertex_again(self, monkeypatch):
+        # Both centers are built here, so no vertex is checked again; the
+        # checked public set_distance is the reference.
+        mappings = quotient_and_mis_mappings()
+        checks = CallCounter(monkeypatch, Graph, "check_vertex")
+        reports = [center_shift(m) for m in mappings]
+        assert checks.count == 0
+        monkeypatch.undo()
+        for m, rep in zip(mappings, reports):
+            pre = m.preimage(center(m.target))
+            assert rep.target_center_preimage == pre
+            assert rep.shift == set_distance(m.source, center(m.source), pre)
+
     def test_bounds_use_given_constants(self):
         m = collapse_mapping(9)
         rep = center_shift(m, QuasiIsometryConstants(3, 1))
@@ -705,7 +744,9 @@ class TestTreeQuotient:
         # graph metrics, the block diameters and the tree-quotient DP, comes
         # from the one top-two pass, with no leaf-removal pass beside it.
         # One bit-parallel level loop serves the matrix and the block
-        # diameters, and the per-member search is left to the tests. The
+        # diameters, and the per-member search is left to the tests, as are
+        # the raw density search and the checked set distance: a mapping's
+        # density and center shift need neither. The
         # distance matrix's type is decided where it is built and never
         # cast: the only casts are the median's Python-int fallback and
         # the byte order of the search's bit words. Only the quotient and
@@ -723,6 +764,9 @@ class TestTreeQuotient:
             "_preorder": {"_tree_preorder", "_rooted_extents", "_outward_blocks"},
             "_bfs_levels": {"_build_distances", "_induced_diameters"},
             "induced_diameter": set(),
+            "verify_q2_raw": set(),
+            "set_distance": set(),
+            "preimage": set(),
             "_trusted_graph": {"build_partition_graph", "mis_derived"},
             "_fill": {"__init__", "_trusted_graph"},
         }
