@@ -10,13 +10,14 @@ reads. A tree's matrix is filled row by row in that preorder, any other
 graph's by a bit-parallel multi-source breadth-first search over the
 graph's cached CSR arrays. That search's level loop (:func:`_bfs_levels`)
 also measures, in one sweep, the diameter of every subgraph that a
-labelling of the vertices induces (:func:`_induced_diameters`). A tree's
-longest paths, and so its center, come from one top-two pass
-(:func:`_down_paths`) without any matrix. Medians, plain and
-weighted, have one owner (:func:`_median`): subtree weights on a tree,
-else one exact integer product with the matrix. Jobs that need only one
-or a few sources run the single breadth-first search :func:`_bfs`
-instead.
+labelling of the vertices induces (:func:`_induced_diameters`). Each
+graph caches its eccentricities (:func:`_eccentricities`), which give
+its center, radius and diameter: on a tree, every vertex's heaviest path
+from one top-two pass (:func:`_heaviest_paths`), without any matrix,
+else the matrix's row maxima. Medians, plain and weighted, have one
+owner (:func:`_median`): subtree weights on a tree, else one exact
+integer product with the matrix. Jobs that need only one or a few
+sources run the single breadth-first search :func:`_bfs` instead.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from operator import add
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -71,7 +71,7 @@ class Graph:
     tests check both against this constructor on seeded ensembles.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_dist", "_tree", "_csr")
+    __slots__ = ("_adj", "_edge_count", "_dist", "_tree", "_csr", "_ecc")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 1:
@@ -100,6 +100,7 @@ class Graph:
         self._dist: np.ndarray | None = None
         self._tree: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        self._ecc: tuple[int, ...] | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -395,6 +396,26 @@ def _down_paths(t: Graph, w: Sequence[int]) -> tuple[list[int], list[int]]:
     return top1, top2
 
 
+def _heaviest_paths(t: Graph, w: Sequence[int]) -> list[int]:
+    """Each vertex's heaviest path to any vertex, edges weighed as in :func:`_down_paths`.
+
+    A vertex's heaviest path down is ``top1`` (the empty path weighs 0);
+    a rerooting pass adds the heaviest one through its parent p, which
+    goes on up from p or down p's best branch other than v's.
+    """
+    order, parent = _tree_preorder(t)
+    top1, top2 = _down_paths(t, w)
+    up = [0] * len(order)  # heaviest path from v through its parent
+    best = top1[:]
+    for v in order[1:]:
+        p = parent[v]
+        val = w[v] + top1[v]
+        up[v] = w[v] + max(up[p], top2[p] if val == top1[p] else top1[p])
+        if up[v] > best[v]:
+            best[v] = up[v]
+    return best
+
+
 def _median(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
     """Vertices minimizing the ``weights``-weighted distance-sum, ascending.
 
@@ -410,7 +431,7 @@ def _median(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
         sums = np.einsum("ij,j->i", distance_matrix(g), np.array(weights, dtype=np.int64))
     else:
         sums = distance_matrix(g).astype(object) @ np.array(weights, dtype=object)
-    return _argmin_all(sums)
+    return tuple(np.flatnonzero(sums == sums.min()).tolist())
 
 
 def _tree_median(t: Graph, weights: Sequence[int]) -> tuple[int, ...]:
@@ -469,6 +490,21 @@ def set_distance(g: Graph, s1: Sequence[int], s2: Sequence[int]) -> int:
     return min(dist[v] for v in b)
 
 
+def _eccentricities(g: Graph) -> tuple[int, ...]:
+    """Every vertex's eccentricity, cached per graph: the one place it is computed.
+
+    On a tree, each vertex's heaviest path at unit weights
+    (:func:`_heaviest_paths`), with no matrix; else the row maxima of
+    the distance matrix.
+    """
+    if g._ecc is None:
+        if g.is_tree:
+            g._ecc = tuple(_heaviest_paths(g, [1] * g.vertex_count))
+        else:
+            g._ecc = tuple(distance_matrix(g).max(axis=1).tolist())
+    return g._ecc
+
+
 @dataclass(frozen=True)
 class EccentricityProfile:
     """Per-vertex eccentricities with their witnesses, radius and diameter.
@@ -484,49 +520,28 @@ class EccentricityProfile:
 
 
 def eccentricity_profile(g: Graph) -> EccentricityProfile:
-    """Eccentricity of every vertex, with witnesses, from the distance matrix."""
-    dist = distance_matrix(g)
-    ecc = dist.max(axis=1)
+    """Eccentricity of every vertex, with witnesses read off the distance matrix."""
+    ecc = _eccentricities(g)
     return EccentricityProfile(
-        eccentricity=tuple(ecc.tolist()),
+        eccentricity=ecc,
         witnesses=tuple(
-            tuple(np.flatnonzero(row == e).tolist()) for row, e in zip(dist, ecc)
+            tuple(np.flatnonzero(row == e).tolist()) for row, e in zip(distance_matrix(g), ecc)
         ),
-        radius=int(ecc.min()),
-        diameter=int(ecc.max()),
+        radius=min(ecc),
+        diameter=max(ecc),
     )
 
 
-def _argmin_all(values: np.ndarray) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(values == values.min()).tolist())
-
-
 def center(g: Graph) -> tuple[int, ...]:
-    """Vertices of minimum eccentricity, ascending (a longest path's middle on a tree)."""
+    """Vertices of minimum eccentricity, ascending."""
     return _extremes(g)[0]
 
 
 def _extremes(g: Graph) -> tuple[tuple[int, ...], int, int]:
-    """Center, radius and diameter: a longest path on a tree, else the matrix.
-
-    A tree's diameter turns where two downward paths sum to the most, and
-    its center is the middle of that path (Jordan): walking down the
-    heavier one, the vertex ceil(D / 2) above its end, and the next one
-    when D is odd.
-    """
-    if not g.is_tree:
-        ecc = distance_matrix(g).max(axis=1)
-        return _argmin_all(ecc), int(ecc.min()), int(ecc.max())
-    adj, parent = g.adjacency, _tree_preorder(g)[1]
-    top1, top2 = _down_paths(g, [1] * len(adj))
-    turns = list(map(add, top1, top2))
-    diameter = max(turns)
-    radius = (diameter + 1) // 2
-    path = [turns.index(diameter)]
-    for _ in range(top1[path[0]] - radius + diameter % 2):
-        v = path[-1]
-        path.append(next(c for c in adj[v] if c != parent[v] and top1[c] + 1 == top1[v]))
-    return tuple(sorted(path[-1 - diameter % 2 :])), radius, diameter
+    """Center, radius and diameter, from the cached eccentricities."""
+    ecc = _eccentricities(g)
+    radius = min(ecc)
+    return tuple(v for v, e in enumerate(ecc) if e == radius), radius, max(ecc)
 
 
 def distance_sum(g: Graph, v: int) -> int:
@@ -565,13 +580,11 @@ def uni_ecc_holds(g: Graph) -> CheckResult:
     """Whether distance to the center equals eccentricity minus radius.
 
     The property holds for every tree but fails on some graphs; the first
-    violating vertex (ascending) is returned as the witness.
+    violating vertex (ascending) is returned as the witness. One search
+    from the center gives every vertex's distance to it.
     """
-    dist = distance_matrix(g)
-    ecc = dist.max(axis=1)
-    rad = ecc.min()
-    to_center = dist[:, ecc == rad].min(axis=1)
-    bad = np.flatnonzero(to_center != ecc - rad)
-    if len(bad):
-        return CheckResult(False, int(bad[0]))
-    return CheckResult(True)
+    cen, radius, _ = _extremes(g)
+    to_center = _bfs(g.adjacency, cen)
+    ecc = _eccentricities(g)
+    bad = next((v for v, d in enumerate(to_center) if d != ecc[v] - radius), None)
+    return CheckResult(bad is None, bad)

@@ -11,15 +11,15 @@ Every pairwise claim bounds linear forms ``alpha*d1 + beta*d2``, with
 its images: each side of the distance inequality, the independent-set
 sandwich and "quotients never stretch". :func:`_row_maxima` gives each
 vertex its maximum over all partners, and :func:`_first_violation` turns
-row maxima into a verdict with the first witness pair. Eccentricities
-are row maxima too, of ``(1, 0)`` and ``(0, 1)``. A mapping keeps its
-tables and rows, so each ``(alpha, beta)`` is computed once per mapping.
-When the source is a tree and the mapping is its quotient by connected
-blocks (:func:`_tree_quotient`), each row is a maximum-weight path in
-the source tree, found in linear time without any matrix. Every other
-mapping groups each x's partners by their image block
-(:func:`_block_extremes`), so no n x n matrix is formed beside the
-source's own cached one (:func:`qiso.graph.distance_matrix`).
+row maxima into a verdict with the first witness pair. A mapping keeps
+its tables and rows, so each ``(alpha, beta)`` is computed once per
+mapping. When the source is a tree and the mapping is its quotient by
+connected blocks (:func:`_tree_quotient`), each row is a heaviest path
+in the source tree (:func:`qiso.graph._heaviest_paths`), found in linear
+time without any matrix. Every other mapping groups each x's partners by
+their image block (:func:`_block_extremes`), so no n x n matrix is formed
+beside the source's own cached one (:func:`qiso.graph.distance_matrix`).
+Eccentricities are each graph's own (:func:`qiso.graph._eccentricities`).
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ from .graph import (
     CheckResult,
     Graph,
     _bfs,
-    _down_paths,
+    _eccentricities,
     _extremes,
+    _heaviest_paths,
     _tree_preorder,
     center,
     distance_matrix,
@@ -141,26 +142,13 @@ def _path_maxima(m: VertexMapping, alpha: int, beta: int) -> list[int]:
     """Each x's maximum over y of ``alpha*d1 + beta*d2``, as in :func:`_row_maxima`.
 
     Only for a :func:`_tree_quotient` mapping, where the value is the
-    weight of the x-y path with intra-block edges weighing ``alpha`` and
-    cross-block edges ``alpha + beta``. The two best child branches of
-    each vertex (:func:`qiso.graph._down_paths`) give every path that
-    turns there (y = x weighs 0); a rerooting pass adds the best path
-    leaving through the parent.
+    weight of x's heaviest path with intra-block edges weighing ``alpha``
+    and cross-block edges ``alpha + beta``.
     """
-    order, parent = _tree_preorder(m.source)
-    img = m.image
+    img, parent = m.image, _tree_preorder(m.source)[1]
     # w[v]: the weight of the edge from v to its parent (unused at the root).
     w = [alpha + beta if img[v] != img[p] else alpha for v, p in enumerate(parent)]
-    top1, top2 = _down_paths(m.source, w)
-    up = [0] * len(order)  # best path from v through its parent
-    best = top1[:]
-    for v in order[1:]:
-        p = parent[v]
-        val = w[v] + top1[v]
-        up[v] = w[v] + max(up[p], top2[p] if val == top1[p] else top1[p])
-        if up[v] > best[v]:
-            best[v] = up[v]
-    return best
+    return _heaviest_paths(m.source, w)
 
 
 def _block_extremes(m: VertexMapping) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -327,18 +315,17 @@ def verify_ecc_transfer(m: VertexMapping, stretch: int, additive: int) -> bool:
 
     Requires constants that already pass the distance inequality
     (:func:`verify_q1`); the transfer to eccentricities is then a
-    consequence worth re-verifying directly. The rows of ``(1, 0)`` and
-    ``(0, 1)`` are the eccentricities of x and, as the image is onto,
-    of f(x).
+    consequence worth re-verifying directly: x's eccentricity in the
+    source against f(x)'s in the target.
     """
     if not verify_q1(m, stretch, additive):
         raise PreconditionViolated(
             f"constants ({stretch}, {additive}) fail the distance inequality"
         )
     band = _q1_sides(stretch, additive, m.source.vertex_count)
-    ecc1, ecc2 = _row_maxima(m, (1, 0), (0, 1))
+    e1, e2 = _eccentricities(m.source), _eccentricities(m.target)
     return all(
-        a * e1 + b * e2 <= limit for a, b, limit in band for e1, e2 in zip(ecc1, ecc2)
+        a * e1[x] + b * e2[y] <= limit for a, b, limit in band for x, y in enumerate(m.image)
     )
 
 

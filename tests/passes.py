@@ -6,7 +6,8 @@ Each call is counted against the mapping it works on, so one in-process
 ``qiso.cli.main`` run shows whether any mapping built its tables twice
 or computed one ``(alpha, beta)`` twice. :class:`CallCounter` counts
 the calls of any one function or method, such as the graphs that go
-through ``Graph.__init__``'s validation.
+through ``Graph.__init__``'s validation, or only those calls that find
+a condition true, such as a graph's eccentricities not yet cached.
 """
 
 from collections import Counter, defaultdict
@@ -17,17 +18,22 @@ from qiso import quasi
 class CallCounter:
     """Patch ``owner.name``, through ``monkeypatch``, to count its calls.
 
-    ``count`` is how many calls were made since the patch. On
-    ``Graph.__init__`` it counts the graphs validated; graphs built
+    ``count`` is how many calls were made since the patch, and ``args``
+    lists each counted call's positional arguments, in order. Given
+    ``when``, a call counts only if ``when(*args)`` holds as it starts.
+    On ``Graph.__init__`` it counts the graphs validated; graphs built
     unchecked by ``graph._trusted_graph`` do not run it.
     """
 
-    def __init__(self, monkeypatch, owner, name):
+    def __init__(self, monkeypatch, owner, name, when=None):
         self.count = 0
+        self.args = []
         original = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            self.count += 1
+            if when is None or when(*args):
+                self.count += 1
+                self.args.append(args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import qiso
 from helpers import seeded_graph, seeded_tree
 from passes import CallCounter, PassCounter
 from qiso import cli, contraction, fileio
@@ -1097,6 +1098,25 @@ class TestMappingPasses:
             assert main(argv) in (0, 1), argv
             assert counter.repeats() == [], argv
             assert counter.pairs and sum(counter.calls[tables].values()) >= 1, argv
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("kind", list(INSTANCES))
+    def test_eccentricities_once_per_graph(self, tmp_path, monkeypatch, kind):
+        # Every command reads the eccentricities of its input and of one
+        # simplification, each computed once, and no claim asks a
+        # mapping's pass for them as rows.
+        _, commands = self.commands(tmp_path, kind)
+        for argv in commands:
+            fills = [
+                CallCounter(monkeypatch, mod, "_eccentricities", when=lambda g: g._ecc is None)
+                for mod in (qiso.graph, qiso.quasi)
+            ]
+            counter = PassCounter(monkeypatch)
+            assert main(argv) in (0, 1), argv
+            graphs = [g for fill in fills for (g,) in fill.args]
+            assert len(graphs) == len(set(graphs)) == 2, argv
+            asked = set().union(*counter.pairs.values())
+            assert not asked & {(1, 0), (0, 1)}, argv
             monkeypatch.undo()
 
     @pytest.mark.parametrize("kind", list(INSTANCES))

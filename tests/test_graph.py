@@ -17,13 +17,17 @@ from qiso.errors import (
 )
 from qiso.generators import (
     complete_graph,
+    cycle_graph,
+    non_uniecc_chordal,
     path_graph,
     random_tree,
     star_graph,
 )
 from qiso.graph import (
+    CheckResult,
     EccentricityProfile,
     Graph,
+    _eccentricities,
     _extremes,
     bfs_distances,
     center,
@@ -222,7 +226,7 @@ class TestMatrixReductions:
 
 
 class TestLeafRemoval:
-    """A tree's center, which peeling leaves would find, from its longest path."""
+    """A tree's center, which peeling leaves would find, from the eccentricities."""
 
     def test_path7(self):
         assert center(path_graph(7)) == (3,)
@@ -245,12 +249,15 @@ class TestLeafRemoval:
             assert center(t) == expected
 
     def test_longest_path_gives_center_radius_and_diameter(self):
-        trees = [seeded_tree(seed, min_n=1, max_n=50) for seed in range(150)]
-        trees += [path_graph(n) for n in range(1, 9)] + [star_graph(n) for n in range(2, 9)]
-        for t in trees:
-            ecc = [max(row) for row in floyd_warshall(t)]
+        # One cached vector answers all three, on trees and off them.
+        graphs = [seeded_tree(seed, min_n=1, max_n=50) for seed in range(150)]
+        graphs += [make(n) for make in (path_graph, star_graph) for n in range(1, 40)]
+        graphs += [cycle_graph(3)] + [seeded_graph(seed) for seed in range(60)]
+        for g in graphs:
+            ecc = [max(row) for row in floyd_warshall(g)]
             cen = tuple(v for v, e in enumerate(ecc) if e == min(ecc))
-            assert _extremes(t) == (cen, min(ecc), max(ecc))
+            assert _eccentricities(g) == tuple(ecc)
+            assert _extremes(g) == (cen, min(ecc), max(ecc))
 
 
 class TestDiameterPath:
@@ -282,6 +289,24 @@ class TestUniEcc:
 
     def test_complete_graph(self):
         assert uni_ecc_holds(complete_graph(4)).ok
+
+    def test_matches_floyd_warshall(self):
+        graphs = [seeded_graph(seed) for seed in range(60)] + [non_uniecc_chordal()]
+        for g in graphs + [seeded_tree(seed) for seed in range(20)]:
+            d = floyd_warshall(g)
+            ecc = [max(row) for row in d]
+            rad = min(ecc)
+            ctr = [v for v, e in enumerate(ecc) if e == rad]
+            bad = [v for v in g.vertices() if min(d[c][v] for c in ctr) != ecc[v] - rad]
+            assert uni_ecc_holds(g) == CheckResult(not bad, bad[0] if bad else None)
+        assert not uni_ecc_holds(non_uniecc_chordal())
+
+    def test_large_tree_needs_no_matrix(self, monkeypatch):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("all-pairs matrix built for a tree")
+
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        assert uni_ecc_holds(random_tree(3000, 11)) == CheckResult(True)
 
     @given(seeds)
     def test_lower_direction_always_holds(self, seed):

@@ -37,6 +37,7 @@ from qiso.generators import (
 )
 from qiso.graph import (
     Graph,
+    _eccentricities,
     bfs_distances,
     center,
     distance_matrix,
@@ -312,8 +313,8 @@ class TestEccTransfer:
             assert verify_ecc_transfer(m, cst.stretch, cst.additive)
 
     def test_each_side_of_the_comparison_decides(self, monkeypatch):
-        # The real band rows pass the precondition; one vertex's
-        # eccentricities, pushed just past one side, must fail the check.
+        # The real eccentricities pass; those of vertex 0 and its image,
+        # pushed just past one side of the band, must fail the check.
         t = seeded_tree(4, min_n=10, max_n=30)
         m = build_partition_graph(t, outward_contraction(t, 0)).mapping
         stretch, additive = 3, 1
@@ -323,15 +324,15 @@ class TestEccTransfer:
             "lower": lambda e1, e2: (stretch * (e2 + additive) + 1, e2),
         }
         for side, push in pushes.items():
+            e1, e2 = push(_eccentricities(m.source)[0], _eccentricities(m.target)[m.image[0]])
 
-            def pushed(m, *coeffs, push=push):
-                rows = _row_maxima(m, *coeffs)
-                if coeffs == ((1, 0), (0, 1)):  # the eccentricities, not the band
-                    ecc1, ecc2 = rows
-                    ecc1[0], ecc2[0] = push(ecc1[0], ecc2[0])
-                return rows
+            def pushed(g, e1=e1, e2=e2):
+                ecc = list(_eccentricities(g))
+                v, e = (0, e1) if g is m.source else (m.image[0], e2)
+                ecc[v] = e
+                return tuple(ecc)
 
-            monkeypatch.setattr("qiso.quasi._row_maxima", pushed)
+            monkeypatch.setattr("qiso.quasi._eccentricities", pushed)
             assert not verify_ecc_transfer(m, stretch, additive), side
 
 
@@ -733,29 +734,33 @@ class TestTreeQuotient:
         assert peak < 2000 * 2000 * np.dtype(np.int32).itemsize, (kind, peak)
 
     def test_pair_primitives_have_their_owners(self):
-        # Pair reductions, eccentricity profiles included, go through
-        # _row_maxima, so that choosing between the tree DP and the
-        # block tables stays in one place; only the derived graph's edges
-        # bypass it. A mapping keeps its pass in one slot, which only
-        # _row_maxima reads or writes (VertexMapping.__init__ starts it
-        # empty), so no claim bypasses the kept tables and rows. Tree passes from vertex
-        # 0 read the cached preorder, and weighted medians reach the matrix
-        # only through graph._median. Every longest path of a tree, in the
-        # graph metrics, the block diameters and the tree-quotient DP, comes
-        # from the one top-two pass, with no leaf-removal pass beside it.
-        # One bit-parallel level loop serves the matrix and the block
+        # Pair reductions go through _row_maxima, so that choosing
+        # between the tree DP and the block tables stays in one place;
+        # only the derived graph's edges bypass it. Eccentricities are
+        # each graph's own, kept in one slot that only _eccentricities
+        # fills, on a tree from the same heaviest-path pass as the DP. A
+        # mapping keeps its pass in one slot, which only _row_maxima reads
+        # or writes (VertexMapping.__init__ starts it empty), so no claim
+        # bypasses the kept tables and rows. Tree passes from vertex 0 read
+        # the cached preorder, and weighted medians reach the matrix only
+        # through graph._median. Every longest path of a tree, in the
+        # eccentricities, the block diameters and the tree-quotient DP,
+        # comes from the one top-two pass, with no leaf-removal pass beside
+        # it. One bit-parallel level loop serves the matrix and the block
         # diameters, and the per-member search is left to the tests, as are
         # the raw density search and the checked set distance: a mapping's
-        # density and center shift need neither. The
-        # distance matrix's type is decided where it is built and never
-        # cast: the only casts are the median's Python-int fallback and
-        # the byte order of the search's bit words. Only the quotient and
-        # the derived graph, valid by construction, skip Graph validation,
-        # and a graph's slots are filled in one place.
+        # density and center shift need neither. The distance matrix's type
+        # is decided where it is built and never cast: the only casts are
+        # the median's Python-int fallback and the byte order of the
+        # search's bit words. Only the quotient and the derived graph,
+        # valid by construction, skip Graph validation, and a graph's slots
+        # are filled in one place.
         owners = {
             "astype": {"_median", "_source_bits"},
             "_path_maxima": {"_row_maxima"},
-            "_down_paths": {"_extremes", "sharpness_report", "_path_maxima"},
+            "_down_paths": {"sharpness_report", "_heaviest_paths"},
+            "_heaviest_paths": {"_eccentricities", "_path_maxima"},
+            "_ecc": {"_fill", "_eccentricities"},
             "_leaf_removal": set(),
             "_image_distances": set(),
             "_block_extremes": {"_row_maxima"},
