@@ -77,13 +77,13 @@ def main() -> None:
     def partition_simplify(builder):
         def run(g):
             p = builder(g)
-            return build_partition_graph(g, p).mapping, sharpness_report(g, p)
+            return build_partition_graph(p).mapping, sharpness_report(p)
 
         return run
 
     def outward_simplify(g):
         p = outward_contraction(g, 0)
-        return build_partition_graph(g, p).mapping, sharpness_report(g, p)
+        return build_partition_graph(p).mapping, sharpness_report(p)
 
     graphs = list(graph_ensemble(args.count, args.max_n, args.seed))
     trees = list(tree_ensemble(args.count, args.max_n, args.seed + 10_000))

@@ -160,8 +160,8 @@ class _Subject:
         self.extremes, self.median = _extremes(g), median(g)
         self.pg = self.sharp = None
         if partition is not None:
-            self.pg = build_partition_graph(g, partition)
-            self.sharp = sharpness_report(g, partition)
+            self.pg = build_partition_graph(partition)
+            self.sharp = sharpness_report(partition)
         self._mapping_path = mapping_path
 
     @cached_property

@@ -99,20 +99,18 @@ class PartitionGraph:
         return self.quotient.is_tree or not self.mapping.source.is_tree
 
 
-def build_partition_graph(g: Graph, p: Partition) -> PartitionGraph:
-    """Quotient of ``g`` by ``p``: one vertex per block, edges from cross edges.
+def build_partition_graph(p: Partition) -> PartitionGraph:
+    """Quotient of ``p.graph`` by ``p``: one vertex per block, edges from cross edges.
 
     One pass over the adjacency collects each block's neighbour blocks
     in a set, so no block pair repeats; removing the block itself leaves
     no self-loop, and each cross edge is seen from both ends, so both
     blocks list each other. The quotient is connected: the blocks cover
-    the vertices, and a path of ``g`` between members of two blocks maps
-    to a walk between them. So it is built unchecked
+    the vertices, and a path of the graph between members of two blocks
+    maps to a walk between them. So it is built unchecked
     (:func:`qiso.graph._trusted_graph`).
     """
-    if p.graph is not g and p.graph != g:
-        raise NotAPartition("partition belongs to a different graph")
-    block_of = p.block_of
+    g, block_of = p.graph, p.block_of
     near: list[set[int]] = [set() for _ in p.blocks]
     for b, nbrs in zip(block_of, g.adjacency):
         blocks = near[b]
@@ -123,7 +121,7 @@ def build_partition_graph(g: Graph, p: Partition) -> PartitionGraph:
     quotient = _trusted_graph(tuple(tuple(sorted(blocks)) for blocks in near))
     return PartitionGraph(
         quotient=quotient,
-        mapping=VertexMapping(g, quotient, p.block_of),
+        mapping=VertexMapping(g, quotient, block_of),
         partition=p,
     )
 
@@ -146,8 +144,8 @@ class SharpnessReport:
         return self.compression_ratio * (self.coarseness + 1) <= 1
 
 
-def sharpness_report(g: Graph, p: Partition) -> SharpnessReport:
-    """Max and min induced block diameter, and |quotient| / |graph|.
+def sharpness_report(p: Partition) -> SharpnessReport:
+    """Max and min induced block diameter of ``p``, and |quotient| / |graph|.
 
     A tree's blocks are subtrees, so one longest-path pass measures them
     all (:func:`qiso.graph._down_paths`), with edges between blocks
@@ -155,6 +153,7 @@ def sharpness_report(g: Graph, p: Partition) -> SharpnessReport:
     measured together by one bit-parallel search from every vertex over
     the intra-block edges (:func:`qiso.graph._induced_diameters`).
     """
+    g = p.graph
     if g.is_tree:
         n, block_of = g.vertex_count, p.block_of
         parent = _tree_preorder(g)[1]
@@ -252,5 +251,5 @@ def verify_partition_qiso(pg: PartitionGraph) -> bool:
     guarantee, and quotient distances must never exceed the original ones.
     """
     m = pg.mapping
-    guarantee = sharpness_report(m.source, pg.partition).guarantee
+    guarantee = sharpness_report(pg.partition).guarantee
     return bool(verify_q1(m, *guarantee)) and max(_row_maxima(m, (-1, 1))[0]) <= 0

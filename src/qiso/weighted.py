@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InvalidWeight, NotAdjacent
 from .graph import Graph, _median, bfs_distances, require_tree
@@ -43,11 +43,12 @@ class WeightedGraph:
                 raise InvalidWeight(f"weight of vertex {v} is {w}, must be positive")
 
 
-def subset_weight(wg: WeightedGraph, s: Sequence[int]) -> Weight:
-    """Total weight of a vertex subset."""
-    for v in s:
+def subset_weight(wg: WeightedGraph, s: Iterable[int]) -> Weight:
+    """Total weight of a vertex subset; a repeated vertex counts once."""
+    subset = dict.fromkeys(s)
+    for v in subset:
         wg.graph.check_vertex(v)
-    return sum(wg.weights[v] for v in s)
+    return sum(wg.weights[v] for v in subset)
 
 
 def weighted_distance_sum(wg: WeightedGraph, x: int) -> Weight:
@@ -67,16 +68,14 @@ def weighted_median(wg: WeightedGraph) -> tuple[int, ...]:
     return _median(wg.graph, [w.numerator * (scale // w.denominator) for w in wg.weights])
 
 
-def weighted_partition_tree(
-    t: Graph, p: Partition
-) -> tuple[WeightedGraph, VertexMapping]:
-    """Quotient of a tree with block cardinalities as vertex weights.
+def weighted_partition_tree(p: Partition) -> tuple[WeightedGraph, VertexMapping]:
+    """Quotient of a partitioned tree with block cardinalities as vertex weights.
 
     The weights sum to the original vertex count, which is exactly the
     bookkeeping needed to recover the original median from the quotient.
     """
-    require_tree(t)
-    pg = build_partition_graph(t, p)
+    require_tree(p.graph)
+    pg = build_partition_graph(p)
     return _cardinality_weighted(pg), pg.mapping
 
 
@@ -99,14 +98,14 @@ def median_preserved(pg: PartitionGraph, source_median: Sequence[int]) -> bool:
     return all(kept.intersection(blk) for blk in _median_blocks(pg))
 
 
-def locate_median_via_partition(t: Graph, p: Partition) -> tuple[int, ...]:
-    """Original-tree candidate region for the median, found on the quotient.
+def locate_median_via_partition(p: Partition) -> tuple[int, ...]:
+    """Candidate region for the median of the partitioned tree, found on the quotient.
 
     Returns the union of the blocks forming the cardinality-weighted
     quotient's median; each of them holds a true median vertex of the tree.
     """
-    require_tree(t)
-    blocks = _median_blocks(build_partition_graph(t, p))
+    require_tree(p.graph)
+    blocks = _median_blocks(build_partition_graph(p))
     return tuple(sorted(v for blk in blocks for v in blk))
 
 

@@ -242,7 +242,7 @@ def first_center_shifting_root(t: Graph, blocks) -> int | None:
     """
     src_center = set(center(t))
     for root in t.vertices():
-        m = build_partition_graph(t, blocks(t, root)).mapping
+        m = build_partition_graph(blocks(t, root)).mapping
         if src_center.isdisjoint(m.preimage(center(m.target))):
             return root
     return None

@@ -95,7 +95,7 @@ def suite7_records():
         t = random_tree(n, seed)
         for _ in range(5):
             root = rng.randrange(n)
-            pg = build_partition_graph(t, outward_contraction(t, root))
+            pg = build_partition_graph(outward_contraction(t, root))
             constants = minimal_constants(pg.mapping)
             rep = center_shift(pg.mapping, constants)
             records.append(
@@ -141,7 +141,7 @@ def collapse_instances():
 def test_criterion_02_sharp_partition_guarantee(collapse_instances):
     violations = []
     for seed, name, g, p in collapse_instances:
-        if not verify_partition_qiso(build_partition_graph(g, p)):
+        if not verify_partition_qiso(build_partition_graph(p)):
             violations.append((seed, name))
     report(2, "sharpness-driven distortion and one-sided contraction", violations)
 
@@ -154,7 +154,7 @@ def test_criterion_03_compression(collapse_instances):
         for i in range(100)
     ]
     for seed, name, g, p in list(collapse_instances) + extra:
-        b = sharpness_report(g, p).coarseness
+        b = sharpness_report(p).coarseness
         if len(p.blocks) * (b + 1) > g.vertex_count:
             violations.append((seed, name))
     report(3, "coarseness implies vertex compression", violations)
@@ -166,7 +166,7 @@ def test_criterion_04_tree_retention():
         seed = 4000 + i
         n = random.Random(seed).randrange(2, 151)
         t = random_tree(n, seed)
-        pg = build_partition_graph(t, random_partition(t, seed))
+        pg = build_partition_graph(random_partition(t, seed))
         if not pg.quotient.is_tree or not pg.retains_tree():
             violations.append(seed)
     report(4, "partitions of trees have tree quotients", violations)
@@ -180,7 +180,7 @@ def test_criterion_05_cycle_bound():
         n = rng.randrange(4, 11)
         m = rng.randrange(n - 1, n * (n - 1) // 2 + 1)
         g = random_connected_graph(n, m, seed)
-        pg = build_partition_graph(g, random_partition(g, seed))
+        pg = build_partition_graph(random_partition(g, seed))
         if longest_simple_cycle(pg.quotient) > longest_simple_cycle(g):
             violations.append(seed)
     report(5, "quotients never grow the longest simple cycle", violations)
@@ -226,7 +226,7 @@ def test_criterion_08_composition_formula():
 
     def direct(parts):
         g, p = composition_partition(parts)
-        pg = build_partition_graph(g, p)
+        pg = build_partition_graph(p)
         quotient_center = set(center(pg.quotient))
         pre = [v for v in g.vertices() if p.block_of[v] in quotient_center]
         return set_distance(g, center(g), pre)
@@ -260,7 +260,7 @@ def test_criterion_08_composition_formula():
             parts.append(size)
             total -= size
         g, p = composition_partition(parts)
-        rep = center_shift(build_partition_graph(g, p).mapping)
+        rep = center_shift(build_partition_graph(p).mapping)
         if composition_center_shift(parts) != rep.shift:
             violations.append(("random", i))
     report(8, "closed-form path center displacement matches measurement", violations)
@@ -270,8 +270,8 @@ def test_criterion_09_unbounded_shift_family():
     violations = []
     for t in range(1, 26):
         g, p = unbounded_shift_family(t)
-        rep = sharpness_report(g, p)
-        measured = center_shift(build_partition_graph(g, p).mapping).shift
+        rep = sharpness_report(p)
+        measured = center_shift(build_partition_graph(p).mapping).shift
         if measured != t or rep.sharpness != 2:
             violations.append((t, measured, rep.sharpness))
     report(9, "the 2-sharp family realizes every center displacement", violations)
@@ -280,7 +280,7 @@ def test_criterion_09_unbounded_shift_family():
 def test_criterion_10_center_shift_bounds(suite6_trees, suite7_records):
     violations = []
     for i, t in enumerate(suite6_trees):
-        pg = build_partition_graph(t, outward_contraction(t, 0))
+        pg = build_partition_graph(outward_contraction(t, 0))
         rep = center_shift(pg.mapping)
         if rep.shift > rep.two_sided_bound or rep.shift > rep.one_sided_bound:
             violations.append((6000 + i, rep.shift))
@@ -339,7 +339,7 @@ def test_criterion_12_median_preservation():
         )
         true_median = set(median(t))
         for p in partitions:
-            wq, _ = weighted_partition_tree(t, p)
+            wq, _ = weighted_partition_tree(p)
             for b in weighted_median(wq):
                 if not true_median.intersection(p.blocks[b]):
                     violations.append((seed, b))
@@ -351,7 +351,7 @@ def test_criterion_12_median_preservation():
         11, [(0, leaf) for leaf in range(1, 7)] + [(0, 7), (7, 8), (8, 9), (9, 10)]
     )
     p = outward_contraction(hub_tree, 10)
-    wq, _ = weighted_partition_tree(hub_tree, p)
+    wq, _ = weighted_partition_tree(p)
     true_median = set(median(hub_tree))
     unweighted_blocks = median(wq.graph)
     if any(true_median & set(p.blocks[b]) for b in unweighted_blocks):

@@ -50,7 +50,7 @@ seeds = st.integers(min_value=0, max_value=10_000)
 
 def direct_shift(g, p):
     """Measure the center displacement with the plain BFS toolbox."""
-    pg = build_partition_graph(g, p)
+    pg = build_partition_graph(p)
     quotient_center = set(center(pg.quotient))
     preimage = [v for v in g.vertices() if p.block_of[v] in quotient_center]
     return set_distance(g, center(g), preimage)
@@ -249,7 +249,7 @@ class TestUnboundedShiftFamily:
             g, p = unbounded_shift_family(t)
             assert g.vertex_count == 4 * t + 1
             assert direct_shift(g, p) == t
-            assert sharpness_report(g, p).sharpness == 2
+            assert sharpness_report(p).sharpness == 2
 
     def test_rejects_zero(self):
         with pytest.raises(InvalidComposition):
@@ -341,7 +341,7 @@ class TestAllRoots:
                 assert oracles.keeps_center(order, parent, outward, src_center)
                 for blocks in ROTATED:
                     p = blocks(t, root)
-                    kept = center_shift(build_partition_graph(t, p).mapping).shift == 0
+                    kept = center_shift(build_partition_graph(p).mapping).shift == 0
                     assert oracles.keeps_center(order, parent, p.block_of, src_center) == kept
                     verdicts.add(kept)
         assert verdicts == {True, False}

@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qiso
 from helpers import assert_validated_equal, seeded_graph, seeded_tree
 from oracles import (
     collapse_modified_blocks,
@@ -109,31 +113,31 @@ class TestPartitionValidation:
 class TestQuotient:
     def test_singleton_blocks_reproduce_graph(self):
         g = seeded_graph(3)
-        pg = build_partition_graph(g, singleton_partition(g))
+        pg = build_partition_graph(singleton_partition(g))
         assert pg.quotient == g
         assert pg.mapping.image == tuple(g.vertices())
 
     def test_single_block_collapses_to_point(self):
         g = seeded_graph(4)
-        pg = build_partition_graph(g, Partition(g, [list(g.vertices())]))
+        pg = build_partition_graph(Partition(g, [list(g.vertices())]))
         assert pg.quotient.vertex_count == 1
 
-    def test_rejects_foreign_partition(self):
-        p = singleton_partition(path_graph(3))
-        with pytest.raises(NotAPartition):
-            build_partition_graph(path_graph(4), p)
+    def test_mapping_source_is_partition_graph(self):
+        g = seeded_graph(5)
+        for p in (singleton_partition(path_graph(3)), collapse_basic(g)):
+            assert build_partition_graph(p).mapping.source is p.graph
 
     def test_tree_retention(self):
         for seed in range(40):
             t = seeded_tree(seed, min_n=2, max_n=40)
-            pg = build_partition_graph(t, random_partition(t, seed))
+            pg = build_partition_graph(random_partition(t, seed))
             assert pg.quotient.is_tree
 
     @given(seeds)
     def test_quotient_never_stretches_distances(self, seed):
         g = seeded_graph(seed, max_n=20)
         p = random_partition(g, seed * 3 + 1)
-        pg = build_partition_graph(g, p)
+        pg = build_partition_graph(p)
         qrows = [bfs_distances(pg.quotient, b) for b in pg.quotient.vertices()]
         for x in g.vertices():
             row = bfs_distances(g, x)
@@ -143,7 +147,7 @@ class TestQuotient:
     @given(seeds)
     def test_cycle_lengths_never_grow(self, seed):
         g = seeded_graph(seed, min_n=4, max_n=10)
-        pg = build_partition_graph(g, random_partition(g, seed + 17))
+        pg = build_partition_graph(random_partition(g, seed + 17))
         assert longest_simple_cycle(pg.quotient) <= longest_simple_cycle(g)
 
 
@@ -174,13 +178,13 @@ class TestTrustedQuotient:
                 for u, v in g.edges()
                 if block_of[u] != block_of[v]
             }
-            assert_validated_equal(build_partition_graph(g, p).quotient, cross)
+            assert_validated_equal(build_partition_graph(p).quotient, cross)
 
 
 class TestSharpness:
     def test_singleton_report(self):
         g = seeded_graph(6)
-        rep = sharpness_report(g, singleton_partition(g))
+        rep = sharpness_report(singleton_partition(g))
         assert rep.sharpness == 0 and rep.coarseness == 0
         assert rep.compression_ratio == 1
 
@@ -221,7 +225,7 @@ class TestSharpness:
                 parts += [random_partition(g, seed, keep) for keep in (0.3, 0.7, 0.95)]
                 for p in parts:
                     diameters = [induced_diameter(g, blk) for blk in p.blocks]
-                    assert sharpness_report(g, p) == SharpnessReport(
+                    assert sharpness_report(p) == SharpnessReport(
                         max(diameters), min(diameters), Fraction(len(p.blocks), n)
                     ), (g, p, chunk)
 
@@ -239,7 +243,7 @@ class TestSharpness:
             parts += [random_partition(t, seed, keep) for keep in (0.3, 0.7, 0.95)]
             for p in parts:
                 diameters = [induced_diameter(t, blk) for blk in p.blocks]
-                assert sharpness_report(t, p) == SharpnessReport(
+                assert sharpness_report(p) == SharpnessReport(
                     max(diameters), min(diameters), Fraction(len(p.blocks), n)
                 )
 
@@ -247,7 +251,7 @@ class TestSharpness:
         for seed in range(40):
             g = seeded_graph(seed, max_n=30)
             p = random_partition(g, seed)
-            rep = sharpness_report(g, p)
+            rep = sharpness_report(p)
             b = rep.coarseness
             assert len(p.blocks) * (b + 1) <= g.vertex_count or b == 0
             assert rep.compresses() == (len(p.blocks) * (b + 1) <= g.vertex_count)
@@ -283,7 +287,7 @@ class TestCollapseModified:
         c6 = cycle_graph(6)
         p = collapse_modified(c6)
         assert p.blocks == ((0, 1, 5), (2, 3, 4))
-        rep = sharpness_report(c6, p)
+        rep = sharpness_report(p)
         assert (rep.sharpness, rep.coarseness) == (2, 2)
         assert rep.compression_ratio == Fraction(1, 3)
 
@@ -291,7 +295,7 @@ class TestCollapseModified:
         # Degenerate host: one block of diameter 1, so 2-coarseness fails.
         p = collapse_modified(path_graph(2))
         assert p.blocks == ((0, 1),)
-        assert sharpness_report(path_graph(2), p).coarseness == 1
+        assert sharpness_report(p).coarseness == 1
 
     @given(seeds)
     def test_four_sharp(self, seed):
@@ -313,19 +317,19 @@ class TestCollapseModified:
 class TestQuasiIsometryGuarantee:
     def test_singleton_partition(self):
         g = seeded_graph(9)
-        assert verify_partition_qiso(build_partition_graph(g, singleton_partition(g)))
+        assert verify_partition_qiso(build_partition_graph(singleton_partition(g)))
 
     def test_collapse_ensembles(self):
         for seed in range(25):
             g = seeded_graph(seed, max_n=30)
             for builder in (collapse_basic, collapse_modified):
-                assert verify_partition_qiso(build_partition_graph(g, builder(g)))
+                assert verify_partition_qiso(build_partition_graph(builder(g)))
 
     def test_random_partitions(self):
         for seed in range(15):
             g = seeded_graph(seed, max_n=25)
             p = random_partition(g, seed + 100)
-            assert verify_partition_qiso(build_partition_graph(g, p))
+            assert verify_partition_qiso(build_partition_graph(p))
 
     @staticmethod
     def _fake_quotient(g, target):
@@ -366,3 +370,18 @@ class TestRandomPartition:
         g = seeded_graph(seed, max_n=30)
         p = random_partition(g, seed ^ 0xC0FFEE)
         assert sorted(v for blk in p.blocks for v in blk) == list(g.vertices())
+
+
+def test_no_public_function_takes_a_graph_beside_a_partition():
+    # A partition fixes its graph, so a second graph parameter could only
+    # disagree with it. Classes are exempt: a Partition is built from its graph.
+    both = []
+    for info in pkgutil.iter_modules(qiso.__path__):
+        module = importlib.import_module(f"qiso.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            params = inspect.signature(fn).parameters.values()
+            if {"Graph", "Partition"} <= {param.annotation for param in params}:
+                both.append(f"{module.__name__}.{name}")
+    assert both == []

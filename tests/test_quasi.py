@@ -82,7 +82,7 @@ def singleton_mapping(g):
 
 def collapse_mapping(seed, max_n=30):
     g = seeded_graph(seed, max_n=max_n)
-    return build_partition_graph(g, collapse_basic(g)).mapping
+    return build_partition_graph(collapse_basic(g)).mapping
 
 
 def quotient_and_mis_mappings():
@@ -90,7 +90,7 @@ def quotient_and_mis_mappings():
     mappings = []
     for seed in range(20):
         for g in (seeded_graph(seed, max_n=30), seeded_tree(seed, max_n=30)):
-            mappings.append(build_partition_graph(g, collapse_modified(g)).mapping)
+            mappings.append(build_partition_graph(collapse_modified(g)).mapping)
             mappings.append(mis_derived(g, greedy_mis(g)).mapping)
     return mappings
 
@@ -115,7 +115,7 @@ def cyclic_cases():
     for seed in range(40):
         g = seeded_graph(seed, min_n=20, max_n=120, density=4)
         for partition in (collapse_basic(g), collapse_modified(g)):
-            graphs.append(build_partition_graph(g, partition).quotient)
+            graphs.append(build_partition_graph(partition).quotient)
     return [(g, floyd_warshall(g)) for g in graphs if not g.is_tree]
 
 
@@ -196,7 +196,7 @@ class TestQ1:
     @given(seeds, st.integers(1, 3), st.integers(0, 1), st.booleans())
     def test_witness_matches_pair_loop(self, seed, a, b, tree):
         g = seeded_tree(seed, min_n=2, max_n=20) if tree else seeded_graph(seed, max_n=20)
-        m = build_partition_graph(g, collapse_basic(g)).mapping
+        m = build_partition_graph(collapse_basic(g)).mapping
         res = verify_q1(m, a, b)
         expected = q1_witness(m, a, b)
         assert res.ok == (expected is None)
@@ -282,7 +282,7 @@ class TestMinimalConstants:
     def test_huge_constants_stay_exact(self, big):
         # int64 arithmetic at these constants would wrap or overflow.
         g = path_graph(10)
-        m = build_partition_graph(g, collapse_basic(g)).mapping
+        m = build_partition_graph(collapse_basic(g)).mapping
         assert minimal_additive_for_stretch(m, big) == minimal_additive(m, big) == 1
         for a, b in [(big, 0), (1, big), (big, big), (2, big)]:
             assert verify_q1(m, a, b).witness == q1_witness(m, a, b)
@@ -303,7 +303,7 @@ class TestEccTransfer:
     def test_outward_trees(self):
         for seed in range(25):
             t = seeded_tree(seed, min_n=2, max_n=40)
-            pg = build_partition_graph(t, outward_contraction(t, 0))
+            pg = build_partition_graph(outward_contraction(t, 0))
             assert verify_ecc_transfer(pg.mapping, 3, 1)
 
     def test_collapse_at_minimal_constants(self):
@@ -316,7 +316,7 @@ class TestEccTransfer:
         # The real eccentricities pass; those of vertex 0 and its image,
         # pushed just past one side of the band, must fail the check.
         t = seeded_tree(4, min_n=10, max_n=30)
-        m = build_partition_graph(t, outward_contraction(t, 0)).mapping
+        m = build_partition_graph(outward_contraction(t, 0)).mapping
         stretch, additive = 3, 1
         assert verify_ecc_transfer(m, stretch, additive)
         pushes = {
@@ -344,8 +344,8 @@ class TestMappingPass:
         g = seeded_graph(5)
         pairs = [(1, -3), (-3, 1), (1, 0), (0, 1), (-1, 1), (1, -1)]
         for make in (
-            lambda: build_partition_graph(t, outward_contraction(t, 0)).mapping,
-            lambda: build_partition_graph(g, collapse_basic(g)).mapping,
+            lambda: build_partition_graph(outward_contraction(t, 0)).mapping,
+            lambda: build_partition_graph(collapse_basic(g)).mapping,
             lambda: mis_derived(g, greedy_mis(g)).mapping,
         ):
             m, fresh = make(), make()
@@ -549,7 +549,7 @@ def is_tree_quotient(m):
         p = Partition(m.source, blocks)
     except BlockNotConnected:
         return False
-    return build_partition_graph(m.source, p).quotient == m.target
+    return build_partition_graph(p).quotient == m.target
 
 
 PARTITIONS = {
@@ -602,7 +602,7 @@ class TestTreeQuotient:
     def test_matches_oracles(self, kind, cached_oracles):
         verdicts = set()
         for i, t in enumerate(oracle_trees()):
-            pg = build_partition_graph(t, PARTITIONS[kind](t, i))
+            pg = build_partition_graph(PARTITIONS[kind](t, i))
             assert _tree_quotient(pg.mapping)
             verdicts |= assert_matches_oracles(pg.mapping)
             # Both eccentricity profiles, as verify_ecc_transfer reads them.
@@ -629,7 +629,7 @@ class TestTreeQuotient:
 
         trees = oracle_trees() + [random_tree(257, 257), path_graph(181), path_graph(257)]
         mappings = [
-            build_partition_graph(t, PARTITIONS[kind](t, i)).mapping
+            build_partition_graph(PARTITIONS[kind](t, i)).mapping
             for i, t in enumerate(trees)
         ]
         assert {m.source.vertex_count for m in mappings} >= {1, 2}
@@ -652,14 +652,14 @@ class TestTreeQuotient:
         mappings = []
         for seed in range(60):
             t = seeded_tree(seed, min_n=4, max_n=30)
-            q = build_partition_graph(t, outward_contraction(t, 0)).quotient
+            q = build_partition_graph(outward_contraction(t, 0)).quotient
             missing = [
                 (a, b)
                 for a in q.vertices()
                 for b in q.vertices()
                 if a < b and not q.adjacent(a, b)
             ]
-            pg = build_partition_graph(t, collapse_basic(t))
+            pg = build_partition_graph(collapse_basic(t))
             if missing:
                 extra = Graph(q.vertex_count, q.edges() + [missing[seed % len(missing)]])
                 image = outward_contraction(t, 0).block_of
@@ -699,14 +699,14 @@ class TestTreeQuotient:
             partitions = [singleton_partition(g), Partition(g, [list(g.vertices())])]
             if g.vertex_count > 1:
                 partitions += [collapse_basic(g), collapse_modified(g), random_partition(g, i)]
-            mappings += [build_partition_graph(g, p).mapping for p in partitions]
+            mappings += [build_partition_graph(p).mapping for p in partitions]
             mappings.append(identity_mapping(g))
             mappings.append(mis_derived(g, greedy_mis(g)).mapping)
             mappings.append(independent_set_images(g, i))
         # Tied block sizes: four pairs, and two triples with two singletons.
         c8 = cycle_graph(8)
         for blocks in ([[0, 1], [2, 3], [4, 5], [6, 7]], [[0, 1, 2], [3], [4, 5, 6], [7]]):
-            mappings.append(build_partition_graph(c8, Partition(c8, blocks)).mapping)
+            mappings.append(build_partition_graph(Partition(c8, blocks)).mapping)
         monkeypatch.setattr("qiso.quasi._tree_quotient", lambda m: False)
         monkeypatch.setattr("qiso.quasi._path_maxima", no_dp)
         assert {m.source.vertex_count for m in mappings} >= {1, 2, 3}
@@ -722,7 +722,7 @@ class TestTreeQuotient:
         if kind == "mis":
             m = mis_derived(g, greedy_mis(g)).mapping
         else:
-            m = build_partition_graph(g, collapse_basic(g)).mapping
+            m = build_partition_graph(collapse_basic(g)).mapping
         distance_matrix(m.source), distance_matrix(m.target)
         tracemalloc.start()
         try:
@@ -804,7 +804,7 @@ class TestTreeQuotient:
         for seed in range(200):
             t = seeded_tree(seed, min_n=1, max_n=25)
             p = PARTITIONS[rng.choice(list(PARTITIONS))](t, seed)
-            pg = build_partition_graph(t, p)
+            pg = build_partition_graph(p)
             k = pg.quotient.vertex_count
             # Relabelling the quotient keeps it a quotient.
             perm = list(range(k))
@@ -830,9 +830,9 @@ class TestTreeQuotient:
         monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
         t = random_tree(3000, 8)
         for p in (outward_contraction(t, 17), collapse_basic(t), collapse_modified(t)):
-            pg = build_partition_graph(t, p)
+            pg = build_partition_graph(p)
             m = pg.mapping
-            c = sharpness_report(t, p).sharpness
+            c = sharpness_report(p).sharpness
             assert verify_q1(m, c + 1, 1)
             assert not verify_q1(m, 1, 0)
             assert verify_ecc_transfer(m, c + 1, 1)

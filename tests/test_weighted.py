@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import seeded_graph, seeded_tree, seeded_weights
-from qiso.errors import InvalidWeight, NotAdjacent, NotATree
+from qiso.errors import InvalidVertex, InvalidWeight, NotAdjacent, NotATree
 from qiso.generators import (
     complete_graph,
     cycle_graph,
@@ -88,6 +88,13 @@ class TestWeightedGraph:
     def test_fraction_weights_accepted(self):
         wg = WeightedGraph(path_graph(2), (Fraction(1, 3), 2))
         assert subset_weight(wg, [0, 1]) == Fraction(7, 3)
+
+    def test_subset_weight_counts_each_vertex_once(self):
+        wg = WeightedGraph(path_graph(3), (1, 2, 3))
+        assert subset_weight(wg, [1, 1]) == subset_weight(wg, iter([1])) == 2
+        assert subset_weight(wg, [2, 0, 2, 0]) == 4
+        with pytest.raises(InvalidVertex, match="vertex 3 outside 0..2"):
+            subset_weight(wg, [1, 3, 1, -1])
 
 
 class TestDistanceSum:
@@ -217,34 +224,34 @@ class TestSplitIdentity:
 class TestPartitionTree:
     def test_singleton_blocks(self):
         t = seeded_tree(3, min_n=2)
-        wq, mapping = weighted_partition_tree(t, singleton_partition(t))
+        wq, mapping = weighted_partition_tree(singleton_partition(t))
         assert wq.graph == t
         assert all(w == 1 for w in wq.weights)
         assert mapping.image == tuple(t.vertices())
 
     def test_one_block(self):
         t = seeded_tree(5, min_n=2)
-        wq, _ = weighted_partition_tree(t, Partition(t, [list(t.vertices())]))
+        wq, _ = weighted_partition_tree(Partition(t, [list(t.vertices())]))
         assert wq.graph.vertex_count == 1
         assert wq.weights == (t.vertex_count,)
 
     def test_rejects_non_tree(self):
         g = complete_graph(4)
         with pytest.raises(NotATree):
-            weighted_partition_tree(g, singleton_partition(g))
+            weighted_partition_tree(singleton_partition(g))
 
     @given(seeds)
     def test_weights_account_for_every_vertex(self, seed):
         t = seeded_tree(seed, min_n=2, max_n=50)
         p = outward_contraction(t, seed % t.vertex_count)
-        wq, _ = weighted_partition_tree(t, p)
+        wq, _ = weighted_partition_tree(p)
         assert sum(wq.weights) == t.vertex_count
 
 
 class TestMedianRecovery:
     def test_singleton_blocks_recover_median_exactly(self):
         t = seeded_tree(8, min_n=2)
-        assert locate_median_via_partition(t, singleton_partition(t)) == median(t)
+        assert locate_median_via_partition(singleton_partition(t)) == median(t)
 
     @given(seeds)
     def test_every_median_block_contains_a_true_median_vertex(self, seed):
@@ -254,7 +261,7 @@ class TestMedianRecovery:
             if seed % 2
             else random_partition(t, seed)
         )
-        wq, _ = weighted_partition_tree(t, p)
+        wq, _ = weighted_partition_tree(p)
         true_median = set(median(t))
         for b in weighted_median(wq):
             assert true_median.intersection(p.blocks[b])
@@ -262,12 +269,12 @@ class TestMedianRecovery:
     @pytest.mark.parametrize("kind", ["outward", "random", "hub"])
     def test_median_blocks_are_the_weighted_quotient_median(self, kind):
         for t, p in criterion_12_cases(kind):
-            pg = build_partition_graph(t, p)
+            pg = build_partition_graph(p)
             blocks = _median_blocks(pg)
-            wq, _ = weighted_partition_tree(t, p)
+            wq, _ = weighted_partition_tree(p)
             assert blocks == [p.blocks[b] for b in weighted_median(wq)]
             union = tuple(sorted(v for blk in blocks for v in blk))
-            assert locate_median_via_partition(t, p) == union
+            assert locate_median_via_partition(p) == union
             true_median = set(median(t))
             assert blocks and all(true_median.intersection(blk) for blk in blocks)
             assert median_preserved(pg, median(t))
@@ -283,11 +290,11 @@ class TestMedianRecovery:
         t = Graph(11, edges)
         assert median(t) == (0,)
         p = outward_contraction(t, 10)
-        wq, _ = weighted_partition_tree(t, p)
+        wq, _ = weighted_partition_tree(p)
         unweighted_median_blocks = median(wq.graph)
         assert all(
             not set(p.blocks[b]) & {0} for b in unweighted_median_blocks
         )
         weighted_blocks = weighted_median(wq)
         assert all(0 in p.blocks[b] for b in weighted_blocks)
-        assert 0 in locate_median_via_partition(t, p)
+        assert 0 in locate_median_via_partition(p)
