@@ -173,7 +173,11 @@ class _Subject:
 
     def guaranteed(self) -> tuple[VertexMapping, int, int, str]:
         """The mapping under test, its guaranteed stretch and additive, and the
-        side of its center-shift bound (one-sided: a quotient never stretches)."""
+        side of its center-shift bound (one-sided: a quotient never stretches).
+
+        An independent-set mapping never stretches either, but it keeps the
+        two-sided bound: the one-sided one could flip its shift-bounds verdict,
+        and reports stay as they were."""
         if self.pg is not None:
             return (self.pg.mapping, *self.sharp.guarantee, "one-sided")
         return (self.mis.mapping, *self.mis.guarantee, "two-sided")

@@ -110,16 +110,17 @@ def random_connected_graph(n: int, m: int, seed: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
-def random_partition(g: Graph, seed: int, keep_probability: float = 0.5) -> Partition:
+def random_partition(g: Graph, seed: int) -> Partition:
     """Random connected-block partition from a random edge subset.
 
-    Each edge is kept independently; the blocks are the components of
-    the kept subgraph, so they always induce connected subgraphs.
+    Each edge is kept independently with probability 1/2; the blocks are
+    the components of the kept subgraph, so they always induce connected
+    subgraphs.
     """
     rng = random.Random(seed)
     kept: dict[int, list[int]] = {v: [] for v in g.vertices()}
     for u, v in g.edges():
-        if rng.random() < keep_probability:
+        if rng.random() < 0.5:
             kept[u].append(v)
             kept[v].append(u)
     block_of = [-1] * g.vertex_count

@@ -6,19 +6,23 @@ additive distortion, and the density of the image in the target. All
 comparisons are exact (integer cross-multiplication or rationals); no
 floating point enters any verdict.
 
-Every pairwise claim bounds linear forms ``alpha*d1 + beta*d2``, with
-``d1`` the source distance of a pair and ``d2`` the target distance of
-its images: each side of the distance inequality, the independent-set
-sandwich and "quotients never stretch". :func:`_row_maxima` gives each
-vertex its maximum over all partners, and :func:`_first_violation` turns
-row maxima into a verdict with the first witness pair. A mapping keeps
-its tables and rows, so each ``(alpha, beta)`` is computed once per
-mapping. When the source is a tree and the mapping is its quotient by
-connected blocks (:func:`_tree_quotient`), each row is a heaviest path
-in the source tree (:func:`qiso.graph._heaviest_paths`), found in linear
-time without any matrix. Every other mapping groups each x's partners by
-their image block (:func:`_block_extremes`), so no n x n matrix is formed
-beside the source's own cached one (:func:`qiso.graph.distance_matrix`).
+A :class:`VertexMapping` is onto and never stretches an edge, so target
+distances never exceed source distances: every upper side, of the
+distance inequality, of the eccentricity transfer and of the
+independent-set sandwich, holds by construction, and each claim checks
+its lower side alone. That side bounds a linear form
+``alpha*d1 + beta*d2`` with ``alpha >= 0``, ``d1`` the source distance of
+a pair and ``d2`` the target distance of its images. :func:`_row_maxima`
+gives each vertex its maximum over all partners, and
+:func:`_first_violation` turns row maxima into a verdict with the first
+witness pair. A mapping keeps its tables and rows, so each
+``(alpha, beta)`` is computed once per mapping. When the source is a
+tree and the mapping is its quotient by connected blocks
+(:func:`_tree_quotient`), each row is a heaviest path in the source tree
+(:func:`qiso.graph._heaviest_paths`), found in linear time without any
+matrix. Every other mapping groups each x's partners by their image
+block (:func:`_block_extremes`), so no n x n matrix is formed beside the
+source's own cached one (:func:`qiso.graph.distance_matrix`).
 Eccentricities are each graph's own (:func:`qiso.graph._eccentricities`).
 """
 
@@ -30,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidConstants, NotSurjective, PreconditionViolated
+from .errors import InvalidConstants, InvalidMapping, NotSurjective, PreconditionViolated
 from .graph import (
     CheckResult,
     Graph,
@@ -67,12 +71,18 @@ class QuasiIsometryConstants:
 
 
 class VertexMapping:
-    """Surjective map from the vertices of one graph onto another.
+    """Surjective vertex map between graphs that never stretches an edge.
 
-    ``image[v]`` is the target vertex of source vertex ``v``. Surjectivity
-    is an invariant: simplifications never leave unused target vertices.
-    A mapping is immutable, as a :class:`Graph` is, so it keeps its pass
-    in ``_pass``, which :func:`_row_maxima` alone fills and reads.
+    ``image[v]`` is the target vertex of source vertex ``v``. Two
+    invariants hold: simplifications never leave unused target vertices,
+    and the ends of every source edge map to one vertex or to adjacent
+    ones, so ``d'(f(x), f(y)) <= d(x, y)`` for every pair (map a shortest
+    path edge by edge). The constructor checks both and names the first
+    stretched edge ``(u, v)``, ``u < v``, in row-major order; the
+    quotient and the derived graph, which prove both, skip the checks
+    (:func:`_trusted_mapping`). A mapping is immutable, as a
+    :class:`Graph` is, so it keeps its pass in ``_pass``, which
+    :func:`_row_maxima` alone fills and reads.
     """
 
     __slots__ = ("source", "target", "image", "_pass")
@@ -88,6 +98,15 @@ class VertexMapping:
                 target.check_vertex(v)
         if len(set(img)) != target.vertex_count:
             raise NotSurjective("every target vertex must be hit")
+        adj = target.adjacency
+        for u, nbrs in enumerate(source.adjacency):
+            a = img[u]
+            for v in nbrs:
+                b = img[v]
+                if u < v and a != b and b not in adj[a]:
+                    raise InvalidMapping(
+                        f"edge ({u}, {v}) is stretched: {a} and {b} are not adjacent"
+                    )
         self.source = source
         self.target = target
         self.image = img
@@ -107,6 +126,19 @@ class VertexMapping:
         )
 
 
+def _trusted_mapping(source: Graph, target: Graph, image: tuple[int, ...]) -> VertexMapping:
+    """A :class:`VertexMapping` that is valid by construction, unchecked.
+
+    ``image`` must be what validation would have accepted: a tuple of
+    Python ints, one per source vertex, in range, onto the target, and
+    mapping the ends of every source edge to one vertex or to adjacent
+    ones. The caller owns that proof; nothing here checks it.
+    """
+    m = VertexMapping.__new__(VertexMapping)
+    m.source, m.target, m.image, m._pass = source, target, image, None
+    return m
+
+
 def identity_mapping(g: Graph) -> VertexMapping:
     return VertexMapping(g, g, range(g.vertex_count))
 
@@ -114,28 +146,24 @@ def identity_mapping(g: Graph) -> VertexMapping:
 def _tree_quotient(m: VertexMapping) -> bool:
     """Whether ``m`` is the quotient map of a tree by connected blocks.
 
-    Holds when the source is a tree, every source edge lies inside one
-    block or maps onto a target edge, and exactly
-    ``target.vertex_count - 1 == target.edge_count`` edges cross blocks.
-    A block of a tree induces a forest, so k blocks leave at least k - 1
-    cross edges, and exactly k - 1 only when every block is connected;
-    the cross edges then join distinct block pairs, which are all the
-    target's edges. On such a mapping the x-y path meets each block in
-    one run, so ``d(x, y)`` counts its intra- and cross-block edges and
+    Holds when source and target are trees and exactly
+    ``k - 1 = target.edge_count`` source edges cross blocks. The k blocks
+    of a tree induce a forest with c >= k components, so ``c - 1`` of the
+    ``n - 1`` edges cross, and exactly k - 1 only when every block is
+    connected. Contracting connected blocks of a tree leaves a tree, so
+    no two cross edges join the same block pair; each maps onto a target
+    edge, as no mapping stretches one, so the k - 1 cross edges give
+    k - 1 distinct target edges, which are all the target tree's edges.
+    On such a mapping the x-y path meets each block in one run, so
+    ``d(x, y)`` counts its intra- and cross-block edges and
     ``d'(f(x), f(y))`` its cross-block edges alone.
     """
     source, target, img = m.source, m.target, m.image
-    k = target.vertex_count
-    if not source.is_tree or target.edge_count != k - 1:
+    if not (source.is_tree and target.is_tree):
         return False
     # Each cross edge once, from the endpoint with the smaller image.
-    cross = [
-        (img[u], img[v])
-        for u, nbrs in enumerate(source.adjacency)
-        for v in nbrs
-        if img[u] < img[v]
-    ]
-    return len(cross) == k - 1 and set(cross) == set(target.edges())
+    cross = sum(img[u] < img[v] for u, nbrs in enumerate(source.adjacency) for v in nbrs)
+    return cross == target.edge_count
 
 
 def _path_maxima(m: VertexMapping, alpha: int, beta: int) -> list[int]:
@@ -151,12 +179,12 @@ def _path_maxima(m: VertexMapping, alpha: int, beta: int) -> list[int]:
     return _heaviest_paths(m.source, w)
 
 
-def _block_extremes(m: VertexMapping) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """With blocks b_i largest first, the tables ``near``, ``far`` and ``d2``.
+def _block_extremes(m: VertexMapping) -> tuple[np.ndarray, np.ndarray]:
+    """With blocks b_i largest first, the tables ``far`` and ``d2``.
 
-    ``near[i, x]`` and ``far[i, x]`` are the least and greatest ``d(x, y)``
-    over the preimage y of b_i, and ``d2[i, x] = d'(b_i, f(x))``. Slot j
-    gathers the j-th member of each block with more than j: a prefix.
+    ``far[i, x]`` is the greatest ``d(x, y)`` over the preimage y of b_i,
+    and ``d2[i, x] = d'(b_i, f(x))``. Slot j gathers the j-th member of
+    each block with more than j: a prefix.
     """
     img = np.asarray(m.image, dtype=np.intp)
     sizes = np.bincount(img)
@@ -165,96 +193,91 @@ def _block_extremes(m: VertexMapping) -> tuple[np.ndarray, np.ndarray, np.ndarra
     first = (np.cumsum(sizes) - sizes)[blocks]
     sizes = sizes[blocks]
     dist = distance_matrix(m.source)  # symmetric: member rows are member columns
-    near = dist.take(members[first], axis=0)
-    far = near.copy()
+    far = dist.take(members[first], axis=0)
     for j in range(1, sizes[0]):
         c = np.count_nonzero(sizes > j)
         rows = dist.take(members[first[:c] + j], axis=0)
-        np.minimum(near[:c], rows, out=near[:c])
         np.maximum(far[:c], rows, out=far[:c])
-    return near, far, distance_matrix(m.target).take(blocks, axis=0).take(img, axis=1)
+    return far, distance_matrix(m.target).take(blocks, axis=0).take(img, axis=1)
 
 
 def _block_maxima(m: VertexMapping, tables: tuple, alpha: int, beta: int) -> list[int]:
     """:func:`_row_maxima` off tree quotients, from :func:`_block_extremes`.
 
-    The image is onto, so x's maximum is that over blocks b of
-    ``alpha*E + beta*d'(f(x), b)``, E being x's distance to b's farthest
-    member if ``alpha > 0``, else to its nearest (x is its own block's
-    nearest). The k x n sum takes the smallest signed dtype that holds
-    ``(|alpha| + |beta|) * n``, a bound on every value.
+    The image is onto and ``alpha >= 0``, so x's maximum is that over
+    blocks b of ``alpha*E + beta*d'(f(x), b)``, E being x's distance to
+    b's farthest member. The k x n sum takes the smallest signed dtype
+    that holds ``(alpha + |beta|) * n``, a bound on every value.
     """
-    near, far, d2 = tables
-    dtype = np.min_scalar_type(-1 - m.source.vertex_count * (abs(alpha) + abs(beta)))
-    values = np.multiply(alpha, far if alpha > 0 else near, dtype=dtype)
+    far, d2 = tables
+    dtype = np.min_scalar_type(-1 - m.source.vertex_count * (alpha + abs(beta)))
+    values = np.multiply(alpha, far, dtype=dtype)
     values += np.multiply(beta, d2, dtype=dtype)
     return values.max(axis=0).tolist()
 
 
-def _row_maxima(m: VertexMapping, *coeffs: tuple[int, int]) -> list[list[int]]:
-    """Per ``(alpha, beta)``, each x's maximum over y of ``alpha*d1 + beta*d2``.
+def _row_maxima(m: VertexMapping, alpha: int, beta: int) -> list[int]:
+    """Each x's maximum over y of ``alpha*d1 + beta*d2``, for ``alpha >= 0``.
 
-    ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``; y = x gives 0. The
-    mapping keeps whether it is a tree quotient (:func:`_path_maxima`),
-    else its block tables (:func:`_block_maxima`), and every row, so no
-    pair is computed twice. Callers get copies of the kept rows.
+    ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``; y = x gives 0. No side
+    with ``alpha < 0`` is asked for: those bound d2 from above, and no
+    mapping stretches a distance (:class:`VertexMapping`). The mapping
+    keeps whether it is a tree quotient (:func:`_path_maxima`), else its
+    block tables (:func:`_block_maxima`), and every row, so no pair is
+    computed twice. Callers get copies of the kept rows.
     """
     if m._pass is None:
         m._pass = (None if _tree_quotient(m) else _block_extremes(m)), {}
     tables, rows = m._pass
-    for c in coeffs:
-        if c not in rows:
-            row = _block_maxima(m, tables, *c) if tables else _path_maxima(m, *c)
-            rows[c] = tuple(row)
-    return [list(rows[c]) for c in coeffs]
+    if (alpha, beta) not in rows:
+        row = _block_maxima(m, tables, alpha, beta) if tables else _path_maxima(m, alpha, beta)
+        rows[alpha, beta] = tuple(row)
+    return list(rows[alpha, beta])
 
 
-def _first_violation(m: VertexMapping, *sides: tuple[int, int, int]) -> CheckResult:
-    """Whether ``alpha*d1 + beta*d2 <= limit`` for every pair and side.
+def _first_violation(m: VertexMapping, side: tuple[int, int, int]) -> CheckResult:
+    """Whether ``alpha*d1 + beta*d2 <= limit`` for every pair.
 
-    Each side is ``(alpha, beta, limit)`` with ``limit >= 0``, so no pair
-    x = y violates. The witness is the first violating pair ``x < y`` in
-    row-major order: x is the smallest vertex whose row maximum breaks a
-    side, and as violations are symmetric every partner of x is larger,
-    so one search from x and one from f(x) find the smallest.
+    The side is ``(alpha, beta, limit)`` with ``alpha >= 0`` and
+    ``limit >= 0``, so no pair x = y violates. The witness is the first
+    violating pair ``x < y`` in row-major order: x is the smallest vertex
+    whose row maximum breaks the side, and as violations are symmetric
+    every partner of x is larger, so one search from x and one from f(x)
+    find the smallest.
     """
-    rows = _row_maxima(m, *((alpha, beta) for alpha, beta, _ in sides))
-    n = m.source.vertex_count
-    x = min(
-        next((v for v, best in enumerate(row) if best > limit), n)
-        for row, (_, _, limit) in zip(rows, sides)
-    )
-    if x == n:
+    alpha, beta, limit = side
+    row = _row_maxima(m, alpha, beta)
+    x = next((v for v, best in enumerate(row) if best > limit), None)
+    if x is None:
         return CheckResult(True)
     d1 = np.array(_bfs(m.source.adjacency, (x,)))
     d2 = np.array(_bfs(m.target.adjacency, (m.image[x],)))
     d2 = d2[np.asarray(m.image, dtype=np.intp)]
-    bad = np.zeros(n, dtype=bool)
-    for alpha, beta, limit in sides:
-        bad |= alpha * d1 + beta * d2 > limit
-    return CheckResult(False, (x, int(bad.argmax())))
+    return CheckResult(False, (x, int((alpha * d1 + beta * d2 > limit).argmax())))
 
 
-def _q1_sides(stretch: int, additive: int, n: int) -> tuple[tuple[int, int, int], ...]:
-    """The band ``d1/stretch - additive <= d2 <= stretch*d1 + additive`` as sides.
+def _q1_lower(stretch: int, additive: int, n: int) -> tuple[int, int, int]:
+    """The band's lower side ``d1/stretch - additive <= d2`` as a side.
 
-    The lower side is cross-multiplied by ``stretch`` to stay in
-    integers. Every distance is below ``n``, so clamping both constants
-    to ``n`` is exact and keeps every coefficient at most ``n``.
+    It is cross-multiplied by ``stretch`` to stay in integers. Every
+    distance is below ``n``, so clamping both constants to ``n`` is exact
+    and keeps every coefficient at most ``n``.
     """
     QuasiIsometryConstants(stretch, additive)  # validates both
     stretch, additive = min(stretch, n), min(additive, n)
-    return (1, -stretch, stretch * additive), (-stretch, 1, additive)
+    return 1, -stretch, stretch * additive
 
 
 def verify_q1(m: VertexMapping, stretch: int, additive: int) -> CheckResult:
     """Exhaustively check the two-sided distance inequality.
 
     For every source pair ``x, y`` the target distance must lie within
-    ``[d(x,y)/stretch - additive, stretch*d(x,y) + additive]``. The first
-    violating pair in row-major order is reported.
+    ``[d(x,y)/stretch - additive, stretch*d(x,y) + additive]``. The upper
+    side holds for every mapping, which never stretches a distance, so
+    the lower side is checked alone. The first violating pair in
+    row-major order is reported.
     """
-    return _first_violation(m, *_q1_sides(stretch, additive, m.source.vertex_count))
+    return _first_violation(m, _q1_lower(stretch, additive, m.source.vertex_count))
 
 
 def verify_q2_raw(target: Graph, images: Sequence[int], density: int) -> bool:
@@ -285,17 +308,17 @@ def verify_q2(m: VertexMapping, density: int) -> bool:
 def minimal_additive_for_stretch(m: VertexMapping, stretch: int) -> int:
     """Smallest additive distortion making the distance inequality hold.
 
-    Closed form from the pairwise maximum violations of both sides; the
-    result is tight: the inequality passes at this value and fails one
-    below (unless already zero).
+    Closed form from the pairwise maximum violation of the lower side
+    (the upper side holds at additive 0, as no mapping stretches a
+    distance); the result is tight: the inequality passes at this value
+    and fails one below (unless already zero).
     """
     QuasiIsometryConstants(stretch, 0)  # validates the stretch
     # Every distance is below n, so clamping to n is exact and keeps the
     # coefficients within _block_maxima's dtype bound.
     stretch = min(stretch, m.source.vertex_count)
-    upper, diff = map(max, _row_maxima(m, (-stretch, 1), (1, -stretch)))
-    lower = -((-diff) // stretch)  # ceil(diff / stretch)
-    return max(0, upper, lower)
+    worst = max(_row_maxima(m, 1, -stretch))  # at least 0, from y = x
+    return -(-worst // stretch)  # ceil(worst / stretch)
 
 
 def minimal_constants(m: VertexMapping) -> QuasiIsometryConstants:
@@ -316,17 +339,18 @@ def verify_ecc_transfer(m: VertexMapping, stretch: int, additive: int) -> bool:
     Requires constants that already pass the distance inequality
     (:func:`verify_q1`); the transfer to eccentricities is then a
     consequence worth re-verifying directly: x's eccentricity in the
-    source against f(x)'s in the target.
+    source against f(x)'s in the target. The upper side holds for every
+    mapping: each target vertex is some f(y), as the image is onto, and
+    ``d'(f(x), f(y)) <= d(x, y)``, so ``e'(f(x)) <= e(x)``. Only the
+    lower side is compared.
     """
     if not verify_q1(m, stretch, additive):
         raise PreconditionViolated(
             f"constants ({stretch}, {additive}) fail the distance inequality"
         )
-    band = _q1_sides(stretch, additive, m.source.vertex_count)
+    a, b, limit = _q1_lower(stretch, additive, m.source.vertex_count)
     e1, e2 = _eccentricities(m.source), _eccentricities(m.target)
-    return all(
-        a * e1[x] + b * e2[y] <= limit for a, b, limit in band for x, y in enumerate(m.image)
-    )
+    return all(a * e1[x] + b * e2[y] <= limit for x, y in enumerate(m.image))
 
 
 def shift_bound_two_sided(stretch: int, additive: int, radius: int) -> Fraction:

@@ -168,6 +168,21 @@ def mis_bounds_witness(r):
     return None
 
 
+def first_stretched_edge(source: Graph, target: Graph, image):
+    """First source edge (row-major, ``u < v``) whose images lie over 1 apart, or None.
+
+    Takes the raw image, as ``VertexMapping`` refuses such a map, and
+    finds the edges as the pairs at distance 1.
+    """
+    d1, d2 = floyd_warshall(source), floyd_warshall(target)
+    n = source.vertex_count
+    for u in range(n):
+        for v in range(u + 1, n):
+            if d1[u][v] == 1 and d2[image[u]][image[v]] > 1:
+                return (u, v)
+    return None
+
+
 def collapse_modified_blocks(g: Graph, sweep) -> list[list[int]]:
     """Blocks of the two-phase collapse, rescanning the sweep for every seed.
 

@@ -1120,6 +1120,19 @@ class TestMappingPasses:
             monkeypatch.undo()
 
     @pytest.mark.parametrize("kind", list(INSTANCES))
+    def test_only_lower_sides_are_computed(self, tmp_path, monkeypatch, kind):
+        # No mapping stretches a distance, so every upper side holds by
+        # construction and each claim checks its lower side alone: every
+        # row a command computes has alpha > 0.
+        _, commands = self.commands(tmp_path, kind)
+        for argv in commands:
+            counter = PassCounter(monkeypatch)
+            assert main(argv) in (0, 1), argv
+            asked = set().union(*counter.pairs.values())
+            assert asked and all(alpha > 0 for alpha, _ in asked), (argv, asked)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("kind", list(INSTANCES))
     def test_only_the_input_is_validated(self, tmp_path, monkeypatch, kind):
         # Quotients and derived graphs are valid by construction; the
         # parsed input is the one graph a command validates.
@@ -1155,3 +1168,30 @@ class TestImports:
         run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, run.stderr
         assert run.stdout == "[]\n"
+
+
+class TestEntry:
+    """``python -m qiso.cli``: the console entry point's exit status."""
+
+    def run(self, tmp_path, *argv):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        cmd = [sys.executable, "-m", "qiso.cli", *argv]
+        return subprocess.run(
+            cmd, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60
+        )
+
+    def test_generate_exits_zero(self, tmp_path):
+        run = self.run(tmp_path, "generate", "path", "--n", "3", "-o", "p.el")
+        assert (run.returncode, run.stderr) == (0, "")
+        assert fileio.read_edge_list(str(tmp_path / "p.el")) == path_graph(3)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "path", "-o", "p.el"], ["generate", "path", "--n", "3"], ["frobnicate"]],
+    )
+    def test_bad_input_exits_two_and_writes_nothing(self, tmp_path, argv):
+        run = self.run(tmp_path, *argv)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr and run.stdout == ""
+        assert list(tmp_path.iterdir()) == []

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import assert_validated_equal, seeded_graph, seeded_tree
-from oracles import floyd_warshall, mis_bounds_witness
+from oracles import first_stretched_edge, floyd_warshall, mis_bounds_witness
 from qiso.errors import InvalidMapping, InvalidVertex, NotIndependent, NotMaximal
 from qiso.generators import complete_graph, path_graph, star_graph
 from qiso.graph import Graph, bfs_distances
@@ -168,10 +168,16 @@ class TestBounds:
         st.sampled_from([seeded_graph, seeded_tree]),
     )
     def test_wrong_derived_graph_reports_reference_witness(self, seed, family, source):
-        # On a tree the mapping may be a tree quotient, checked without matrices.
+        # On a tree the mapping may be a tree quotient, checked without
+        # matrices. A wrong graph that stretches an edge is refused first.
         g = source(seed, max_n=20)
         good = mis_derived(g, greedy_mis(g))
         wrong = family(good.derived.vertex_count)
+        edge = first_stretched_edge(g, wrong, good.mapping.image)
+        if edge is not None:
+            with pytest.raises(InvalidMapping, match=rf"^edge \({edge[0]}, {edge[1]}\) "):
+                VertexMapping(g, wrong, good.mapping.image)
+            return
         r = MisResult(good.mis, wrong, VertexMapping(g, wrong, good.mapping.image))
         expected = mis_bounds_witness(r)
         res = verify_mis_bounds(r)

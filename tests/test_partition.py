@@ -19,7 +19,7 @@ from oracles import (
     q1_witness,
 )
 from qiso.contraction import outward_contraction
-from qiso.errors import BlockNotConnected, InvalidVertex, NotAPartition
+from qiso.errors import BlockNotConnected, InvalidMapping, InvalidVertex, NotAPartition
 from qiso.generators import (
     complete_graph,
     cycle_graph,
@@ -42,6 +42,18 @@ from qiso.partition import (
 from qiso.quasi import VertexMapping
 
 seeds = st.integers(min_value=0, max_value=10_000)
+
+
+def coarsened(p, seed, rounds):
+    """``p`` with its blocks merged by a random partition of its quotient, ``rounds`` times.
+
+    Blocks joined in the quotient are joined in the graph, so each merged
+    block stays connected; each round keeps about half the cross edges.
+    """
+    for r in range(rounds):
+        outer = random_partition(build_partition_graph(p).quotient, seed + r)
+        p = Partition(p.graph, [[v for b in blk for v in p.blocks[b]] for blk in outer.blocks])
+    return p
 
 
 class TestPartitionValidation:
@@ -222,7 +234,7 @@ class TestSharpness:
                 monkeypatch.setattr("qiso.graph._CHUNK", n - 1 if chunk == "n-1" else chunk)
                 parts = [singleton_partition(g), Partition(g, [list(g.vertices())])]
                 parts += [collapse_basic(g), collapse_modified(g)]
-                parts += [random_partition(g, seed, keep) for keep in (0.3, 0.7, 0.95)]
+                parts += [coarsened(random_partition(g, seed), seed, r) for r in (0, 1, 3)]
                 for p in parts:
                     diameters = [induced_diameter(g, blk) for blk in p.blocks]
                     assert sharpness_report(p) == SharpnessReport(
@@ -240,7 +252,7 @@ class TestSharpness:
             parts += [collapse_basic(t), collapse_modified(t)]
             parts += [collapse_basic(t, rotated), collapse_modified(t, rotated)]
             parts += [singleton_partition(t), Partition(t, [list(t.vertices())])]
-            parts += [random_partition(t, seed, keep) for keep in (0.3, 0.7, 0.95)]
+            parts += [coarsened(random_partition(t, seed), seed, r) for r in (0, 1, 3)]
             for p in parts:
                 diameters = [induced_diameter(t, blk) for blk in p.blocks]
                 assert sharpness_report(p) == SharpnessReport(
@@ -339,15 +351,17 @@ class TestQuasiIsometryGuarantee:
 
     def test_rejects_stretching_quotient(self):
         # Dropping one edge of a triangle lengthens only paths through it,
-        # each by one hop: the band at (0 + 1, 1) holds, never-stretch fails.
+        # each by one hop: the band at (0 + 1, 1) would hold, but the
+        # mapping stretches the dropped edge, so it is never built.
         g = seeded_graph(0)
         u, v = next(
             (u, v) for u, v in g.edges() if set(g.adjacency[u]) & set(g.adjacency[v])
         )
-        pg = self._fake_quotient(g, Graph(g.vertex_count, set(g.edges()) - {(u, v)}))
-        assert distance(pg.quotient, u, v) == 2
-        assert q1_witness(pg.mapping, 1, 1) is None
-        assert not verify_partition_qiso(pg)
+        target = Graph(g.vertex_count, set(g.edges()) - {(u, v)})
+        assert distance(target, u, v) == 2
+        message = rf"^edge \({u}, {v}\) is stretched: {u} and {v} are not adjacent$"
+        with pytest.raises(InvalidMapping, match=message):
+            self._fake_quotient(g, target)
 
     def test_rejects_quotient_outside_band(self):
         # A shortcut between two vertices four hops apart shrinks distances

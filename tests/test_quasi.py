@@ -14,12 +14,19 @@ from hypothesis import strategies as st
 import oracles
 import qiso
 from helpers import seeded_graph, seeded_tree
-from oracles import ecc_transfer_holds, floyd_warshall, minimal_additive, q1_witness
+from oracles import (
+    ecc_transfer_holds,
+    first_stretched_edge,
+    floyd_warshall,
+    minimal_additive,
+    q1_witness,
+)
 from passes import CallCounter
 from qiso.contraction import outward_contraction
 from qiso.errors import (
     BlockNotConnected,
     InvalidConstants,
+    InvalidMapping,
     InvalidVertex,
     NotSurjective,
     PreconditionViolated,
@@ -95,6 +102,11 @@ def quotient_and_mis_mappings():
     return mappings
 
 
+def rows_of(m, pairs):
+    """``m``'s row maxima for each ``(alpha, beta)`` in ``pairs``, in order."""
+    return [_row_maxima(m, alpha, beta) for alpha, beta in pairs]
+
+
 def grid_graph(rows, cols):
     """The rows x cols grid; two rows make a ladder with ``cols`` rungs."""
     cells = [(r, c) for r in range(rows) for c in range(cols)]
@@ -158,6 +170,60 @@ class TestVertexMapping:
     def test_preimage(self):
         m = VertexMapping(path_graph(4), path_graph(2), [0, 0, 1, 1])
         assert m.preimage([1]) == (2, 3)
+
+    def test_rejects_stretched_edge(self):
+        # Edges (0, 1) and (2, 3) of the path keep adjacent images; (1, 2)
+        # goes to the ends of the target path. Surjectivity is checked first.
+        source, target = path_graph(4), path_graph(4)
+        with pytest.raises(
+            InvalidMapping, match=r"^edge \(1, 2\) is stretched: 0 and 3 are not adjacent$"
+        ):
+            VertexMapping(source, target, [1, 0, 3, 2])
+        with pytest.raises(NotSurjective):
+            VertexMapping(source, target, [0, 2, 2, 0])
+        assert VertexMapping(source, path_graph(2), [1, 0, 0, 1]).image == (1, 0, 0, 1)
+
+    def test_names_first_stretched_edge(self):
+        # Seeded surjective maps onto trees and graphs, against the pair
+        # loop: a map that stretches an edge is refused, naming the first
+        # one in row-major order, and any other keeps its image.
+        rng = random.Random(11)
+        refused = []
+        for seed in range(200):
+            g = seeded_graph(seed, max_n=20) if seed % 2 else seeded_tree(seed, max_n=20)
+            k = rng.randrange(1, g.vertex_count + 1)
+            if seed % 3:
+                target = random_tree(k, seed)
+            else:
+                target = random_connected_graph(k, min(k * (k - 1) // 2, 2 * k), seed)
+            image = list(range(k)) + [rng.randrange(k) for _ in range(g.vertex_count - k)]
+            rng.shuffle(image)
+            expected = first_stretched_edge(g, target, image)
+            refused.append(expected is not None)
+            if expected is None:
+                assert VertexMapping(g, target, image).image == tuple(image)
+                continue
+            (u, v), (a, b) = expected, (image[expected[0]], image[expected[1]])
+            message = rf"^edge \({u}, {v}\) is stretched: {a} and {b} are not adjacent$"
+            with pytest.raises(InvalidMapping, match=message):
+                VertexMapping(g, target, image)
+        assert any(refused) and not all(refused)
+
+    def test_constructions_pass_validation(self):
+        # Quotients and derived graphs build their mappings unchecked; the
+        # validating constructor accepts each one with the same image.
+        mappings = quotient_and_mis_mappings()
+        for seed in range(20):
+            for g in (seeded_graph(seed, max_n=30), seeded_tree(seed, min_n=2, max_n=30)):
+                partitions = [collapse_basic(g), random_partition(g, seed)]
+                partitions += [singleton_partition(g), Partition(g, [list(g.vertices())])]
+                mappings += [build_partition_graph(p).mapping for p in partitions]
+                if g.is_tree:
+                    mappings.append(build_partition_graph(outward_contraction(g, 0)).mapping)
+        assert len(mappings) > 250
+        for m in mappings:
+            assert type(m.image) is tuple and all(type(y) is int for y in m.image)
+            assert VertexMapping(m.source, m.target, m.image).image == m.image
 
 
 class TestQ1:
@@ -313,27 +379,27 @@ class TestEccTransfer:
             assert verify_ecc_transfer(m, cst.stretch, cst.additive)
 
     def test_each_side_of_the_comparison_decides(self, monkeypatch):
-        # The real eccentricities pass; those of vertex 0 and its image,
-        # pushed just past one side of the band, must fail the check.
+        # The upper side, e'(f(x)) <= e(x), holds for every mapping: it is
+        # onto and never stretches a distance. The lower side is compared:
+        # the real eccentricities pass, and vertex 0's, pushed just past
+        # that side, must fail the check.
+        for m in quotient_and_mis_mappings():
+            e1, e2 = _eccentricities(m.source), _eccentricities(m.target)
+            assert all(e2[y] <= e1[x] for x, y in enumerate(m.image))
         t = seeded_tree(4, min_n=10, max_n=30)
         m = build_partition_graph(outward_contraction(t, 0)).mapping
         stretch, additive = 3, 1
         assert verify_ecc_transfer(m, stretch, additive)
-        pushes = {
-            "upper": lambda e1, e2: (e1, stretch * e1 + additive + 1),
-            "lower": lambda e1, e2: (stretch * (e2 + additive) + 1, e2),
-        }
-        for side, push in pushes.items():
-            e1, e2 = push(_eccentricities(m.source)[0], _eccentricities(m.target)[m.image[0]])
+        e1 = stretch * (_eccentricities(m.target)[m.image[0]] + additive) + 1
 
-            def pushed(g, e1=e1, e2=e2):
-                ecc = list(_eccentricities(g))
-                v, e = (0, e1) if g is m.source else (m.image[0], e2)
-                ecc[v] = e
-                return tuple(ecc)
+        def pushed(g):
+            ecc = list(_eccentricities(g))
+            if g is m.source:
+                ecc[0] = e1
+            return tuple(ecc)
 
-            monkeypatch.setattr("qiso.quasi._eccentricities", pushed)
-            assert not verify_ecc_transfer(m, stretch, additive), side
+        monkeypatch.setattr("qiso.quasi._eccentricities", pushed)
+        assert not verify_ecc_transfer(m, stretch, additive)
 
 
 class TestMappingPass:
@@ -342,16 +408,16 @@ class TestMappingPass:
         # copies, so editing them in place reaches no later claim.
         t = seeded_tree(4, min_n=10, max_n=30)
         g = seeded_graph(5)
-        pairs = [(1, -3), (-3, 1), (1, 0), (0, 1), (-1, 1), (1, -1)]
+        pairs = [(1, -3), (2, -1), (1, 0), (0, 1), (0, -1), (1, -1)]
         for make in (
             lambda: build_partition_graph(outward_contraction(t, 0)).mapping,
             lambda: build_partition_graph(collapse_basic(g)).mapping,
             lambda: mis_derived(g, greedy_mis(g)).mapping,
         ):
             m, fresh = make(), make()
-            for row in _row_maxima(m, *pairs):
+            for row in rows_of(m, pairs):
                 row[:] = [-1] * len(row) if row[0] > 0 else [len(row)] * len(row)
-            assert _row_maxima(m, *pairs) == _row_maxima(fresh, *pairs)
+            assert rows_of(m, pairs) == rows_of(fresh, pairs)
             assert verify_q1(m, 3, 1) == verify_q1(fresh, 3, 1)
             assert verify_q1(m, 1, 0).witness == verify_q1(fresh, 1, 0).witness
             assert verify_ecc_transfer(m, 3, 1) == verify_ecc_transfer(fresh, 3, 1)
@@ -540,6 +606,23 @@ def no_dp(*args, **kwargs):
     raise RuntimeError("path-weight DP run on a mapping that is no tree quotient")
 
 
+def accepted(candidates):
+    """The mappings that ``(source, target, image)`` triples make.
+
+    A triple whose map stretches an edge must be refused, naming the
+    pair loop's first stretched edge, and is left out.
+    """
+    mappings = []
+    for source, target, image in candidates:
+        edge = first_stretched_edge(source, target, image)
+        if edge is None:
+            mappings.append(VertexMapping(source, target, image))
+        else:
+            with pytest.raises(InvalidMapping, match=rf"^edge \({edge[0]}, {edge[1]}\) "):
+                VertexMapping(source, target, image)
+    return mappings
+
+
 def is_tree_quotient(m):
     """Whether ``m`` is a tree's quotient map, by building that quotient."""
     if not m.source.is_tree:
@@ -616,16 +699,17 @@ class TestTreeQuotient:
 
     @pytest.mark.parametrize("kind", list(PARTITIONS))
     def test_row_maxima_branches_agree(self, kind, monkeypatch):
-        # The path-weight DP against the matrices, row by row. The clamped
-        # extremes (1, -n) and (-n, 1) take the matrices from int8 to int16
-        # and, from n = 181, to int32. A second call on the same mapping,
-        # with other coefficients, must agree with a fresh mapping.
+        # The path-weight DP against the matrices, row by row, at every
+        # alpha >= 0. The clamped extremes (1, -n) and (n, -1) take the
+        # matrices from int8 to int16 and, from n = 181, to int32. A second
+        # call on the same mapping, with other coefficients, must agree
+        # with a fresh mapping.
         def coeffs(n):
-            fixed = [(1, -3), (-1, 1), (1, -n), (-n, 1), (1, 0), (0, 1)]
-            return fixed + [c for s in (1, 2, 3) for c in ((1, -s), (-s, 1))]
+            fixed = [(1, -3), (1, -n), (n, -1), (1, 0), (0, 1)]
+            return fixed + [(1, -s) for s in (1, 2, 3)]
 
         def more_coeffs(n):
-            return [(0, 1), (-n, 1), (1, 0), (2, -1), (0, -1), (-1, 0), (0, 0)]
+            return [(0, 1), (n, 1), (1, 0), (2, -1), (0, -1), (0, 0)]
 
         trees = oracle_trees() + [random_tree(257, 257), path_graph(181), path_graph(257)]
         mappings = [
@@ -635,7 +719,7 @@ class TestTreeQuotient:
         assert {m.source.vertex_count for m in mappings} >= {1, 2}
         assert all(_tree_quotient(m) for m in mappings)
         by_dp = [
-            (_row_maxima(m, *coeffs(n)), _row_maxima(m, *more_coeffs(n)))
+            (rows_of(m, coeffs(n)), rows_of(m, more_coeffs(n)))
             for m in mappings
             for n in [m.source.vertex_count]
         ]
@@ -643,13 +727,14 @@ class TestTreeQuotient:
         monkeypatch.setattr("qiso.quasi._path_maxima", no_dp)
         for m, (rows, more_rows) in zip(mappings, by_dp):
             n = m.source.vertex_count
-            assert _row_maxima(m, *coeffs(n)) == rows
-            assert _row_maxima(m, *more_coeffs(n)) == more_rows
+            assert rows_of(m, coeffs(n)) == rows
+            assert rows_of(m, more_coeffs(n)) == more_rows
             fresh = VertexMapping(m.source, m.target, m.image)
-            assert _row_maxima(fresh, *more_coeffs(n)) == more_rows
+            assert rows_of(fresh, more_coeffs(n)) == more_rows
 
     def test_non_quotients_take_the_matrix_path(self, cached_oracles, monkeypatch):
-        mappings = []
+        # Candidates that stretch an edge are refused at construction.
+        candidates, mappings = [], []
         for seed in range(60):
             t = seeded_tree(seed, min_n=4, max_n=30)
             q = build_partition_graph(outward_contraction(t, 0)).quotient
@@ -662,11 +747,11 @@ class TestTreeQuotient:
             pg = build_partition_graph(collapse_basic(t))
             if missing:
                 extra = Graph(q.vertex_count, q.edges() + [missing[seed % len(missing)]])
-                image = outward_contraction(t, 0).block_of
-                mappings.append(VertexMapping(t, extra, image))
+                candidates.append((t, extra, outward_contraction(t, 0).block_of))
             mappings.append(mis_derived(t, greedy_mis(t)).mapping)
             # A tree quotient's image set onto a relabelled tree of the same size.
-            mappings.append(VertexMapping(t, random_tree(len(pg.partition), seed), pg.mapping.image))
+            candidates.append((t, random_tree(len(pg.partition), seed), pg.mapping.image))
+        mappings += accepted(candidates)
         monkeypatch.setattr("qiso.quasi._path_maxima", no_dp)
         non_quotients = [m for m in mappings if not is_tree_quotient(m)]
         assert len(non_quotients) > 100
@@ -676,11 +761,12 @@ class TestTreeQuotient:
 
     def test_block_reduction_matches_oracle(self, cached_oracles, monkeypatch):
         # Every mapping takes the block tables, trees included, and each
-        # row equals the per-pair loop's. Singleton partitions never run a
-        # second slot; the whole graph onto one vertex runs n - 1 of them.
+        # row at alpha >= 0 equals the per-pair loop's. Singleton partitions
+        # never run a second slot; the whole graph onto one vertex runs
+        # n - 1 of them.
         def coeffs(n):
-            fixed = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -n), (-n, 1)]
-            return fixed + [(2, -1), (-1, -1), (1, -3), (-1, 1)]
+            fixed = [(0, 0), (1, 0), (0, 1), (0, -1), (1, -n), (n, -1)]
+            return fixed + [(2, -1), (1, 1), (1, -3), (n, n)]
 
         def independent_set_images(g, seed):
             rng = random.Random(seed)
@@ -712,7 +798,7 @@ class TestTreeQuotient:
         assert {m.source.vertex_count for m in mappings} >= {1, 2, 3}
         for m in mappings:
             pairs = coeffs(m.source.vertex_count)
-            assert _row_maxima(m, *pairs) == [oracles.row_maxima(m, a, b) for a, b in pairs], m
+            assert rows_of(m, pairs) == [oracles.row_maxima(m, a, b) for a, b in pairs], m
 
     @pytest.mark.parametrize("kind", ["collapse", "mis"])
     def test_claims_peak_below_one_int32_matrix(self, kind):
@@ -740,7 +826,7 @@ class TestTreeQuotient:
         # each graph's own, kept in one slot that only _eccentricities
         # fills, on a tree from the same heaviest-path pass as the DP. A
         # mapping keeps its pass in one slot, which only _row_maxima reads
-        # or writes (VertexMapping.__init__ starts it empty), so no claim
+        # or writes (the two constructors start it empty), so no claim
         # bypasses the kept tables and rows. Tree passes from vertex 0 read
         # the cached preorder, and weighted medians reach the matrix only
         # through graph._median. Every longest path of a tree, in the
@@ -753,8 +839,9 @@ class TestTreeQuotient:
         # is decided where it is built and never cast: the only casts are
         # the median's Python-int fallback and the byte order of the
         # search's bit words. Only the quotient and the derived graph,
-        # valid by construction, skip Graph validation, and a graph's slots
-        # are filled in one place.
+        # valid by construction, skip Graph and VertexMapping validation,
+        # and a graph's slots are filled in one place. No block table keeps
+        # nearest members: no claim reads a row with alpha < 0.
         owners = {
             "astype": {"_median", "_source_bits"},
             "_path_maxima": {"_row_maxima"},
@@ -765,7 +852,7 @@ class TestTreeQuotient:
             "_image_distances": set(),
             "_block_extremes": {"_row_maxima"},
             "_block_maxima": {"_row_maxima"},
-            "_pass": {"__init__", "_row_maxima"},
+            "_pass": {"__init__", "_trusted_mapping", "_row_maxima"},
             "_preorder": {"_tree_preorder", "_rooted_extents", "_outward_blocks"},
             "_bfs_levels": {"_build_distances", "_induced_diameters"},
             "induced_diameter": set(),
@@ -773,6 +860,8 @@ class TestTreeQuotient:
             "set_distance": set(),
             "preimage": set(),
             "_trusted_graph": {"build_partition_graph", "mis_derived"},
+            "_trusted_mapping": {"build_partition_graph", "mis_derived"},
+            "minimum": set(),
             "_fill": {"__init__", "_trusted_graph"},
         }
         users = {name: set() for name in owners}
@@ -811,19 +900,22 @@ class TestTreeQuotient:
             rng.shuffle(perm)
             relabelled = Graph(k, [(perm[a], perm[b]) for a, b in pg.quotient.edges()])
             image = [perm[b] for b in pg.mapping.image]
-            # Any surjective map onto any tree of that size, usually not a quotient.
+            # Any surjective map onto any tree of that size, usually not a
+            # quotient and usually refused for stretching an edge.
             arbitrary = image[:]
             rng.shuffle(arbitrary)
-            for m in (
-                VertexMapping(t, relabelled, image),
-                VertexMapping(t, random_tree(k, seed), arbitrary),
-                VertexMapping(t, relabelled, arbitrary),
-            ):
+            candidates = [(t, relabelled, image), (t, random_tree(k, seed), arbitrary)]
+            candidates.append((t, relabelled, arbitrary))
+            for m in accepted(candidates):
                 expected = is_tree_quotient(m)
                 assert _tree_quotient(m) == expected
                 seen.add(expected)
         for g in (cycle_graph(6), seeded_graph(3)):
             assert not _tree_quotient(identity_mapping(g))
+        # A path wound around a triangle: one cross edge per target edge,
+        # but block 0 is split, which only a tree target rules out.
+        wound = VertexMapping(path_graph(4), cycle_graph(3), [0, 1, 2, 0])
+        assert not _tree_quotient(wound) and not is_tree_quotient(wound)
         assert seen == {True, False}
 
     def test_no_matrix_and_no_size_guard(self, monkeypatch):
