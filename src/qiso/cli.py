@@ -252,9 +252,7 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
         elif args.method == "collapse-modified":
             partition = collapse_modified(g)
         else:
-            root = args.root or 0
-            g.check_vertex(root)
-            partition = outward_contraction(g, root)
+            partition = outward_contraction(g, args.root or 0)
         subject = _Subject(g, partition)
     mapping = subject.guaranteed()[0]
     fields, _ = _shift_fields(mapping)

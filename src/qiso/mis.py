@@ -153,4 +153,4 @@ def verify_mis_bounds(r: MisResult) -> CheckResult:
     # d2 < d1 // 3 exactly when d1 - 3*d2 > 2. A vertex maps to itself or
     # to an adjacent member, so a pair sharing an image lies within 2 and
     # does not violate.
-    return _first_violation(r.mapping, (1, -3, 2))
+    return _first_violation(r.mapping, 3, 2)

@@ -10,14 +10,13 @@ A :class:`VertexMapping` is onto and never stretches an edge, so target
 distances never exceed source distances: every upper side, of the
 distance inequality, of the eccentricity transfer and of the
 independent-set sandwich, holds by construction, and each claim checks
-its lower side alone. That side bounds a linear form
-``alpha*d1 + beta*d2`` with ``alpha >= 0``, ``d1`` the source distance of
-a pair and ``d2`` the target distance of its images. :func:`_row_maxima`
-gives each vertex its maximum over all partners, and
-:func:`_first_violation` turns row maxima into a verdict with the first
-witness pair. A mapping keeps its tables and rows, so each
-``(alpha, beta)`` is computed once per mapping. When the source is a
-tree and the mapping is its quotient by connected blocks
+its lower side alone. Every pair claim bounds one form, the excess
+``d1 - stretch*d2`` with ``d1`` the source distance of a pair and ``d2``
+the target distance of its images. :func:`_row_maxima` gives each vertex
+its maximum excess over all partners, and :func:`_first_violation` turns
+row maxima into a verdict with the first witness pair. A mapping keeps
+its tables and rows, so each stretch is computed once per mapping. When
+the source is a tree and the mapping is its quotient by connected blocks
 (:func:`_tree_quotient`), each row is a heaviest path in the source tree
 (:func:`qiso.graph._heaviest_paths`), found in linear time without any
 matrix. Every other mapping groups each x's partners by their image
@@ -166,16 +165,16 @@ def _tree_quotient(m: VertexMapping) -> bool:
     return cross == target.edge_count
 
 
-def _path_maxima(m: VertexMapping, alpha: int, beta: int) -> list[int]:
-    """Each x's maximum over y of ``alpha*d1 + beta*d2``, as in :func:`_row_maxima`.
+def _path_maxima(m: VertexMapping, stretch: int) -> list[int]:
+    """Each x's maximum over y of ``d1 - stretch*d2``, as in :func:`_row_maxima`.
 
     Only for a :func:`_tree_quotient` mapping, where the value is the
-    weight of x's heaviest path with intra-block edges weighing ``alpha``
-    and cross-block edges ``alpha + beta``.
+    weight of x's heaviest path with intra-block edges weighing 1 and
+    cross-block edges ``1 - stretch``.
     """
     img, parent = m.image, _tree_preorder(m.source)[1]
     # w[v]: the weight of the edge from v to its parent (unused at the root).
-    w = [alpha + beta if img[v] != img[p] else alpha for v, p in enumerate(parent)]
+    w = [1 - stretch if img[v] != img[p] else 1 for v, p in enumerate(parent)]
     return _heaviest_paths(m.source, w)
 
 
@@ -201,71 +200,71 @@ def _block_extremes(m: VertexMapping) -> tuple[np.ndarray, np.ndarray]:
     return far, distance_matrix(m.target).take(blocks, axis=0).take(img, axis=1)
 
 
-def _block_maxima(m: VertexMapping, tables: tuple, alpha: int, beta: int) -> list[int]:
+def _block_maxima(m: VertexMapping, tables: tuple, stretch: int) -> list[int]:
     """:func:`_row_maxima` off tree quotients, from :func:`_block_extremes`.
 
-    The image is onto and ``alpha >= 0``, so x's maximum is that over
-    blocks b of ``alpha*E + beta*d'(f(x), b)``, E being x's distance to
-    b's farthest member. The k x n sum takes the smallest signed dtype
-    that holds ``(alpha + |beta|) * n``, a bound on every value.
+    The image is onto, so x's maximum is that over blocks b of
+    ``E - stretch*d'(f(x), b)``, E being x's distance to b's farthest
+    member. The k x n sum takes the smallest signed dtype that holds
+    ``(1 + stretch) * n``, a bound on every value.
     """
     far, d2 = tables
-    dtype = np.min_scalar_type(-1 - m.source.vertex_count * (alpha + abs(beta)))
-    values = np.multiply(alpha, far, dtype=dtype)
-    values += np.multiply(beta, d2, dtype=dtype)
+    dtype = np.min_scalar_type(-1 - m.source.vertex_count * (1 + stretch))
+    values = np.multiply(-stretch, d2, dtype=dtype)
+    values += far
     return values.max(axis=0).tolist()
 
 
-def _row_maxima(m: VertexMapping, alpha: int, beta: int) -> list[int]:
-    """Each x's maximum over y of ``alpha*d1 + beta*d2``, for ``alpha >= 0``.
+def _row_maxima(m: VertexMapping, stretch: int) -> tuple[int, ...]:
+    """Each x's maximum excess over y, ``d1 - stretch*d2``, for ``stretch >= 1``.
 
-    ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``; y = x gives 0. No side
-    with ``alpha < 0`` is asked for: those bound d2 from above, and no
-    mapping stretches a distance (:class:`VertexMapping`). The mapping
-    keeps whether it is a tree quotient (:func:`_path_maxima`), else its
-    block tables (:func:`_block_maxima`), and every row, so no pair is
-    computed twice. Callers get copies of the kept rows.
+    ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``; y = x gives 0. Every
+    pair claim bounds this one form: no mapping stretches a distance
+    (:class:`VertexMapping`), so each upper side holds and only the lower
+    side ``d1 - stretch*d2 <= limit`` is checked. The mapping keeps
+    whether it is a tree quotient (:func:`_path_maxima`), else its block
+    tables (:func:`_block_maxima`), and every row, so no stretch is
+    computed twice. Callers get the kept rows themselves, read-only
+    tuples.
     """
     if m._pass is None:
         m._pass = (None if _tree_quotient(m) else _block_extremes(m)), {}
     tables, rows = m._pass
-    if (alpha, beta) not in rows:
-        row = _block_maxima(m, tables, alpha, beta) if tables else _path_maxima(m, alpha, beta)
-        rows[alpha, beta] = tuple(row)
-    return list(rows[alpha, beta])
+    if stretch not in rows:
+        row = _block_maxima(m, tables, stretch) if tables else _path_maxima(m, stretch)
+        rows[stretch] = tuple(row)
+    return rows[stretch]
 
 
-def _first_violation(m: VertexMapping, side: tuple[int, int, int]) -> CheckResult:
-    """Whether ``alpha*d1 + beta*d2 <= limit`` for every pair.
+def _first_violation(m: VertexMapping, stretch: int, limit: int) -> CheckResult:
+    """Whether ``d1 - stretch*d2 <= limit`` for every pair.
 
-    The side is ``(alpha, beta, limit)`` with ``alpha >= 0`` and
     ``limit >= 0``, so no pair x = y violates. The witness is the first
     violating pair ``x < y`` in row-major order: x is the smallest vertex
-    whose row maximum breaks the side, and as violations are symmetric
+    whose row maximum breaks the limit, and as violations are symmetric
     every partner of x is larger, so one search from x and one from f(x)
     find the smallest.
     """
-    alpha, beta, limit = side
-    row = _row_maxima(m, alpha, beta)
+    row = _row_maxima(m, stretch)
     x = next((v for v, best in enumerate(row) if best > limit), None)
     if x is None:
         return CheckResult(True)
     d1 = np.array(_bfs(m.source.adjacency, (x,)))
     d2 = np.array(_bfs(m.target.adjacency, (m.image[x],)))
     d2 = d2[np.asarray(m.image, dtype=np.intp)]
-    return CheckResult(False, (x, int((alpha * d1 + beta * d2 > limit).argmax())))
+    return CheckResult(False, (x, int((d1 - stretch * d2 > limit).argmax())))
 
 
-def _q1_lower(stretch: int, additive: int, n: int) -> tuple[int, int, int]:
-    """The band's lower side ``d1/stretch - additive <= d2`` as a side.
+def _clamped(m: VertexMapping, stretch: int, additive: int) -> tuple[int, int]:
+    """The constants, validated, with each clamped to the source's size n.
 
-    It is cross-multiplied by ``stretch`` to stay in integers. Every
-    distance is below ``n``, so clamping both constants to ``n`` is exact
-    and keeps every coefficient at most ``n``.
+    Every distance and eccentricity is below n, so clamping both to n
+    changes no verdict and keeps ``stretch`` and ``stretch*additive``
+    within the kernels' dtype bounds.
     """
     QuasiIsometryConstants(stretch, additive)  # validates both
-    stretch, additive = min(stretch, n), min(additive, n)
-    return 1, -stretch, stretch * additive
+    n = m.source.vertex_count
+    return min(stretch, n), min(additive, n)
 
 
 def verify_q1(m: VertexMapping, stretch: int, additive: int) -> CheckResult:
@@ -277,7 +276,9 @@ def verify_q1(m: VertexMapping, stretch: int, additive: int) -> CheckResult:
     the lower side is checked alone. The first violating pair in
     row-major order is reported.
     """
-    return _first_violation(m, _q1_lower(stretch, additive, m.source.vertex_count))
+    stretch, additive = _clamped(m, stretch, additive)
+    # d2 >= d1/stretch - additive, cross-multiplied to stay in integers.
+    return _first_violation(m, stretch, stretch * additive)
 
 
 def verify_q2_raw(target: Graph, images: Sequence[int], density: int) -> bool:
@@ -313,11 +314,8 @@ def minimal_additive_for_stretch(m: VertexMapping, stretch: int) -> int:
     distance); the result is tight: the inequality passes at this value
     and fails one below (unless already zero).
     """
-    QuasiIsometryConstants(stretch, 0)  # validates the stretch
-    # Every distance is below n, so clamping to n is exact and keeps the
-    # coefficients within _block_maxima's dtype bound.
-    stretch = min(stretch, m.source.vertex_count)
-    worst = max(_row_maxima(m, 1, -stretch))  # at least 0, from y = x
+    stretch = _clamped(m, stretch, 0)[0]
+    worst = max(_row_maxima(m, stretch))  # at least 0, from y = x
     return -(-worst // stretch)  # ceil(worst / stretch)
 
 
@@ -348,9 +346,9 @@ def verify_ecc_transfer(m: VertexMapping, stretch: int, additive: int) -> bool:
         raise PreconditionViolated(
             f"constants ({stretch}, {additive}) fail the distance inequality"
         )
-    a, b, limit = _q1_lower(stretch, additive, m.source.vertex_count)
+    stretch, additive = _clamped(m, stretch, additive)
     e1, e2 = _eccentricities(m.source), _eccentricities(m.target)
-    return all(a * e1[x] + b * e2[y] <= limit for x, y in enumerate(m.image))
+    return all(e1[x] - stretch * e2[y] <= stretch * additive for x, y in enumerate(m.image))
 
 
 def shift_bound_two_sided(stretch: int, additive: int, radius: int) -> Fraction:

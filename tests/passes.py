@@ -4,7 +4,7 @@
 the tree-quotient test, the block tables, and the two per-pair branches.
 Each call is counted against the mapping it works on, so one in-process
 ``qiso.cli.main`` run shows whether any mapping built its tables twice
-or computed one ``(alpha, beta)`` twice. :class:`CallCounter` counts
+or computed one stretch's rows twice. :class:`CallCounter` counts
 the calls of any one function or method, such as the graphs that go
 through ``Graph.__init__``'s validation, or only those calls that find
 a condition true, such as a graph's eccentricities not yet cached.
@@ -38,8 +38,8 @@ class CallCounter:
 
         monkeypatch.setattr(owner, name, counted)
 
-# The per-pair branches take the mapping first and end with alpha, beta;
-# a branch that takes several pairs gets them as (alpha, beta) tuples.
+# Each primitive takes the mapping first; the per-pair branches end with
+# the stretch.
 _WRAPPED = ("_tree_quotient", "_block_extremes", "_path_maxima", "_block_maxima")
 
 
@@ -47,27 +47,23 @@ class PassCounter:
     """Patch ``quasi``'s pass primitives, through ``monkeypatch``, to count them.
 
     ``calls[name][m]`` is how often primitive ``name`` ran on mapping
-    ``m``; ``pairs[m]`` lists every ``(alpha, beta)`` computed for ``m``,
-    in order. Mappings are the keys themselves, kept alive, so no two
-    share an identity. A primitive that the module lacks is skipped.
+    ``m``; ``stretches[m]`` lists every stretch computed for ``m``, in
+    order. Mappings are the keys themselves, kept alive, so no two share
+    an identity. A primitive that the module lacks raises
+    ``AttributeError``, so a renamed one cannot go uncounted.
     """
 
     def __init__(self, monkeypatch):
         self.calls = {name: Counter() for name in _WRAPPED}
-        self.pairs = defaultdict(list)
+        self.stretches = defaultdict(list)
         for name in _WRAPPED:
-            original = getattr(quasi, name, None)
-            if original is not None:
-                monkeypatch.setattr(quasi, name, self._wrap(name, original))
+            monkeypatch.setattr(quasi, name, self._wrap(name, getattr(quasi, name)))
 
     def _wrap(self, name, original):
         def counted(m, *args):
             self.calls[name][m] += 1
             if name in ("_path_maxima", "_block_maxima"):
-                if args and all(isinstance(a, tuple) for a in args):
-                    self.pairs[m].extend(args)
-                else:
-                    self.pairs[m].append(tuple(args[-2:]))
+                self.stretches[m].append(args[-1])
             return original(m, *args)
 
         return counted
@@ -75,13 +71,13 @@ class PassCounter:
     def repeats(self):
         """Per mapping that did any work twice, what it did more than once."""
         out = []
-        for m in set(self.pairs).union(*self.calls.values()):
+        for m in set(self.stretches).union(*self.calls.values()):
             again = {
                 name: self.calls[name][m]
                 for name in ("_tree_quotient", "_block_extremes")
                 if self.calls[name][m] > 1
             }
-            again.update({pair: k for pair, k in Counter(self.pairs[m]).items() if k > 1})
+            again.update({s: k for s, k in Counter(self.stretches[m]).items() if k > 1})
             if again:
                 out.append((repr(m), again))
         return out

@@ -29,7 +29,12 @@ from qiso.generators import (
 )
 from qiso.graph import Graph, diameter_path
 from qiso.mis import greedy_mis, mis_derived
-from qiso.partition import collapse_basic, collapse_modified, singleton_partition
+from qiso.partition import (
+    collapse_basic,
+    collapse_modified,
+    sharpness_report,
+    singleton_partition,
+)
 from qiso.quasi import center_shift
 
 
@@ -455,6 +460,25 @@ class TestCliSimplify:
         assert main(
             ["simplify", str(gfile), "--method", "outward", "-o", str(tmp_path / "x")]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (path_graph(3), "vertex 9 outside 0..2"),
+            # The input must be a tree before its root is checked.
+            (cycle_graph(4), "expected a tree, got n=4, m=4"),
+        ],
+        ids=["path", "cycle"],
+    )
+    def test_bad_root_writes_nothing(self, tmp_path, capsys, g, message):
+        gfile = tmp_path / "g.el"
+        fileio.write_edge_list(g, gfile)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        argv = ["simplify", str(gfile), "--method", "outward", "--root", "9"]
+        assert main(argv + ["-o", str(outdir / "s")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(outdir.iterdir()) == []
 
     @staticmethod
     def _simplify_guarded(tmp_path, monkeypatch, method, g):
@@ -1062,7 +1086,7 @@ class TestClaimTable:
 class TestMappingPasses:
     # Each mapping keeps its pass: within one command, no mapping builds
     # its block tables or decides whether it is a tree quotient twice,
-    # and no (alpha, beta) row is computed twice for it.
+    # and no stretch's rows are computed twice for it.
     INSTANCES = {
         "graph": (lambda: random_connected_graph(400, 1200, 3), collapse_modified),
         "tree": (lambda: random_tree(30, 3), lambda t: contraction.outward_contraction(t, 0)),
@@ -1097,39 +1121,57 @@ class TestMappingPasses:
             counter = PassCounter(monkeypatch)
             assert main(argv) in (0, 1), argv
             assert counter.repeats() == [], argv
-            assert counter.pairs and sum(counter.calls[tables].values()) >= 1, argv
+            assert counter.stretches and sum(counter.calls[tables].values()) >= 1, argv
             monkeypatch.undo()
 
     @pytest.mark.parametrize("kind", list(INSTANCES))
     def test_eccentricities_once_per_graph(self, tmp_path, monkeypatch, kind):
         # Every command reads the eccentricities of its input and of one
-        # simplification, each computed once, and no claim asks a
-        # mapping's pass for them as rows.
+        # simplification, each computed once.
         _, commands = self.commands(tmp_path, kind)
         for argv in commands:
             fills = [
                 CallCounter(monkeypatch, mod, "_eccentricities", when=lambda g: g._ecc is None)
                 for mod in (qiso.graph, qiso.quasi)
             ]
-            counter = PassCounter(monkeypatch)
             assert main(argv) in (0, 1), argv
             graphs = [g for fill in fills for (g,) in fill.args]
             assert len(graphs) == len(set(graphs)) == 2, argv
-            asked = set().union(*counter.pairs.values())
-            assert not asked & {(1, 0), (0, 1)}, argv
             monkeypatch.undo()
 
     @pytest.mark.parametrize("kind", list(INSTANCES))
     def test_only_lower_sides_are_computed(self, tmp_path, monkeypatch, kind):
         # No mapping stretches a distance, so every upper side holds by
-        # construction and each claim checks its lower side alone: every
-        # row a command computes has alpha > 0.
+        # construction and each claim checks its lower side alone, at the
+        # mapping's guaranteed stretch A; the minimal constants read the
+        # row at stretch 1.
         _, commands = self.commands(tmp_path, kind)
+        guaranteed = {}  # each mapping a command builds: its A, clamped to n
+
+        def recorded(build, stretch):
+            def wrapped(*args):
+                result = build(*args)
+                n = result.mapping.source.vertex_count
+                guaranteed[result.mapping] = min(stretch(result), n)
+                return result
+
+            return wrapped
+
+        def sharpness(pg):
+            return sharpness_report(pg.partition).guarantee[0]
+
         for argv in commands:
+            monkeypatch.setattr(
+                cli, "build_partition_graph", recorded(cli.build_partition_graph, sharpness)
+            )
+            monkeypatch.setattr(
+                cli, "mis_derived", recorded(cli.mis_derived, lambda r: r.guarantee[0])
+            )
             counter = PassCounter(monkeypatch)
             assert main(argv) in (0, 1), argv
-            asked = set().union(*counter.pairs.values())
-            assert asked and all(alpha > 0 for alpha, _ in asked), (argv, asked)
+            assert counter.stretches, argv
+            for m, asked in counter.stretches.items():
+                assert set(asked) <= {guaranteed[m], 1}, (argv, asked)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("kind", list(INSTANCES))

@@ -65,7 +65,6 @@ from qiso.partition import (
 from qiso.quasi import (
     QuasiIsometryConstants,
     VertexMapping,
-    _path_maxima,
     _row_maxima,
     _tree_quotient,
     center_shift,
@@ -102,9 +101,9 @@ def quotient_and_mis_mappings():
     return mappings
 
 
-def rows_of(m, pairs):
-    """``m``'s row maxima for each ``(alpha, beta)`` in ``pairs``, in order."""
-    return [_row_maxima(m, alpha, beta) for alpha, beta in pairs]
+def rows_of(m, stretches):
+    """``m``'s row maxima for each stretch in ``stretches``, in order."""
+    return [_row_maxima(m, stretch) for stretch in stretches]
 
 
 def grid_graph(rows, cols):
@@ -345,15 +344,29 @@ class TestMinimalConstants:
             minimal_constants(identity_mapping(cycle_graph(2001)))
 
     @pytest.mark.parametrize("big", [2**62, 2**70])
-    def test_huge_constants_stay_exact(self, big):
-        # int64 arithmetic at these constants would wrap or overflow.
-        g = path_graph(10)
-        m = build_partition_graph(collapse_basic(g)).mapping
-        assert minimal_additive_for_stretch(m, big) == minimal_additive(m, big) == 1
-        for a, b in [(big, 0), (1, big), (big, big), (2, big)]:
-            assert verify_q1(m, a, b).witness == q1_witness(m, a, b)
-        assert verify_ecc_transfer(m, big, 1) == ecc_transfer_holds(m, big, 1)
-        assert verify_ecc_transfer(m, 1, big) == ecc_transfer_holds(m, 1, big)
+    def test_huge_constants_stay_exact(self, big, cached_oracles):
+        # int64 arithmetic at these constants would wrap or overflow. The
+        # path's quotient takes the tree DP; a cycle's collapse and an
+        # independent set of a graph with cycles take the block kernel.
+        g = seeded_graph(3, min_n=12)
+        mappings = [
+            build_partition_graph(collapse_basic(path_graph(10))).mapping,
+            build_partition_graph(collapse_basic(cycle_graph(12))).mapping,
+            mis_derived(g, greedy_mis(g)).mapping,
+        ]
+        assert not g.is_tree
+        assert [_tree_quotient(m) for m in mappings] == [True, False, False]
+        assert minimal_additive_for_stretch(mappings[0], big) == 1
+        for m in mappings:
+            assert minimal_additive_for_stretch(m, big) == minimal_additive(m, big)
+            witnesses = set()
+            for a, b in [(big, 0), (1, big), (big, big), (2, big)]:
+                witness = verify_q1(m, a, b).witness
+                assert witness == q1_witness(m, a, b)
+                witnesses.add(witness)
+            assert len(witnesses) == 2, m  # (big, 0) fails; the rest pass
+            assert verify_ecc_transfer(m, big, 1) == ecc_transfer_holds(m, big, 1)
+            assert verify_ecc_transfer(m, 1, big) == ecc_transfer_holds(m, 1, big)
 
 
 class TestEccTransfer:
@@ -404,20 +417,23 @@ class TestEccTransfer:
 
 class TestMappingPass:
     def test_edited_rows_change_no_later_verdict(self):
-        # A mapping keeps every row it computed; the rows handed out are
-        # copies, so editing them in place reaches no later claim.
+        # A mapping keeps every row it computed and hands out the kept
+        # rows themselves, as tuples, so no caller can edit them in place:
+        # asking again returns the same object, and every later verdict
+        # equals a fresh mapping's.
         t = seeded_tree(4, min_n=10, max_n=30)
         g = seeded_graph(5)
-        pairs = [(1, -3), (2, -1), (1, 0), (0, 1), (0, -1), (1, -1)]
+        stretches = [3, 1, 2]
         for make in (
             lambda: build_partition_graph(outward_contraction(t, 0)).mapping,
             lambda: build_partition_graph(collapse_basic(g)).mapping,
             lambda: mis_derived(g, greedy_mis(g)).mapping,
         ):
             m, fresh = make(), make()
-            for row in rows_of(m, pairs):
-                row[:] = [-1] * len(row) if row[0] > 0 else [len(row)] * len(row)
-            assert rows_of(m, pairs) == rows_of(fresh, pairs)
+            rows = rows_of(m, stretches)
+            assert all(type(row) is tuple for row in rows)
+            assert all(a is b for a, b in zip(rows_of(m, stretches), rows))
+            assert rows_of(m, stretches) == rows_of(fresh, stretches)
             assert verify_q1(m, 3, 1) == verify_q1(fresh, 3, 1)
             assert verify_q1(m, 1, 0).witness == verify_q1(fresh, 1, 0).witness
             assert verify_ecc_transfer(m, 3, 1) == verify_ecc_transfer(fresh, 3, 1)
@@ -689,27 +705,26 @@ class TestTreeQuotient:
             assert _tree_quotient(pg.mapping)
             verdicts |= assert_matches_oracles(pg.mapping)
             # Both eccentricity profiles, as verify_ecc_transfer reads them.
-            ecc1, ecc2 = _path_maxima(pg.mapping, 1, 0), _path_maxima(pg.mapping, 0, 1)
-            assert ecc1 == [max(row) for row in oracles.floyd_warshall(t)]
-            ecc_q = [max(row) for row in oracles.floyd_warshall(pg.quotient)]
-            assert ecc2 == [ecc_q[b] for b in pg.mapping.image]
+            for tree in (t, pg.quotient):
+                ecc = [max(row) for row in oracles.floyd_warshall(tree)]
+                assert list(_eccentricities(tree)) == ecc
             assert verify_partition_qiso(pg)
         # Failing constants occur wherever some block has an inner edge.
         assert verdicts == ({True} if kind == "singleton" else {True, False})
 
     @pytest.mark.parametrize("kind", list(PARTITIONS))
     def test_row_maxima_branches_agree(self, kind, monkeypatch):
-        # The path-weight DP against the matrices, row by row, at every
-        # alpha >= 0. The clamped extremes (1, -n) and (n, -1) take the
-        # matrices from int8 to int16 and, from n = 181, to int32. A second
-        # call on the same mapping, with other coefficients, must agree
-        # with a fresh mapping.
-        def coeffs(n):
-            fixed = [(1, -3), (1, -n), (n, -1), (1, 0), (0, 1)]
-            return fixed + [(1, -s) for s in (1, 2, 3)]
+        # The path-weight DP against the matrices, row by row. The clamped
+        # stretch n, and n + 1 beyond it, take the block sums from int8 to
+        # int16 and, as (1 + n) * n > 32767 from n = 181, to int32. A
+        # second call on the same mapping, with other stretches, reads the
+        # kept rows, and a fresh mapping computes every row from the
+        # matrices.
+        def stretches(n):
+            return [3, n, 1]
 
-        def more_coeffs(n):
-            return [(0, 1), (n, 1), (1, 0), (2, -1), (0, -1), (0, 0)]
+        def more_stretches(n):
+            return [2, n + 1, 1]
 
         trees = oracle_trees() + [random_tree(257, 257), path_graph(181), path_graph(257)]
         mappings = [
@@ -719,7 +734,7 @@ class TestTreeQuotient:
         assert {m.source.vertex_count for m in mappings} >= {1, 2}
         assert all(_tree_quotient(m) for m in mappings)
         by_dp = [
-            (rows_of(m, coeffs(n)), rows_of(m, more_coeffs(n)))
+            (rows_of(m, stretches(n)), rows_of(m, more_stretches(n)))
             for m in mappings
             for n in [m.source.vertex_count]
         ]
@@ -727,10 +742,10 @@ class TestTreeQuotient:
         monkeypatch.setattr("qiso.quasi._path_maxima", no_dp)
         for m, (rows, more_rows) in zip(mappings, by_dp):
             n = m.source.vertex_count
-            assert rows_of(m, coeffs(n)) == rows
-            assert rows_of(m, more_coeffs(n)) == more_rows
+            assert rows_of(m, stretches(n)) == rows
+            assert rows_of(m, more_stretches(n)) == more_rows
             fresh = VertexMapping(m.source, m.target, m.image)
-            assert rows_of(fresh, more_coeffs(n)) == more_rows
+            assert rows_of(fresh, stretches(n) + more_stretches(n)) == rows + more_rows
 
     def test_non_quotients_take_the_matrix_path(self, cached_oracles, monkeypatch):
         # Candidates that stretch an edge are refused at construction.
@@ -761,12 +776,10 @@ class TestTreeQuotient:
 
     def test_block_reduction_matches_oracle(self, cached_oracles, monkeypatch):
         # Every mapping takes the block tables, trees included, and each
-        # row at alpha >= 0 equals the per-pair loop's. Singleton partitions
-        # never run a second slot; the whole graph onto one vertex runs
-        # n - 1 of them.
-        def coeffs(n):
-            fixed = [(0, 0), (1, 0), (0, 1), (0, -1), (1, -n), (n, -1)]
-            return fixed + [(2, -1), (1, 1), (1, -3), (n, n)]
+        # row equals the per-pair loop's. Singleton partitions never run a
+        # second slot; the whole graph onto one vertex runs n - 1 of them.
+        def stretches(n):
+            return [1, 2, 3, n]
 
         def independent_set_images(g, seed):
             rng = random.Random(seed)
@@ -797,8 +810,8 @@ class TestTreeQuotient:
         monkeypatch.setattr("qiso.quasi._path_maxima", no_dp)
         assert {m.source.vertex_count for m in mappings} >= {1, 2, 3}
         for m in mappings:
-            pairs = coeffs(m.source.vertex_count)
-            assert rows_of(m, pairs) == [oracles.row_maxima(m, a, b) for a, b in pairs], m
+            wanted = stretches(m.source.vertex_count)
+            assert rows_of(m, wanted) == [oracles.row_maxima(m, s) for s in wanted], m
 
     @pytest.mark.parametrize("kind", ["collapse", "mis"])
     def test_claims_peak_below_one_int32_matrix(self, kind):
@@ -841,7 +854,9 @@ class TestTreeQuotient:
         # search's bit words. Only the quotient and the derived graph,
         # valid by construction, skip Graph and VertexMapping validation,
         # and a graph's slots are filled in one place. No block table keeps
-        # nearest members: no claim reads a row with alpha < 0.
+        # nearest members: every claim bounds d - A*d' from above. The
+        # constants are validated and clamped in one place, for the three
+        # claims that take them.
         owners = {
             "astype": {"_median", "_source_bits"},
             "_path_maxima": {"_row_maxima"},
@@ -863,6 +878,7 @@ class TestTreeQuotient:
             "_trusted_mapping": {"build_partition_graph", "mis_derived"},
             "minimum": set(),
             "_fill": {"__init__", "_trusted_graph"},
+            "_clamped": {"verify_q1", "minimal_additive_for_stretch", "verify_ecc_transfer"},
         }
         users = {name: set() for name in owners}
 
