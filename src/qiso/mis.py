@@ -19,26 +19,17 @@ import numpy as np
 
 from .errors import InvalidMapping, NotIndependent, NotMaximal
 from .graph import CheckResult, Graph, _trusted_graph, distance_matrix
-from .partition import _sweep_order
+from .partition import _greedy_sweep
 from .quasi import VertexMapping, _first_violation, _trusted_mapping
 
 
 def greedy_mis(g: Graph, order: Optional[Sequence[int]] = None) -> tuple[int, ...]:
-    """Greedy maximal independent set, ascending vertex id by default.
+    """Greedy maximal independent set: a sweep's picks, sorted.
 
-    ``order`` may supply any permutation of the vertices; the sweep adds
-    a vertex whenever none of its neighbors has been added before it.
+    The sweep (:func:`qiso.partition._greedy_sweep`) runs in ascending id
+    by default, or in ``order``, any permutation of the vertices.
     """
-    n = g.vertex_count
-    chosen = bytearray(n)
-    blocked = bytearray(n)
-    for v in _sweep_order(g, order):
-        if not blocked[v]:
-            chosen[v] = 1
-            blocked[v] = 1
-            for u in g.adjacency[v]:
-                blocked[u] = 1
-    return tuple(v for v in range(n) if chosen[v])
+    return tuple(sorted(_greedy_sweep(g, order)[0]))
 
 
 def check_independent(g: Graph, s: Sequence[int]) -> None:
@@ -65,15 +56,18 @@ class MisResult:
     ``derived`` uses dense ids; its vertex ``i`` stands for ``mis[i]``.
     The mapping goes from the original graph onto ``derived`` and sends
     every vertex to itself or to an adjacent member, as
-    :func:`mis_derived` validates; :func:`verify_mis_bounds` relies on it.
-    Like every :class:`~qiso.quasi.VertexMapping`, it never stretches an
-    edge.
+    :func:`mis_derived` validates. Like every
+    :class:`~qiso.quasi.VertexMapping`, it never stretches an edge.
+
+    Its guarantee (3, 1) is a theorem: x and y lie within 1 of f(x) and
+    f(y), and a derived edge spans at most 3, so ``d <= 3*d' + 2``, the
+    lower side of :func:`verify_mis_bounds` (``d' >= d // 3``) and of the
+    distance inequality at (3, 1); the eccentricity transfer follows.
     """
 
     mis: tuple[int, ...]
     derived: Graph
     mapping: VertexMapping
-    # The mapping's guaranteed (stretch, additive); verify_mis_bounds shows why.
     guarantee: ClassVar[tuple[int, int]] = (3, 1)
 
     @property
@@ -139,16 +133,12 @@ def mis_derived(
 
 
 def verify_mis_bounds(r: MisResult) -> CheckResult:
-    """Check the derived-distance sandwich for every pair of vertices.
+    """Check ``max(1, d // 3) <= d' <= d`` exhaustively, for every pair.
 
-    For pairs with distinct images the derived distance must lie in
-    ``[max(1, floor(d/3)), d]`` where ``d`` is the original distance:
-    every derived edge spans an original distance of at most three, so a
-    derived path of k edges spans at most 3k, and mapping a shortest
-    original path vertex by vertex gives a derived walk of the same
-    length. Pairs sharing an image coincide in the derived graph. The
-    upper side is the mapping's invariant (it never stretches a
-    distance), so the lower side is checked alone.
+    ``d`` is the original distance of a pair with distinct images, ``d'``
+    the derived distance of the images. The upper side is the mapping's
+    invariant (it never stretches a distance), so the lower side is
+    checked alone; it is a theorem (:class:`MisResult`).
     """
     # d2 < d1 // 3 exactly when d1 - 3*d2 > 2. A vertex maps to itself or
     # to an adjacent member, so a pair sharing an image lies within 2 and

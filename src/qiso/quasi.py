@@ -14,10 +14,13 @@ its lower side alone. Every pair claim bounds one form, the excess
 ``d1 - stretch*d2`` with ``d1`` the source distance of a pair and ``d2``
 the target distance of its images. :func:`_row_maxima` gives each vertex
 its maximum excess over all partners, and :func:`_first_violation` turns
-row maxima into a verdict with the first witness pair. A mapping keeps
-its tables and rows, so each stretch is computed once per mapping. When
-the source is a tree and the mapping is its quotient by connected blocks
-(:func:`_tree_quotient`), each row is a heaviest path in the source tree
+row maxima into a verdict with the first witness pair. Nothing is kept
+on a mapping: at a quotient's or an independent-set mapping's own
+guarantee the claims are theorems (``qiso.cli`` takes those verdicts
+from the proofs), so a command asks a mapping for one row set, at
+stretch 1, for its minimal constants. When the source is a tree and the
+mapping is its quotient by connected blocks (:func:`_tree_quotient`),
+each row is a heaviest path in the source tree
 (:func:`qiso.graph._heaviest_paths`), found in linear time without any
 matrix. Every other mapping groups each x's partners by their image
 block (:func:`_block_extremes`), so no n x n matrix is formed beside the
@@ -79,12 +82,11 @@ class VertexMapping:
     path edge by edge). The constructor checks both and names the first
     stretched edge ``(u, v)``, ``u < v``, in row-major order; the
     quotient and the derived graph, which prove both, skip the checks
-    (:func:`_trusted_mapping`). A mapping is immutable, as a
-    :class:`Graph` is, so it keeps its pass in ``_pass``, which
-    :func:`_row_maxima` alone fills and reads.
+    (:func:`_trusted_mapping`). A mapping holds its two graphs and the
+    image, nothing more: its rows are computed on each request.
     """
 
-    __slots__ = ("source", "target", "image", "_pass")
+    __slots__ = ("source", "target", "image")
 
     def __init__(self, source: Graph, target: Graph, image: Sequence[int]):
         img = tuple(image)
@@ -109,7 +111,6 @@ class VertexMapping:
         self.source = source
         self.target = target
         self.image = img
-        self._pass = None
 
     def preimage(self, target_vertices: Sequence[int]) -> tuple[int, ...]:
         """Source vertices mapping into the given target set, ascending."""
@@ -134,7 +135,7 @@ def _trusted_mapping(source: Graph, target: Graph, image: tuple[int, ...]) -> Ve
     ones. The caller owns that proof; nothing here checks it.
     """
     m = VertexMapping.__new__(VertexMapping)
-    m.source, m.target, m.image, m._pass = source, target, image, None
+    m.source, m.target, m.image = source, target, image
     return m
 
 
@@ -200,7 +201,7 @@ def _block_extremes(m: VertexMapping) -> tuple[np.ndarray, np.ndarray]:
     return far, distance_matrix(m.target).take(blocks, axis=0).take(img, axis=1)
 
 
-def _block_maxima(m: VertexMapping, tables: tuple, stretch: int) -> list[int]:
+def _block_maxima(m: VertexMapping, stretch: int) -> list[int]:
     """:func:`_row_maxima` off tree quotients, from :func:`_block_extremes`.
 
     The image is onto, so x's maximum is that over blocks b of
@@ -208,32 +209,24 @@ def _block_maxima(m: VertexMapping, tables: tuple, stretch: int) -> list[int]:
     member. The k x n sum takes the smallest signed dtype that holds
     ``(1 + stretch) * n``, a bound on every value.
     """
-    far, d2 = tables
+    far, d2 = _block_extremes(m)
     dtype = np.min_scalar_type(-1 - m.source.vertex_count * (1 + stretch))
     values = np.multiply(-stretch, d2, dtype=dtype)
     values += far
     return values.max(axis=0).tolist()
 
 
-def _row_maxima(m: VertexMapping, stretch: int) -> tuple[int, ...]:
+def _row_maxima(m: VertexMapping, stretch: int) -> list[int]:
     """Each x's maximum excess over y, ``d1 - stretch*d2``, for ``stretch >= 1``.
 
     ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``; y = x gives 0. Every
     pair claim bounds this one form: no mapping stretches a distance
     (:class:`VertexMapping`), so each upper side holds and only the lower
-    side ``d1 - stretch*d2 <= limit`` is checked. The mapping keeps
-    whether it is a tree quotient (:func:`_path_maxima`), else its block
-    tables (:func:`_block_maxima`), and every row, so no stretch is
-    computed twice. Callers get the kept rows themselves, read-only
-    tuples.
+    side ``d1 - stretch*d2 <= limit`` is checked. A tree quotient's rows
+    are heaviest paths (:func:`_path_maxima`), any other mapping's come
+    from its block tables (:func:`_block_maxima`).
     """
-    if m._pass is None:
-        m._pass = (None if _tree_quotient(m) else _block_extremes(m)), {}
-    tables, rows = m._pass
-    if stretch not in rows:
-        row = _block_maxima(m, tables, stretch) if tables else _path_maxima(m, stretch)
-        rows[stretch] = tuple(row)
-    return rows[stretch]
+    return _path_maxima(m, stretch) if _tree_quotient(m) else _block_maxima(m, stretch)
 
 
 def _first_violation(m: VertexMapping, stretch: int, limit: int) -> CheckResult:
@@ -334,13 +327,11 @@ def minimal_constants(m: VertexMapping) -> QuasiIsometryConstants:
 def verify_ecc_transfer(m: VertexMapping, stretch: int, additive: int) -> bool:
     """Check that eccentricities obey the same two-sided inequality.
 
-    Requires constants that already pass the distance inequality
-    (:func:`verify_q1`); the transfer to eccentricities is then a
-    consequence worth re-verifying directly: x's eccentricity in the
-    source against f(x)'s in the target. The upper side holds for every
-    mapping: each target vertex is some f(y), as the image is onto, and
-    ``d'(f(x), f(y)) <= d(x, y)``, so ``e'(f(x)) <= e(x)``. Only the
-    lower side is compared.
+    Requires constants that pass the distance inequality
+    (:func:`verify_q1`), from which the lower side follows (take y
+    farthest from x); it is compared directly, per vertex. The upper side
+    holds for every mapping: each target vertex is some f(y), as the
+    image is onto, and ``d'(f(x), f(y)) <= d(x, y)``.
     """
     if not verify_q1(m, stretch, additive):
         raise PreconditionViolated(

@@ -3,8 +3,9 @@
 :class:`PassCounter` wraps the primitives behind ``quasi._row_maxima``:
 the tree-quotient test, the block tables, and the two per-pair branches.
 Each call is counted against the mapping it works on, so one in-process
-``qiso.cli.main`` run shows whether any mapping built its tables twice
-or computed one stretch's rows twice. :class:`CallCounter` counts
+``qiso.cli.main`` run shows which stretches each mapping was asked for,
+and whether any mapping built its tables or decided it is a tree
+quotient twice. :class:`CallCounter` counts
 the calls of any one function or method, such as the graphs that go
 through ``Graph.__init__``'s validation, or only those calls that find
 a condition true, such as a graph's eccentricities not yet cached.

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -20,22 +21,26 @@ from qiso import cli, contraction, fileio
 from qiso.cli import CLAIMS, main
 from qiso.errors import FormatError, QisoError
 from qiso.generators import (
+    complete_graph,
     cycle_graph,
     non_uniecc_chordal,
     path_graph,
     random_connected_graph,
     random_partition,
     random_tree,
+    star_graph,
 )
 from qiso.graph import Graph, diameter_path
-from qiso.mis import greedy_mis, mis_derived
+from qiso.mis import greedy_mis, mis_derived, verify_mis_bounds
 from qiso.partition import (
+    build_partition_graph,
     collapse_basic,
     collapse_modified,
     sharpness_report,
     singleton_partition,
+    verify_partition_qiso,
 )
-from qiso.quasi import center_shift
+from qiso.quasi import center_shift, verify_ecc_transfer, verify_q1
 
 
 # Malformed edge lists and the error each must report: the first bad
@@ -777,6 +782,28 @@ class TestCliVerify:
         assert capsys.readouterr().err == f"error: {mfile}: 6 vertices have no image\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("claim", ["q1", "ecc-transfer", "mis-bounds", "q2"])
+    @pytest.mark.parametrize(
+        "image, message",
+        [
+            ([0, 1, 1, 3, 3], "edge (0, 1) inside the set"),
+            ([0, 0, 0, 4, 4], "vertex 2 could be added to the set"),
+            ([0, 4, 2, 2, 4], "f(1) = 4 is not adjacent to 1"),
+        ],
+    )
+    def test_proven_claims_check_their_premises(self, tmp_path, capsys, claim, image, message):
+        # A claim decided by its proof still builds its mapping, whose
+        # constructor refuses a set that is not independent or not
+        # maximal, and an image that is not adjacent: no proof is applied
+        # to input outside its premises.
+        gfile, mfile, out = tmp_path / "p.el", tmp_path / "m.txt", tmp_path / "v.json"
+        fileio.write_edge_list(path_graph(5), gfile)
+        fileio.write_mapping(image, mfile)
+        argv = ["verify", str(gfile), "--mapping", str(mfile), "--claims", claim]
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_mis_claims_via_mapping_file(self, tmp_path):
         gfile = tmp_path / "g.el"
         main(["generate", "random-graph", "--n", "15", "--m", "25", "-o", str(gfile)])
@@ -1028,8 +1055,9 @@ class TestClaimTable:
             )
 
     def test_checks_are_library_calls(self):
-        # Every claim is decided in the library: no _CHECKS entry compares
-        # or combines values, and cli imports no private library name.
+        # Every claim is decided in the library or by a proof: no _CHECKS
+        # entry compares or combines values, and cli imports no private
+        # library name.
         tree = ast.parse(Path(cli.__file__).read_text())
         table = next(
             node.value
@@ -1083,10 +1111,88 @@ class TestClaimTable:
         assert tuple(known.split(", ")) == CLAIMS
 
 
+class TestProvenClaims:
+    # q1, ecc-transfer and mis-bounds are decided by their proofs; each
+    # verdict must equal the exhaustive library check at the guarantee,
+    # and the Python-int oracles where n is small.
+    @staticmethod
+    def instances():
+        """Graphs, each with its partitions and independent-set images."""
+        graphs = [seeded_graph(seed, max_n=30) for seed in range(12)]
+        graphs += [seeded_tree(seed, max_n=30) for seed in range(12)]
+        graphs += [f(n) for f in (path_graph, star_graph, complete_graph) for n in (1, 2, 3, 6)]
+        for i, g in enumerate(graphs):
+            n, rng = g.vertex_count, random.Random(i)
+            partitions = [collapse_basic(g), collapse_modified(g), random_partition(g, i)]
+            if g.is_tree:
+                partitions.append(contraction.outward_contraction(g, i % n))
+            images = []
+            for order in (None, range(n - 1, -1, -1), rng.sample(range(n), n)):
+                s = greedy_mis(g, order)
+                images.append([s[b] for b in mis_derived(g, s).mapping.image])
+                # Any adjacent member, often not the smallest: non-canonical.
+                images.append(
+                    [v if v in s else rng.choice([u for u in g.adjacency[v] if u in s])
+                     for v in g.vertices()]
+                )
+            yield g, partitions, images
+
+    def test_proven_verdicts_equal_exhaustive_checks(self, tmp_path):
+        gfile, pfile, mfile, out = (tmp_path / f for f in ("g.el", "p.txt", "m.txt", "v.json"))
+        claims = ["--claims", "q1,ecc-transfer,mis-bounds", "-o", str(out)]
+
+        def verified(*given):
+            assert main(["verify", str(gfile), *given, *claims]) == 0
+            return json.loads(out.read_text())["checks"]
+
+        def exhaustive(m, guarantee):
+            return {
+                "q1": fileio.check_entry(verify_q1(m, *guarantee)),
+                "ecc-transfer": fileio.check_entry(verify_ecc_transfer(m, *guarantee)),
+            }
+
+        def oracle_verdicts(m, guarantee, r=None):
+            """Each verdict by the Python-int oracles, or None where n is large."""
+            if m.source.vertex_count > 12:
+                return None
+            verdicts = {
+                "q1": oracles.q1_witness(m, *guarantee) is None,
+                "ecc-transfer": oracles.ecc_transfer_holds(m, *guarantee),
+            }
+            if r is not None:
+                verdicts["mis-bounds"] = oracles.mis_bounds_witness(r) is None
+            return verdicts
+
+        sizes = set()
+        for g, partitions, images in self.instances():
+            fileio.write_edge_list(g, gfile)
+            for image in images:
+                fileio.write_mapping(image, mfile)
+                r = mis_derived(g, sorted(set(image)), image)
+                mis_entries = exhaustive(r.mapping, r.guarantee)
+                mis_entries["mis-bounds"] = fileio.check_entry(verify_mis_bounds(r))
+                checks = verified("--mapping", str(mfile))
+                assert checks == mis_entries
+                oracle = oracle_verdicts(r.mapping, r.guarantee, r)
+                assert oracle in (None, {c: e["ok"] for c, e in checks.items()})
+            # Beside a partition, mis-bounds reads the last, non-canonical mapping.
+            for p in partitions:
+                fileio.write_partition(p, pfile)
+                pg, guarantee = build_partition_graph(p), sharpness_report(p).guarantee
+                entries = exhaustive(pg.mapping, guarantee)
+                entries["mis-bounds"] = mis_entries["mis-bounds"]
+                checks = verified("--partition", str(pfile), "--mapping", str(mfile))
+                assert checks == entries and verify_partition_qiso(pg)
+                oracle = oracle_verdicts(pg.mapping, guarantee)
+                assert oracle in (None, {c: checks[c]["ok"] for c in ("q1", "ecc-transfer")})
+            sizes.add(g.vertex_count)
+        assert {1, 2, 3} <= sizes
+
+
 class TestMappingPasses:
-    # Each mapping keeps its pass: within one command, no mapping builds
-    # its block tables or decides whether it is a tree quotient twice,
-    # and no stretch's rows are computed twice for it.
+    # Within one command, no mapping builds its block tables or decides
+    # whether it is a tree quotient twice, and no stretch's rows are
+    # computed twice for it.
     INSTANCES = {
         "graph": (lambda: random_connected_graph(400, 1200, 3), collapse_modified),
         "tree": (lambda: random_tree(30, 3), lambda t: contraction.outward_contraction(t, 0)),
@@ -1142,36 +1248,16 @@ class TestMappingPasses:
     @pytest.mark.parametrize("kind", list(INSTANCES))
     def test_only_lower_sides_are_computed(self, tmp_path, monkeypatch, kind):
         # No mapping stretches a distance, so every upper side holds by
-        # construction and each claim checks its lower side alone, at the
-        # mapping's guaranteed stretch A; the minimal constants read the
-        # row at stretch 1.
+        # construction, and at the mapping's guarantee each lower side is
+        # a theorem; the one row set computed is at stretch 1, for the
+        # minimal constants, once per mapping.
         _, commands = self.commands(tmp_path, kind)
-        guaranteed = {}  # each mapping a command builds: its A, clamped to n
-
-        def recorded(build, stretch):
-            def wrapped(*args):
-                result = build(*args)
-                n = result.mapping.source.vertex_count
-                guaranteed[result.mapping] = min(stretch(result), n)
-                return result
-
-            return wrapped
-
-        def sharpness(pg):
-            return sharpness_report(pg.partition).guarantee[0]
-
         for argv in commands:
-            monkeypatch.setattr(
-                cli, "build_partition_graph", recorded(cli.build_partition_graph, sharpness)
-            )
-            monkeypatch.setattr(
-                cli, "mis_derived", recorded(cli.mis_derived, lambda r: r.guarantee[0])
-            )
             counter = PassCounter(monkeypatch)
             assert main(argv) in (0, 1), argv
             assert counter.stretches, argv
-            for m, asked in counter.stretches.items():
-                assert set(asked) <= {guaranteed[m], 1}, (argv, asked)
+            for asked in counter.stretches.values():
+                assert asked == [1], (argv, asked)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("kind", list(INSTANCES))

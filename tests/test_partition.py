@@ -28,6 +28,7 @@ from qiso.generators import (
     star_graph,
 )
 from qiso.graph import Graph, bfs_distances, distance, distance_matrix
+from qiso.mis import greedy_mis, mis_derived
 from qiso.partition import (
     Partition,
     PartitionGraph,
@@ -289,6 +290,29 @@ class TestCollapseBasic:
     def test_custom_order(self):
         p = collapse_basic(path_graph(4), order=[3, 2, 1, 0])
         assert p.blocks == ((2, 3), (0, 1))
+
+    @pytest.mark.parametrize("sweep", ["ascending", "descending", "shuffled"])
+    def test_blocks_are_the_independent_set_fibers(self, sweep):
+        # One greedy sweep gives both: under any order each block holds
+        # exactly one member of greedy_mis, and under the default
+        # (ascending) order the blocks are the fibers of mis_derived's
+        # canonical mapping, in member order.
+        graphs = [seeded_graph(seed, max_n=40) for seed in range(40)]
+        graphs += [seeded_tree(seed, max_n=40) for seed in range(40)]
+        graphs += [f(n) for f in (path_graph, star_graph, complete_graph) for n in (1, 2, 3, 7)]
+        for i, g in enumerate(graphs):
+            n = g.vertex_count
+            order = {
+                "ascending": None,
+                "descending": range(n - 1, -1, -1),
+                "shuffled": random.Random(i).sample(range(n), n),
+            }[sweep]
+            members = set(greedy_mis(g, order))
+            blocks = collapse_basic(g, order).blocks
+            assert [len(members.intersection(b)) for b in blocks] == [1] * len(blocks), g
+            if order is None:
+                m = mis_derived(g, greedy_mis(g)).mapping
+                assert list(blocks) == [m.preimage([b]) for b in m.target.vertices()], g
 
 
 class TestCollapseModified:

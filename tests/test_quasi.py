@@ -103,7 +103,7 @@ def quotient_and_mis_mappings():
 
 def rows_of(m, stretches):
     """``m``'s row maxima for each stretch in ``stretches``, in order."""
-    return [_row_maxima(m, stretch) for stretch in stretches]
+    return [tuple(_row_maxima(m, stretch)) for stretch in stretches]
 
 
 def grid_graph(rows, cols):
@@ -417,10 +417,9 @@ class TestEccTransfer:
 
 class TestMappingPass:
     def test_edited_rows_change_no_later_verdict(self):
-        # A mapping keeps every row it computed and hands out the kept
-        # rows themselves, as tuples, so no caller can edit them in place:
-        # asking again returns the same object, and every later verdict
-        # equals a fresh mapping's.
+        # A mapping keeps no rows: each request computes them afresh, so
+        # a caller that edits the rows it got changes no later verdict,
+        # and every later verdict equals a fresh mapping's.
         t = seeded_tree(4, min_n=10, max_n=30)
         g = seeded_graph(5)
         stretches = [3, 1, 2]
@@ -430,9 +429,9 @@ class TestMappingPass:
             lambda: mis_derived(g, greedy_mis(g)).mapping,
         ):
             m, fresh = make(), make()
-            rows = rows_of(m, stretches)
-            assert all(type(row) is tuple for row in rows)
-            assert all(a is b for a, b in zip(rows_of(m, stretches), rows))
+            for stretch in stretches:
+                row = _row_maxima(m, stretch)
+                row[:] = [-1] * len(row)
             assert rows_of(m, stretches) == rows_of(fresh, stretches)
             assert verify_q1(m, 3, 1) == verify_q1(fresh, 3, 1)
             assert verify_q1(m, 1, 0).witness == verify_q1(fresh, 1, 0).witness
@@ -716,10 +715,9 @@ class TestTreeQuotient:
     def test_row_maxima_branches_agree(self, kind, monkeypatch):
         # The path-weight DP against the matrices, row by row. The clamped
         # stretch n, and n + 1 beyond it, take the block sums from int8 to
-        # int16 and, as (1 + n) * n > 32767 from n = 181, to int32. A
-        # second call on the same mapping, with other stretches, reads the
-        # kept rows, and a fresh mapping computes every row from the
-        # matrices.
+        # int16 and, as (1 + n) * n > 32767 from n = 181, to int32. Both
+        # calls on the same mapping, and a fresh mapping's, compute every
+        # row from the matrices.
         def stretches(n):
             return [3, n, 1]
 
@@ -838,11 +836,11 @@ class TestTreeQuotient:
         # only the derived graph's edges bypass it. Eccentricities are
         # each graph's own, kept in one slot that only _eccentricities
         # fills, on a tree from the same heaviest-path pass as the DP. A
-        # mapping keeps its pass in one slot, which only _row_maxima reads
-        # or writes (the two constructors start it empty), so no claim
-        # bypasses the kept tables and rows. Tree passes from vertex 0 read
-        # the cached preorder, and weighted medians reach the matrix only
-        # through graph._median. Every longest path of a tree, in the
+        # mapping keeps nothing but its graphs and image: the block tables
+        # are built where they are reduced, and no row is kept. Tree passes
+        # from vertex 0 read the cached preorder, and weighted medians
+        # reach the matrix only through graph._median. Every longest path
+        # of a tree, in the
         # eccentricities, the block diameters and the tree-quotient DP,
         # comes from the one top-two pass, with no leaf-removal pass beside
         # it. One bit-parallel level loop serves the matrix and the block
@@ -865,9 +863,8 @@ class TestTreeQuotient:
             "_ecc": {"_fill", "_eccentricities"},
             "_leaf_removal": set(),
             "_image_distances": set(),
-            "_block_extremes": {"_row_maxima"},
+            "_block_extremes": {"_block_maxima"},
             "_block_maxima": {"_row_maxima"},
-            "_pass": {"__init__", "_trusted_mapping", "_row_maxima"},
             "_preorder": {"_tree_preorder", "_rooted_extents", "_outward_blocks"},
             "_bfs_levels": {"_build_distances", "_induced_diameters"},
             "induced_diameter": set(),
@@ -896,7 +893,7 @@ class TestTreeQuotient:
         for path in package.glob("*.py"):
             visit(ast.parse(path.read_text()), f"{path.name} (module level)")
         assert users == owners
-        assert VertexMapping.__slots__ == ("source", "target", "image", "_pass")
+        assert VertexMapping.__slots__ == ("source", "target", "image")
         weighted = ast.parse((package / "weighted.py").read_text())
         assert "distance_matrix" not in {
             getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
