@@ -8,9 +8,10 @@ reads that one store in place. A tree also caches its preorder from
 vertex 0 (:func:`_tree_preorder`), which every tree pass rooted there
 reads. A tree's matrix is filled row by row in that preorder, any other
 graph's by a bit-parallel multi-source breadth-first search over the
-graph's cached CSR arrays. That search's level loop (:func:`_bfs_levels`)
-also measures, in one sweep, the diameter of every subgraph that a
-labelling of the vertices induces (:func:`_induced_diameters`). Each
+graph's cached CSR arrays. Its level loop (:func:`_bfs_levels`), from
+any sources, also measures in one sweep the diameter of every subgraph
+that a labelling of the vertices induces (:func:`_induced_diameters`),
+and gives each source the others within a radius (:func:`_within`). Each
 graph caches its eccentricities (:func:`_eccentricities`), which give
 its center, radius and diameter: on a tree, every vertex's heaviest path
 from one top-two pass (:func:`_heaviest_paths`), without any matrix,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -255,12 +256,12 @@ def _build_distances(g: Graph) -> np.ndarray:
         return rows
     # Level d is OR-ed into bit plane i for every set bit i of d, which
     # writes each distance in binary.
-    indptr, indices = _csr(g)  # no empty row: connected with a cycle, so n >= 3
+    indptr, indices = _csr(g)
     dist = np.zeros((n, n), dtype=dtype)
     for lo in range(0, n, _CHUNK):
         k = min(_CHUNK, n - lo)
         planes: list[np.ndarray] = []
-        for d, nxt in enumerate(_bfs_levels(indptr, indices, lo, k), start=1):
+        for d, nxt in enumerate(_bfs_levels(indptr, indices, range(lo, lo + k)), start=1):
             if d.bit_length() > len(planes):
                 planes.append(np.zeros_like(nxt))
             for i, plane in enumerate(planes):
@@ -285,24 +286,27 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bfs_levels(
-    indptr: np.ndarray, indices: np.ndarray, lo: int, k: int
+    indptr: np.ndarray, indices: np.ndarray, sources: Sequence[int]
 ) -> Iterator[np.ndarray]:
-    """Multi-source BFS from ``lo .. lo+k-1`` over CSR arrays, level by level.
+    """Multi-source BFS from each of ``sources`` over CSR arrays, level by level.
 
     Bit-parallel (Then et al., PVLDB 2014): bit j of word w in a row stands
-    for source lo + 64 * w + j, so one level of all k searches is one
+    for ``sources[64 * w + j]``, so one level of all k searches is one
     gather and one OR-reduction. Yields, for d = 1, 2, ..., the bits of
-    the sources whose search first reaches each vertex at level d, as an
-    n x ceil(k / 64) uint64 array. Every CSR row must be non-empty, as
-    ``reduceat`` returns the entry at an empty segment's start, not zero.
+    the sources whose search first reaches each vertex at level d (never
+    at the source itself), as an n x ceil(k / 64) uint64 array. Past one
+    vertex no CSR row may be empty: ``reduceat`` returns the entry at an
+    empty segment's start, not zero.
     """
-    bit = np.arange(k, dtype=np.uint64)
-    frontier = np.zeros((len(indptr) - 1, -(-k // 64)), dtype=np.uint64)
-    frontier[lo + bit, bit // 64] = np.uint64(1) << bit % 64
+    if not len(indices):
+        return
+    bit = np.arange(len(sources), dtype=np.uint64)
+    frontier = np.zeros((len(indptr) - 1, -(-len(bit) // 64)), dtype=np.uint64)
+    frontier[sources, bit // 64] = np.uint64(1) << bit % 64
     seen = frontier.copy()
     starts = indptr[:-1]
     while True:
-        nxt = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+        nxt = np.bitwise_or.reduceat(frontier.take(indices, axis=0), starts, axis=0)
         nxt &= ~seen
         if not nxt.any():
             return
@@ -338,12 +342,29 @@ def _induced_diameters(g: Graph, label: Sequence[int], count: int) -> list[int]:
     ecc = np.zeros(n, dtype=np.intp)
     for lo in range(0, n, _CHUNK):
         k = min(_CHUNK, n - lo)
-        for d, nxt in enumerate(_bfs_levels(inner_indptr, inner_indices, lo, k), start=1):
+        levels = _bfs_levels(inner_indptr, inner_indices, range(lo, lo + k))
+        for d, nxt in enumerate(levels, start=1):
             reached = _source_bits(np.bitwise_or.reduce(nxt, axis=0), k)
             ecc[lo + np.flatnonzero(reached)] = d
     diameters = np.zeros(count, dtype=np.intp)
     np.maximum.at(diameters, lab, ecc)
     return diameters.tolist()
+
+
+def _within(g: Graph, sources: Sequence[int], radius: int) -> tuple[tuple[int, ...], ...]:
+    """For each source, the indices of the other sources within ``radius``, ascending."""
+    _check_size(g)  # an all-pairs search, like the matrix
+    src = np.asarray(sources, dtype=np.intp)  # a tuple would index several axes
+    partners: list[tuple[int, ...]] = []
+    for roots in np.split(src, range(_CHUNK, len(src), _CHUNK)):
+        near = np.zeros((len(src), -(-len(roots) // 64)), dtype=np.uint64)
+        for nxt in islice(_bfs_levels(*_csr(g), roots), radius):
+            near |= nxt.take(src, axis=0)
+        hit = _source_bits(near, len(roots)).view(bool).T  # hit[j, i]: roots[j] is near src[i]
+        cols = (np.flatnonzero(hit) % len(src)).tolist()
+        ends = np.cumsum(np.count_nonzero(hit, axis=1)).tolist()
+        partners += (tuple(cols[a:b]) for a, b in zip([0, *ends], ends))
+    return tuple(partners)
 
 
 def _preorder(adj: Sequence[Sequence[int]], root: int = 0) -> tuple[list[int], list[int]]:

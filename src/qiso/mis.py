@@ -5,8 +5,8 @@ and joins two of them whenever their original distance is at most three.
 The canonical mapping fixes set members and sends every other vertex to
 its smallest-id neighbor inside the set. The derived graph of a maximal
 independent set is simple and connected by construction, so its
-adjacency is read off the members' distance rows and not validated
-again.
+adjacency, the members within 3 of each member, comes from a bounded
+search (:func:`qiso.graph._within`) and is not validated again.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Optional, Sequence
 
-import numpy as np
-
 from .errors import InvalidMapping, NotIndependent, NotMaximal
-from .graph import CheckResult, Graph, _trusted_graph, distance_matrix
+from .graph import CheckResult, Graph, _trusted_graph, _within
 from .partition import _greedy_sweep
 from .quasi import VertexMapping, _first_violation, _trusted_mapping
 
@@ -87,10 +85,10 @@ def mis_derived(
     itself); it is validated, not trusted.
 
     The derived graph is built unchecked
-    (:func:`qiso.graph._trusted_graph`). With the diagonal cleared, the
-    members' "within 3" matrix is symmetric with no self-loop, and its
-    non-zero entries in row-major order give each row's neighbours
-    sorted. It is connected: send each vertex of a shortest path in
+    (:func:`qiso.graph._trusted_graph`). Each member's partners, the
+    other members within 3, come ascending and never include the member
+    itself, and "within 3" is symmetric, so every edge is listed from
+    both ends. It is connected: send each vertex of a shortest path in
     ``g`` between two members to itself or an adjacent member, which a
     maximal set has; consecutive vertices then go to members within 3.
 
@@ -104,11 +102,7 @@ def mis_derived(
     check_maximal_independent(g, s)
     mis = tuple(sorted(set(s)))
     index = {v: i for i, v in enumerate(mis)}
-    near = distance_matrix(g).take(mis, axis=0).take(mis, axis=1) <= 3
-    np.fill_diagonal(near, False)
-    cols = np.nonzero(near)[1].tolist()
-    ends = np.cumsum(np.count_nonzero(near, axis=1)).tolist()
-    derived = _trusted_graph(tuple(tuple(cols[a:b]) for a, b in zip([0, *ends], ends)))
+    derived = _trusted_graph(_within(g, mis, 3))
 
     if image is None:
         # Adjacency lists are sorted, so this is the smallest-id neighbor.

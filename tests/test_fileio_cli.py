@@ -1024,6 +1024,23 @@ class TestCliLargeTree:
             checks = json.loads(path.read_text())["checks"]
             assert checks and all(entry["ok"] for entry in checks.values())
 
+    def test_mis_claims_at_the_guard_build_no_matrix(self, tmp_path, monkeypatch):
+        # The proven claims on the greedy independent-set mapping need only
+        # its derived graph, which a three-level search from the members
+        # builds; 2000 vertices is the largest size the guard admits.
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built for a tree")
+
+        gfile = tmp_path / "t.el"
+        fileio.write_edge_list(random_tree(2000, 5), gfile)
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        out = tmp_path / "v.json"
+        argv = ["verify", str(gfile), "--claims", "q1,q2,ecc-transfer,mis-bounds"]
+        assert main(argv + ["-o", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert sorted(checks) == ["ecc-transfer", "mis-bounds", "q1", "q2"]
+        assert all(entry["ok"] for entry in checks.values())
+
 
 class TestClaimTable:
     @pytest.mark.parametrize("method", ["mis", "collapse", "collapse-modified", "outward"])

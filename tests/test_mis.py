@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from helpers import assert_validated_equal, seeded_graph, seeded_tree
 from oracles import first_stretched_edge, floyd_warshall, mis_bounds_witness
 from qiso.errors import InvalidMapping, InvalidVertex, NotIndependent, NotMaximal
-from qiso.generators import complete_graph, path_graph, star_graph
+from qiso.generators import (
+    complete_graph,
+    path_graph,
+    random_connected_graph,
+    random_tree,
+    star_graph,
+)
 from qiso.graph import Graph, bfs_distances
 from qiso.mis import (
     MisResult,
@@ -99,13 +105,16 @@ class TestDerivedGraph:
             assert r.derived.vertex_count == len(r.mis)
             assert -1 not in bfs_distances(r.derived, 0)
 
-    def test_equals_validated_build(self):
+    def test_equals_validated_build(self, monkeypatch):
         # The derived graph is built unchecked; it must equal the graph
-        # validated on the pairs of members within distance 3.
+        # validated on the pairs of members within distance 3, at every
+        # chunk width; sets of over 100 members span several chunks.
         rng = random.Random(11)
         graphs = [path_graph(n) for n in (1, 2, 3)] + [hub_last_star(6), complete_graph(5)]
         graphs += [seeded_tree(seed, min_n=1, max_n=60) for seed in range(60)]
         graphs += [seeded_graph(seed, min_n=1, max_n=60) for seed in range(60)]
+        graphs += [path_graph(260), random_tree(300, 1), random_tree(300, 2)]
+        graphs += [random_connected_graph(300, 600, seed) for seed in (1, 2)]
         for g in graphs:
             order = list(g.vertices())
             rng.shuffle(order)
@@ -115,15 +124,32 @@ class TestDerivedGraph:
                     v if v in members else rng.choice([u for u in g.adjacency[v] if u in members])
                     for v in g.vertices()
                 ]
-                for r in (mis_derived(g, s), mis_derived(g, s, image)):
-                    dist = [bfs_distances(g, v) for v in r.mis]
-                    near = [
-                        (i, j)
-                        for i in range(len(r.mis))
-                        for j in range(i + 1, len(r.mis))
-                        if dist[i][r.mis[j]] <= 3
-                    ]
-                    assert_validated_equal(r.derived, near)
+                mis = sorted(members)
+                dist = [bfs_distances(g, v) for v in mis]
+                k = len(mis)
+                near = [(i, j) for i in range(k) for j in range(i + 1, k) if dist[i][mis[j]] <= 3]
+                for chunk in (1, 63, 64, 65, max(1, k - 1)):
+                    monkeypatch.setattr("qiso.graph._CHUNK", chunk)
+                    for r in (mis_derived(g, s), mis_derived(g, s, image)):
+                        assert_validated_equal(r.derived, near)
+
+    def test_builds_no_matrix(self, monkeypatch):
+        # Members within 3 come from a bounded search, never the matrix.
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built for the derived graph")
+
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        rng = random.Random(3)
+        graphs = [path_graph(n) for n in (1, 2, 3)]
+        graphs += [seeded_tree(seed, min_n=1, max_n=60) for seed in range(20)]
+        graphs += [seeded_graph(seed, min_n=1, max_n=60) for seed in range(20)]
+        for g in graphs:
+            s = greedy_mis(g)
+            image = [
+                v if v in s else rng.choice([u for u in g.adjacency[v] if u in s])
+                for v in g.vertices()
+            ]
+            assert mis_derived(g, s).derived == mis_derived(g, s, image).derived
 
     def test_custom_image_accepted(self):
         g = path_graph(5)

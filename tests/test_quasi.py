@@ -840,11 +840,13 @@ class TestTreeQuotient:
         # are built where they are reduced, and no row is kept. Tree passes
         # from vertex 0 read the cached preorder, and weighted medians
         # reach the matrix only through graph._median. Every longest path
-        # of a tree, in the
-        # eccentricities, the block diameters and the tree-quotient DP,
-        # comes from the one top-two pass, with no leaf-removal pass beside
-        # it. One bit-parallel level loop serves the matrix and the block
-        # diameters, and the per-member search is left to the tests, as are
+        # of a tree, in the eccentricities, the block diameters and the
+        # tree-quotient DP, comes from the one top-two pass, with no
+        # leaf-removal pass beside it. One bit-parallel level loop serves
+        # the matrix, the block diameters and the derived graph, whose
+        # members within 3 it finds with no matrix, so neither weighted.py
+        # nor mis.py names the matrix; both all-pairs searches meet the one
+        # size guard. The per-member search is left to the tests, as are
         # the raw density search and the checked set distance: a mapping's
         # density and center shift need neither. The distance matrix's type
         # is decided where it is built and never cast: the only casts are
@@ -866,7 +868,9 @@ class TestTreeQuotient:
             "_block_extremes": {"_block_maxima"},
             "_block_maxima": {"_row_maxima"},
             "_preorder": {"_tree_preorder", "_rooted_extents", "_outward_blocks"},
-            "_bfs_levels": {"_build_distances", "_induced_diameters"},
+            "_bfs_levels": {"_build_distances", "_induced_diameters", "_within"},
+            "_within": {"mis_derived"},
+            "_check_size": {"distance_matrix", "_within"},
             "induced_diameter": set(),
             "verify_q2_raw": set(),
             "set_distance": set(),
@@ -894,10 +898,11 @@ class TestTreeQuotient:
             visit(ast.parse(path.read_text()), f"{path.name} (module level)")
         assert users == owners
         assert VertexMapping.__slots__ == ("source", "target", "image")
-        weighted = ast.parse((package / "weighted.py").read_text())
+        modules = [ast.parse((package / name).read_text()) for name in ("weighted.py", "mis.py")]
         assert "distance_matrix" not in {
             getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-            for node in ast.walk(weighted)
+            for tree in modules
+            for node in ast.walk(tree)
         }
 
     def test_predicate_matches_quotient_construction(self):
