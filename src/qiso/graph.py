@@ -566,9 +566,8 @@ def _extremes(g: Graph) -> tuple[tuple[int, ...], int, int]:
 
 
 def distance_sum(g: Graph, v: int) -> int:
-    """Sum of hop distances from ``v`` to every vertex."""
-    g.check_vertex(v)
-    return int(distance_matrix(g)[v].sum())
+    """Sum of hop distances from ``v`` to every vertex (one BFS)."""
+    return sum(bfs_distances(g, v))
 
 
 def median(g: Graph) -> tuple[int, ...]:

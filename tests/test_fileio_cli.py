@@ -792,10 +792,11 @@ class TestCliVerify:
         ],
     )
     def test_proven_claims_check_their_premises(self, tmp_path, capsys, claim, image, message):
-        # A claim decided by its proof still builds its mapping, whose
-        # constructor refuses a set that is not independent or not
-        # maximal, and an image that is not adjacent: no proof is applied
-        # to input outside its premises.
+        # A claim decided by its proof checks the outside input it rests
+        # on: a --mapping file's mapping is built, and its constructor
+        # refuses a set that is not independent or not maximal, and an
+        # image that is not adjacent, so no proof is applied to input
+        # outside its premises.
         gfile, mfile, out = tmp_path / "p.el", tmp_path / "m.txt", tmp_path / "v.json"
         fileio.write_edge_list(path_graph(5), gfile)
         fileio.write_mapping(image, mfile)
@@ -927,27 +928,40 @@ class TestCliVerify:
             ["--claims", "ecc-transfer"],
             ["--claims", "q2"],
             ["--partition", "P", "--claims", "mis-bounds"],
+            ["--mapping", "M", "--claims", "q1"],
         ],
-        ids=["q1", "ecc-transfer", "q2", "partition-mis-bounds"],
+        ids=["q1", "ecc-transfer", "q2", "partition-mis-bounds", "mapping-q1"],
     )
     def test_mis_claims_meet_size_guard(self, tmp_path, monkeypatch, capsys, extra):
-        # An independent-set mapping needs the matrix even on a tree.
-        def no_matrix(*args, **kwargs):
-            raise RuntimeError("all-pairs matrix built before the size guard")
+        # A theorem claim checks only its outside input: on the greedy set
+        # it builds nothing, so no search runs for the guard to bound. A
+        # --mapping file is validated by building its derived graph, whose
+        # within-3 search still meets the guard.
+        def unreached(*args, **kwargs):
+            raise RuntimeError("search run for a proven claim")
 
         g = path_graph(2001)
-        gfile = tmp_path / "p.el"
+        gfile, pfile, mfile = (tmp_path / name for name in ("p.el", "p.txt", "m.txt"))
         fileio.write_edge_list(g, gfile)
-        pfile = tmp_path / "p.txt"
         fileio.write_partition(singleton_partition(g), pfile)
-        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        # The greedy set is the even vertices; each odd one maps to v - 1.
+        fileio.write_mapping([v - v % 2 for v in g.vertices()], mfile)
+        monkeypatch.setattr("qiso.graph._build_distances", unreached)
         out = tmp_path / "v.json"
-        argv = ["verify", str(gfile)] + [{"P": str(pfile)}.get(a, a) for a in extra]
-        assert main(argv + ["-o", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: all-pairs search guarded at 2000 vertices, got 2001\n"
-        )
-        assert not out.exists()
+        paths = {"P": str(pfile), "M": str(mfile)}
+        argv = ["verify", str(gfile)] + [paths.get(a, a) for a in extra] + ["-o", str(out)]
+        if "--mapping" in extra:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: all-pairs search guarded at 2000 vertices, got 2001\n"
+            )
+            assert not out.exists()
+            return
+        monkeypatch.setattr("qiso.mis._within", unreached)
+        monkeypatch.setattr(cli, "mis_derived", unreached)
+        assert main(argv) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert checks == {extra[-1]: {"ok": True, "witness": None}}
 
     @pytest.mark.parametrize(
         "argv",
@@ -1040,6 +1054,30 @@ class TestCliLargeTree:
         checks = json.loads(out.read_text())["checks"]
         assert sorted(checks) == ["ecc-transfer", "mis-bounds", "q1", "q2"]
         assert all(entry["ok"] for entry in checks.values())
+
+    def test_every_claim_on_a_partitioned_tree(self, tmp_path, monkeypatch, capsys):
+        # The theorem claims build no independent set, so all eight claims
+        # run on a 10^4-vertex tree; simplify --method mis still builds its
+        # derived graph, whose within-3 search meets the guard.
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built for a tree")
+
+        t = random_tree(10_000, 7)
+        gfile, pfile, out = tmp_path / "t.el", tmp_path / "p.txt", tmp_path / "v.json"
+        fileio.write_edge_list(t, gfile)
+        fileio.write_partition(contraction.outward_contraction(t, 0), pfile)
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        argv = ["verify", str(gfile), "--partition", str(pfile), "--claims", ",".join(CLAIMS)]
+        assert main(argv + ["-o", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert list(checks) == list(CLAIMS) and all(e["ok"] for e in checks.values())
+        prefix = tmp_path / "s"
+        argv = ["simplify", str(gfile), "--method", "mis", "-o", str(prefix)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: all-pairs search guarded at 2000 vertices, got 10000\n"
+        )
+        assert list(tmp_path.glob("s.*")) == []
 
 
 class TestClaimTable:
@@ -1204,6 +1242,39 @@ class TestProvenClaims:
                 assert oracle in (None, {c: checks[c]["ok"] for c in ("q1", "ecc-transfer")})
             sizes.add(g.vertex_count)
         assert {1, 2, 3} <= sizes
+
+    @pytest.mark.parametrize("given", ["none", "partition", "mapping", "both"])
+    def test_proven_verdicts_build_nothing(self, tmp_path, monkeypatch, given):
+        # A theorem claim checks only the outside input its proof rests on:
+        # the greedy set is never built for one, and a --mapping file is
+        # validated by building its derived graph once.
+        gfile, pfile, mfile, out = (tmp_path / f for f in ("g.el", "p.txt", "m.txt", "v.json"))
+        flags = {"partition": ["--partition", str(pfile)], "mapping": ["--mapping", str(mfile)]}
+        flags["both"] = flags["partition"] + flags["mapping"]
+        claim_sets = ["q1,q2,ecc-transfer,mis-bounds", "mis-bounds", "q2,ecc-transfer,q1"]
+        if given == "both":
+            claim_sets = claim_sets[:2]  # beside a partition, only mis-bounds reads a mapping
+        graphs = [seeded_graph(seed, max_n=60) for seed in range(8)]
+        graphs += [seeded_tree(seed) for seed in range(8)]
+        graphs += [f(n) for f in (path_graph, star_graph) for n in (1, 2, 3)]
+        for g in graphs:
+            fileio.write_edge_list(g, gfile)
+            fileio.write_partition(collapse_basic(g), pfile)
+            r = mis_derived(g, greedy_mis(g))
+            fileio.write_mapping([r.mis[i] for i in r.mapping.image], mfile)
+            for claims in claim_sets:
+                counts = [
+                    CallCounter(monkeypatch, owner, name)
+                    for owner, name in ((cli, "greedy_mis"), (cli, "mis_derived"),
+                                        (qiso.mis, "_within"))
+                ]
+                argv = ["verify", str(gfile), *flags.get(given, []), "--claims", claims]
+                assert main(argv + ["-o", str(out)]) == 0, argv
+                checks = json.loads(out.read_text())["checks"]
+                assert all(e == {"ok": True, "witness": None} for e in checks.values())
+                read = given in ("mapping", "both")
+                assert [c.count for c in counts] == [0, read, read], argv
+                monkeypatch.undo()
 
 
 class TestMappingPasses:

@@ -189,6 +189,24 @@ class TestCenterMedian:
     def test_star_median_is_hub(self):
         assert median(star_graph(7)) == (0,)
 
+    def test_distance_sum_is_one_search(self, monkeypatch):
+        # One BFS row, so no matrix and no size guard, on trees and on
+        # graphs with cycles above the guard's 2000 vertices.
+        from qiso.weighted import WeightedGraph, weighted_distance_sum
+
+        def no_matrix(*args, **kwargs):
+            raise RuntimeError("all-pairs matrix built for one row")
+
+        monkeypatch.setattr("qiso.graph._build_distances", no_matrix)
+        for g in [random_tree(3000, seed) for seed in range(3)] + [cycle_graph(2001)]:
+            unit = WeightedGraph(g, (1,) * g.vertex_count)
+            for v in random.Random(g.vertex_count).sample(range(g.vertex_count), 5):
+                total = distance_sum(g, v)
+                assert type(total) is int and total == weighted_distance_sum(unit, v)
+        assert distance_sum(cycle_graph(2001), 0) == 2 * sum(range(1001))
+        with pytest.raises(InvalidVertex):
+            distance_sum(path_graph(3), 3)
+
     def test_median_matches_unit_weights(self):
         from qiso.weighted import WeightedGraph, weighted_median
 
