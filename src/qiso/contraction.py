@@ -77,19 +77,24 @@ def _center_kept(t: Graph, w: Sequence[int]) -> list[bool]:
     end farther from r. The quotient is a tree, so c's block is central
     exactly when c's eccentricity is at most half the diameter, rounded up.
     """
-    diams, eccs = zip(*(_rooted_extents(t.adjacency, w, c) for c in center(t)))
-    return [2 * min(e) <= d + 1 for d, *e in zip(diams[0], *eccs)]
+    first, *second = center(t)
+    diam, ecc = _rooted_extents(t.adjacency, w, first, diameters=True)
+    for c in second:  # the diameters do not depend on the vertex hung from
+        ecc = list(map(min, ecc, _rooted_extents(t.adjacency, w, c, diameters=False)[1]))
+    return [2 * e <= d + 1 for d, e in zip(diam, ecc)]
 
 
 def _rooted_extents(
-    adj: Sequence[Sequence[int]], w: Sequence[int], c: int
-) -> tuple[list[int], list[int]]:
+    adj: Sequence[Sequence[int]], w: Sequence[int], c: int, diameters: bool
+) -> tuple[Optional[list[int]], list[int]]:
     """Per root r, the weighted diameter and the eccentricity of ``c``.
 
     Hung from c, the c-r path's edges point up and weigh ``w`` of their
     upper end; all other edges point down and weigh ``w`` of their lower
     end. An upward pass keeps each vertex's heaviest child branches and
     subtree paths; a downward pass adds what lies beyond each parent.
+    Without ``diameters`` only the eccentricity terms are computed, and
+    the diameters read None.
     """
     order, parent = _preorder(adj, c)
     n = len(adj)
@@ -98,7 +103,6 @@ def _rooted_extents(
     sub = [0] * n  # heaviest path inside v's subtree
     for v in order[:0:-1]:
         p = parent[v]
-        sub[v] = max(d1[v], a1[v] + a2[v])
         val = w[v] + a1[v]
         if val > a1[p]:
             a1[p], a2[p], a3[p] = val, a1[p], a2[p]
@@ -106,7 +110,9 @@ def _rooted_extents(
             a2[p], a3[p] = val, a2[p]
         elif val > a3[p]:
             a3[p] = val
-        d1[p], d2[p] = max(d1[p], sub[v]), max(d2[p], min(d1[p], sub[v]))
+        if diameters:
+            sub[v] = max(d1[v], a1[v] + a2[v])
+            d1[p], d2[p] = max(d1[p], sub[v]), max(d2[p], min(d1[p], sub[v]))
     up = [0] * n  # heaviest branch through v's parent
     out = [0] * n  # heaviest path outside v's subtree
     along = [0] * n  # weight of the c-v path
@@ -117,14 +123,15 @@ def _rooted_extents(
         val = w[v] + a1[v]
         # x, y: the two heaviest child branches of p other than v's
         x, y = (a2[p], a3[p]) if val == a1[p] else (a1[p], a3[p] if val == a2[p] else a2[p])
-        up[v] = w[p] + max(x, up[p])
-        beside = d2[p] if sub[v] == d1[p] else d1[p]
-        out[v] = max(out[p], beside, x + max(y, up[p]))
-        diam[v] = max(sub[v], out[v], a1[v] + max(a2[v], up[v]))
         along[v] = along[p] + w[p]
         off[v] = max(off[p], along[p] + x)
         ecc[v] = max(off[v], along[v] + a1[v])
-    return diam, ecc
+        if diameters:
+            up[v] = w[p] + max(x, up[p])
+            beside = d2[p] if sub[v] == d1[p] else d1[p]
+            out[v] = max(out[p], beside, x + max(y, up[p]))
+            diam[v] = max(sub[v], out[v], a1[v] + max(a2[v], up[v]))
+    return (diam if diameters else None), ecc
 
 
 def _outward_blocks(t: Graph, root: int) -> list[int]:

@@ -10,11 +10,14 @@ from __future__ import annotations
 import json
 import operator
 import os
+import re
 import tempfile
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import FormatError
 from .graph import Graph
@@ -92,39 +95,56 @@ def _ints(fields: list[str], lineno: int, expect: Optional[int] = None) -> list[
         raise FormatError(f"line {lineno}: {exc}") from None
 
 
+# Two-column files in the canonical form qiso writes them: one "a b"
+# pair per line, ASCII digits and one space, "\n" after every line, no
+# blank or comment line. At most 18 digits keeps each value below 2**63,
+# where np.fromstring would saturate; one pair or more excludes b"" and
+# b"\n", which it reads as [] and [0].
+_CANONICAL = re.compile(rb"(?:[0-9]{1,18} [0-9]{1,18}\n)+")
+
+
+def _canonical_ints(path: PathLike) -> Optional[list[int]]:
+    """Every integer of a canonical file, in order, from one C-level call.
+
+    None for any other file, which only the line walk reads and reports on.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if not _CANONICAL.fullmatch(data):
+        return None
+    return np.fromstring(data, dtype=np.int64, sep=" ").tolist()
+
+
 def read_edge_list(path: PathLike) -> Graph:
     """Parse an edge-list file: header ``n m`` then ``m`` lines ``u v``."""
-    lines = _content_lines(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    lineno, header = lines[0]
-    n, m = _ints(header, lineno, 2)
+    ints = _canonical_ints(path)
+    body = None
+    # A file not in canonical form, and a canonical one with an edge out of
+    # order, is walked line by line, which reports the first bad line.
+    if ints is None or not all(map(operator.lt, ints[2::2], ints[3::2])):
+        lines = _content_lines(path)
+        if not lines:
+            raise FormatError(f"{path}: empty file")
+        (lineno, header), *body = lines
+        ints = _ints(header, lineno, 2)
+    n, m = ints[0], ints[1]
     if n > m + 1:  # before Graph allocates n adjacency lists
         raise FormatError(f"{path}: {m} edges cannot connect {n} vertices")
-    body = lines[1:]
-    if len(body) != m:
-        raise FormatError(f"{path}: header says {m} edges, found {len(body)}")
-    # All endpoints in one pass; only a bad file is walked line by line,
-    # to report its first error.
-    rows = [fields for _, fields in body]
-    tokens = list(chain.from_iterable(rows))
-    try:
-        ends = list(map(int, tokens)) if _digits("".join(tokens)) else []
-    except ValueError:  # more digits than int() converts
-        ends = []
-    us, vs = ends[0::2], ends[1::2]
-    if set(map(len, rows)) - {2} or len(ends) != 2 * m or not all(map(operator.lt, us, vs)):
-        for lineno, fields in body:
-            u, v = _ints(fields, lineno, 2)
-            if not u < v:
-                raise FormatError(f"line {lineno}: edges must satisfy u < v, got {u} {v}")
-    return Graph(n, zip(us, vs))
+    found = len(ints) // 2 - 1 if body is None else len(body)
+    if found != m:
+        raise FormatError(f"{path}: header says {m} edges, found {found}")
+    for lineno, fields in body or ():
+        u, v = _ints(fields, lineno, 2)
+        if not u < v:
+            raise FormatError(f"line {lineno}: edges must satisfy u < v, got {u} {v}")
+        ints += (u, v)
+    return Graph(n, zip(ints[2::2], ints[3::2]))
 
 
 def _edge_list_text(g: Graph) -> str:
-    lines = [f"{g.vertex_count} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    edges = g.edges()
+    ints = (g.vertex_count, g.edge_count, *chain.from_iterable(edges))
+    return "%d %d\n" * (len(edges) + 1) % ints
 
 
 def write_edge_list(g: Graph, path: PathLike) -> None:
@@ -190,9 +210,13 @@ def write_weights(weights: Sequence[Union[int, Fraction]], path: PathLike) -> No
 
 def read_mapping(path: PathLike, g: Graph) -> list[int]:
     """Parse a mapping file of ``vertex image`` lines (original vertex ids)."""
+    ints = _canonical_ints(path)
+    if ints is None:
+        rows = ((lineno, *_ints(fields, lineno, 2)) for lineno, fields in _content_lines(path))
+    else:  # a canonical file has no comment or blank line to skip
+        rows = zip(count(1), ints[0::2], ints[1::2])
     image: dict[int, int] = {}
-    for lineno, fields in _content_lines(path):
-        v, w = _ints(fields, lineno, 2)
+    for lineno, v, w in rows:
         if not (0 <= v < g.vertex_count and 0 <= w < g.vertex_count):
             raise FormatError(f"line {lineno}: vertex out of range")
         if v in image:
@@ -205,8 +229,7 @@ def read_mapping(path: PathLike, g: Graph) -> list[int]:
 
 
 def _mapping_text(image: Sequence[int]) -> str:
-    lines = [f"{v} {w}" for v, w in enumerate(image)]
-    return "\n".join(lines) + "\n"
+    return "%d %d\n" * len(image) % tuple(chain.from_iterable(enumerate(image)))
 
 
 def write_mapping(image: Sequence[int], path: PathLike) -> None:

@@ -6,9 +6,11 @@ main library computes more directly, kept simple enough to trust.
 
 from __future__ import annotations
 
+import operator
 import random
+from itertools import chain
 
-from qiso.errors import TooLarge
+from qiso.errors import FormatError, TooLarge
 from qiso.graph import Graph, _bfs, bfs_distances, center
 from qiso.partition import Partition, build_partition_graph
 
@@ -345,3 +347,91 @@ def keeps_center(order, parent, block_of, src_center) -> bool:
     if (best[peak] - second[peak]) % 2:
         middle.add(down[mid])
     return any(block_of[c] in middle for c in src_center)
+
+
+# The edge-list and mapping readers and writers as they were before
+# qiso's whole-file passes: every file is split into lines in Python and
+# every line written by its own f-string. The new code must accept,
+# reject and write exactly as these do.
+
+
+def _content_lines(path):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    out = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            out.append((lineno, fields))
+    return out
+
+
+def _digits(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
+def _ints(fields, lineno, expect=None):
+    if expect is not None and len(fields) != expect:
+        raise FormatError(f"line {lineno}: expected {expect} fields, got {len(fields)}")
+    for f in fields:
+        if not _digits(f):
+            raise FormatError(f"line {lineno}: invalid literal for int() with base 10: {f!r}")
+    try:
+        return [int(f) for f in fields]
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
+
+
+def read_edge_list(path) -> Graph:
+    lines = _content_lines(path)
+    if not lines:
+        raise FormatError(f"{path}: empty file")
+    lineno, header = lines[0]
+    n, m = _ints(header, lineno, 2)
+    if n > m + 1:
+        raise FormatError(f"{path}: {m} edges cannot connect {n} vertices")
+    body = lines[1:]
+    if len(body) != m:
+        raise FormatError(f"{path}: header says {m} edges, found {len(body)}")
+    rows = [fields for _, fields in body]
+    tokens = list(chain.from_iterable(rows))
+    try:
+        ends = list(map(int, tokens)) if _digits("".join(tokens)) else []
+    except ValueError:
+        ends = []
+    us, vs = ends[0::2], ends[1::2]
+    if set(map(len, rows)) - {2} or len(ends) != 2 * m or not all(map(operator.lt, us, vs)):
+        for lineno, fields in body:
+            u, v = _ints(fields, lineno, 2)
+            if not u < v:
+                raise FormatError(f"line {lineno}: edges must satisfy u < v, got {u} {v}")
+    return Graph(n, zip(us, vs))
+
+
+def read_mapping(path, g: Graph) -> list[int]:
+    image = {}
+    for lineno, fields in _content_lines(path):
+        v, w = _ints(fields, lineno, 2)
+        if not (0 <= v < g.vertex_count and 0 <= w < g.vertex_count):
+            raise FormatError(f"line {lineno}: vertex out of range")
+        if v in image:
+            raise FormatError(f"line {lineno}: duplicate image for vertex {v}")
+        image[v] = w
+    missing = g.vertex_count - len(image)
+    if missing:
+        raise FormatError(f"{path}: {missing} vertices have no image")
+    return [image[v] for v in range(g.vertex_count)]
+
+
+def edge_list_text(g: Graph) -> str:
+    lines = [f"{g.vertex_count} {g.edge_count}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def mapping_text(image) -> str:
+    lines = [f"{v} {w}" for v, w in enumerate(image)]
+    return "\n".join(lines) + "\n"

@@ -347,6 +347,8 @@ class TestAllRoots:
         assert verdicts == {True, False}
 
     def test_center_kept_matches_keeps_center(self):
+        # One-center and two-center trees each meet both verdicts: the
+        # second center's pass computes eccentricities alone.
         trees = list(_all_roots_trees()) + [random_tree(n, n) for n in (97, 150, 233)]
         verdicts = set()
         for seed, t in enumerate(trees):
@@ -359,8 +361,8 @@ class TestAllRoots:
                     for r in t.vertices()
                 ]
                 assert _center_kept(t, w) == expected
-                verdicts.update(expected)
-        assert verdicts == {True, False}
+                verdicts.update((len(src_center), kept) for kept in expected)
+        assert verdicts == {(1, True), (1, False), (2, True), (2, False)}
 
     def test_first_root_matches_oracle_loop(self):
         # Random rules give failing roots, which outward contraction never has.

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -226,6 +226,166 @@ class TestReadersFuzz:
                 read(path)
             except QisoError:
                 pass
+
+
+# Tokens that a canonical file never holds and the line walk must read as
+# the references do: leading zeros, 19 or more digits (2**63 - 1 and up
+# saturate in np.fromstring) and tokens int() alone would take.
+_ODD_TOKENS = ["007", "0" * 20 + "1", "9" * 19, str(2**63 - 1), str(2**63), "1" + "0" * 25]
+_ODD_TOKENS += ["x", "-1", "+1", "1_0", "#1"]
+
+
+@st.composite
+def _two_column_file(draw):
+    """A graph, and an edge list or a mapping onto it written as qiso
+    writes them, then perturbed in content, tokens and layout."""
+    g = draw(
+        st.one_of(
+            st.integers(0, 10**6).map(lambda s: seeded_graph(s, max_n=12)),
+            st.integers(0, 10**6).map(lambda s: seeded_tree(s, max_n=12)),
+            st.integers(1, 3).map(path_graph),
+        )
+    )
+    n = g.vertex_count
+    edge_list = draw(st.booleans())
+    if edge_list:
+        rows = [list(e) for e in g.edges()]
+    else:
+        rows = [[v, draw(st.integers(0, n - 1))] for v in range(n)]
+    edits = ["drop", "repeat", "swap", "loop", "range", "shuffle"]
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=3)) if draw(st.booleans()) else ():
+        if not rows:
+            break
+        k = draw(st.integers(0, len(rows) - 1))
+        if edit == "drop":  # a disconnected graph, a missing image
+            del rows[k]
+        elif edit == "repeat":  # a duplicate edge or image
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[k]))
+        elif edit == "swap":  # u > v
+            rows[k].reverse()
+        elif edit == "loop":  # u == v
+            rows[k][1] = rows[k][0]
+        elif edit == "range":
+            rows[k][draw(st.integers(0, 1))] = n + draw(st.integers(0, 2))
+        else:  # lines in another order
+            rows = draw(st.permutations(rows))
+    if edge_list:  # a header that agrees with the body, or does not
+        rows.insert(0, [n, max(len(rows) + draw(st.sampled_from([0, -1, 1])), 0)])
+    for _ in range(draw(st.integers(1, 2)) if rows and draw(st.booleans()) else 0):
+        k = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):  # a field too many or too few
+            rows[k] = rows[k] + [draw(st.integers(0, n))] if draw(st.booleans()) else rows[k][:1]
+        else:
+            rows[k] = list(rows[k])
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+    layouts = ["separators", "margins", "crlf", "blanks and comments", "no final newline"]
+    layout = draw(st.sets(st.sampled_from(layouts), min_size=1)) if draw(st.booleans()) else ()
+    lines = []
+    for fields in rows:
+        sep, lead, trail, end = " ", "", "", "\n"
+        if "separators" in layout:
+            sep = draw(st.sampled_from([" ", "  ", "\t", " \t"]))
+        if "margins" in layout:
+            lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " "]))
+        if "crlf" in layout:
+            end = draw(st.sampled_from(["\n", "\r\n"]))
+        if "blanks and comments" in layout and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["\n", "# c\n", " #x 1 2\n", "\t\n"])))
+        lines.append(lead + sep.join(map(str, fields)) + trail + end)
+    text = "".join(lines)
+    if "no final newline" in layout:
+        text = text.rstrip("\n")
+    if draw(st.sampled_from(range(16))) == 15:
+        text = draw(st.sampled_from(["", "\n", "\n\n", " \n", "0\n", "0 0"]))
+    return g, edge_list, text.encode()
+
+
+def _outcome(read, *args):
+    """What ``read`` returns, or the type and message of what it raises."""
+    try:
+        return read(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _write_edges(path, n, edges, header_m=None):
+    """An edge list written as the benchmark's workload generator writes one."""
+    m = len(edges) if header_m is None else header_m
+    path.write_text(f"{n} {m}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+
+
+class TestWholeFilePasses:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_two_column_file())
+    @example((path_graph(3), True, b"3 2\n0 1\n2 1\n"))
+    @example((path_graph(3), True, b"9223372036854775808 2\n0 1\n1 2\n"))
+    @example((path_graph(3), True, b"\n"))
+    @example((path_graph(3), False, b"0 0\n1 3\n2 2\n"))
+    @example((path_graph(3), False, b"0 0\n2 2\n1 1\n2 1\n"))
+    def test_readers_match_references(self, tmp_path, case):
+        # Same graph or image list, or the same exception and message,
+        # as the line-by-line readers on every perturbed file.
+        g, edge_list, data = case
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        if edge_list:
+            assert _outcome(fileio.read_edge_list, path) == _outcome(oracles.read_edge_list, path)
+        else:
+            got = _outcome(fileio.read_mapping, path, g)
+            assert got == _outcome(oracles.read_mapping, path, g)
+
+    def test_canonical_files_skip_the_line_walk(self, tmp_path, monkeypatch):
+        def walk(path):
+            raise AssertionError(f"{path} was walked line by line")
+
+        monkeypatch.setattr(fileio, "_content_lines", walk)
+        graphs = [path_graph(1), path_graph(2), star_graph(9)]
+        graphs += [seeded_graph(s) for s in range(8)] + [seeded_tree(s) for s in range(8)]
+        for i, g in enumerate(graphs):
+            ours, theirs, mapping = (tmp_path / f"{name}{i}" for name in ("g.el", "w.el", "m.txt"))
+            fileio.write_edge_list(g, ours)
+            _write_edges(theirs, g.vertex_count, g.edges())
+            image = [random.Random(i).randrange(g.vertex_count) for _ in g.vertices()]
+            fileio.write_mapping(image, mapping)
+            assert fileio.read_edge_list(ours) == fileio.read_edge_list(theirs) == g
+            assert fileio.read_mapping(mapping, g) == image
+        # The corrupted canonical files of the small-tree workload, and
+        # canonical mappings that fail, are rejected without a walk too.
+        t = seeded_tree(3, min_n=8)
+        edges = t.edges()
+        bad = tmp_path / "bad.txt"
+        for rows in (edges + edges[:1], edges[1:]):
+            _write_edges(bad, t.vertex_count, rows)
+            with pytest.raises(QisoError):
+                fileio.read_edge_list(bad)
+        for m in (len(edges) - 1, len(edges) + 1):
+            _write_edges(bad, t.vertex_count, edges, m)
+            with pytest.raises(FormatError):
+                fileio.read_edge_list(bad)
+        for text, message in [
+            ("0 0\n1 0\n", ": 1 vertices have no image$"),
+            ("0 0\n0 1\n1 1\n2 2\n", "^line 2: duplicate image for vertex 0$"),
+            ("0 0\n1 3\n2 2\n", "^line 2: vertex out of range$"),
+        ]:
+            bad.write_text(text)
+            with pytest.raises(FormatError, match=message):
+                fileio.read_mapping(bad, path_graph(3))
+
+    def test_writers_match_references(self, tmp_path):
+        graphs = [path_graph(1), path_graph(2), star_graph(12)]
+        graphs += [seeded_graph(s) for s in range(10)] + [seeded_tree(s) for s in range(10)]
+        graphs.append(mis_derived(graphs[5], greedy_mis(graphs[5])).derived)
+        for i, g in enumerate(graphs):
+            assert fileio._edge_list_text(g) == oracles.edge_list_text(g)
+            path = tmp_path / f"g{i}.el"
+            fileio.write_edge_list(g, path)
+            assert fileio.read_edge_list(path) == g
+            result = mis_derived(g, greedy_mis(g))
+            image = [result.mis[j] for j in result.mapping.image]
+            assert fileio._mapping_text(image) == oracles.mapping_text(image)
+            path = tmp_path / f"m{i}.txt"
+            fileio.write_mapping(image, path)
+            assert fileio.read_mapping(path, g) == image
 
 
 class TestReports:
