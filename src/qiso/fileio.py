@@ -142,9 +142,13 @@ def read_edge_list(path: PathLike) -> Graph:
 
 
 def _edge_list_text(g: Graph) -> str:
-    edges = g.edges()
-    ints = (g.vertex_count, g.edge_count, *chain.from_iterable(edges))
-    return "%d %d\n" * (len(edges) + 1) % ints
+    ints = [g.vertex_count, g.edge_count]
+    for u, nbrs in enumerate(g.adjacency):
+        for v in nbrs:
+            if u < v:
+                ints.append(u)
+                ints.append(v)
+    return "%d %d\n" * (g.edge_count + 1) % tuple(ints)
 
 
 def write_edge_list(g: Graph, path: PathLike) -> None:

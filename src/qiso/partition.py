@@ -238,34 +238,27 @@ def collapse_modified(g: Graph, order: Optional[Sequence[int]] = None) -> Partit
     phase-one snapshot (never to another leftover) keeps every member
     within two hops of its block's seed, so diameters stay at most four.
     """
-    n = g.vertex_count
     sweep = _sweep_order(g, order)
-    assigned = bytearray(n)
-    blocks: list[list[int]] = []
-    block_of = [-1] * n
+    block_of = [-1] * g.vertex_count
+    k = 0
 
     # A vertex that stops being completely free never becomes free again,
-    # so one forward pass meets the seeds in the order a restart scan would.
+    # so one forward pass meets the seeds in the order a restart scan
+    # would. A seed is completely free, so it absorbs every neighbor.
     for seed in sweep:
-        if assigned[seed] or any(assigned[u] for u in g.adjacency[seed]):
-            continue
-        blk = [seed]
-        assigned[seed] = 1
-        block_of[seed] = len(blocks)
-        for u in g.adjacency[seed]:
-            if not assigned[u]:
-                assigned[u] = 1
-                block_of[u] = len(blocks)
-                blk.append(u)
-        blocks.append(blk)
+        if block_of[seed] < 0 and all(block_of[u] < 0 for u in g.adjacency[seed]):
+            block_of[seed] = k
+            for u in g.adjacency[seed]:
+                block_of[u] = k
+            k += 1
 
-    anchored = bytes(assigned)
+    anchored = block_of[:]
     for w in sweep:
-        if anchored[w]:
-            continue
-        host = min(u for u in g.adjacency[w] if anchored[u])
-        block_of[w] = block_of[host]
-        blocks[block_of[host]].append(w)
+        if anchored[w] < 0:
+            block_of[w] = anchored[min(u for u in g.adjacency[w] if anchored[u] >= 0)]
+    blocks: list[list[int]] = [[] for _ in range(k)]
+    for v, b in enumerate(block_of):
+        blocks[b].append(v)
     return Partition(g, blocks)
 
 

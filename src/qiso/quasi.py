@@ -18,12 +18,12 @@ row maxima into a verdict with the first witness pair. Nothing is kept
 on a mapping: at a quotient's or an independent-set mapping's own
 guarantee the claims are theorems (``qiso.cli`` takes those verdicts
 from the proofs), so a command asks a mapping for one row set, at
-stretch 1, for its minimal constants. When the source is a tree and the
-mapping is its quotient by connected blocks (:func:`_tree_quotient`),
-each row is a heaviest path in the source tree
-(:func:`qiso.graph._heaviest_paths`), found in linear time without any
+stretch 1, for its minimal constants. :func:`_row_maxima` chooses
+between two kernels in one pass over a source tree's parent edges: on
+the tree's quotient by connected blocks each row is a heaviest path
+(:func:`qiso.graph._heaviest_paths`), in linear time and without any
 matrix. Every other mapping groups each x's partners by their image
-block (:func:`_block_extremes`), so no n x n matrix is formed beside the
+block (:func:`_block_maxima`), so no n x n matrix is formed beside the
 source's own cached one (:func:`qiso.graph.distance_matrix`).
 Eccentricities are each graph's own (:func:`qiso.graph._eccentricities`).
 """
@@ -143,48 +143,15 @@ def identity_mapping(g: Graph) -> VertexMapping:
     return VertexMapping(g, g, range(g.vertex_count))
 
 
-def _tree_quotient(m: VertexMapping) -> bool:
-    """Whether ``m`` is the quotient map of a tree by connected blocks.
+def _block_maxima(m: VertexMapping, stretch: int) -> list[int]:
+    """:func:`_row_maxima` off tree quotients, from k x n block tables.
 
-    Holds when source and target are trees and exactly
-    ``k - 1 = target.edge_count`` source edges cross blocks. The k blocks
-    of a tree induce a forest with c >= k components, so ``c - 1`` of the
-    ``n - 1`` edges cross, and exactly k - 1 only when every block is
-    connected. Contracting connected blocks of a tree leaves a tree, so
-    no two cross edges join the same block pair; each maps onto a target
-    edge, as no mapping stretches one, so the k - 1 cross edges give
-    k - 1 distinct target edges, which are all the target tree's edges.
-    On such a mapping the x-y path meets each block in one run, so
-    ``d(x, y)`` counts its intra- and cross-block edges and
-    ``d'(f(x), f(y))`` its cross-block edges alone.
-    """
-    source, target, img = m.source, m.target, m.image
-    if not (source.is_tree and target.is_tree):
-        return False
-    # Each cross edge once, from the endpoint with the smaller image.
-    cross = sum(img[u] < img[v] for u, nbrs in enumerate(source.adjacency) for v in nbrs)
-    return cross == target.edge_count
-
-
-def _path_maxima(m: VertexMapping, stretch: int) -> list[int]:
-    """Each x's maximum over y of ``d1 - stretch*d2``, as in :func:`_row_maxima`.
-
-    Only for a :func:`_tree_quotient` mapping, where the value is the
-    weight of x's heaviest path with intra-block edges weighing 1 and
-    cross-block edges ``1 - stretch``.
-    """
-    img, parent = m.image, _tree_preorder(m.source)[1]
-    # w[v]: the weight of the edge from v to its parent (unused at the root).
-    w = [1 - stretch if img[v] != img[p] else 1 for v, p in enumerate(parent)]
-    return _heaviest_paths(m.source, w)
-
-
-def _block_extremes(m: VertexMapping) -> tuple[np.ndarray, np.ndarray]:
-    """With blocks b_i largest first, the tables ``far`` and ``d2``.
-
-    ``far[i, x]`` is the greatest ``d(x, y)`` over the preimage y of b_i,
-    and ``d2[i, x] = d'(b_i, f(x))``. Slot j gathers the j-th member of
-    each block with more than j: a prefix.
+    The image is onto, so x's maximum is that over blocks b of
+    ``E - stretch*d'(f(x), b)``, E being x's distance to b's farthest
+    member: ``far[i, x]`` with the blocks b_i largest first. Slot j
+    gathers the j-th member of each block with more than j, a prefix of
+    that order. The k x n sum takes the smallest signed dtype that holds
+    ``(1 + stretch) * n``, a bound on every value.
     """
     img = np.asarray(m.image, dtype=np.intp)
     sizes = np.bincount(img)
@@ -198,18 +165,7 @@ def _block_extremes(m: VertexMapping) -> tuple[np.ndarray, np.ndarray]:
         c = np.count_nonzero(sizes > j)
         rows = dist.take(members[first[:c] + j], axis=0)
         np.maximum(far[:c], rows, out=far[:c])
-    return far, distance_matrix(m.target).take(blocks, axis=0).take(img, axis=1)
-
-
-def _block_maxima(m: VertexMapping, stretch: int) -> list[int]:
-    """:func:`_row_maxima` off tree quotients, from :func:`_block_extremes`.
-
-    The image is onto, so x's maximum is that over blocks b of
-    ``E - stretch*d'(f(x), b)``, E being x's distance to b's farthest
-    member. The k x n sum takes the smallest signed dtype that holds
-    ``(1 + stretch) * n``, a bound on every value.
-    """
-    far, d2 = _block_extremes(m)
+    d2 = distance_matrix(m.target).take(blocks, axis=0).take(img, axis=1)
     dtype = np.min_scalar_type(-1 - m.source.vertex_count * (1 + stretch))
     values = np.multiply(-stretch, d2, dtype=dtype)
     values += far
@@ -222,11 +178,29 @@ def _row_maxima(m: VertexMapping, stretch: int) -> list[int]:
     ``d1 = d(x, y)`` and ``d2 = d'(f(x), f(y))``; y = x gives 0. Every
     pair claim bounds this one form: no mapping stretches a distance
     (:class:`VertexMapping`), so each upper side holds and only the lower
-    side ``d1 - stretch*d2 <= limit`` is checked. A tree quotient's rows
-    are heaviest paths (:func:`_path_maxima`), any other mapping's come
-    from its block tables (:func:`_block_maxima`).
+    side ``d1 - stretch*d2 <= limit`` is checked.
+
+    Between trees, one pass marks the source's parent edges that cross
+    blocks. The k blocks induce a forest with c >= k components, so c - 1
+    edges cross, and k - 1 only when every block is connected. Then no
+    two cross edges join one block pair (contracting connected blocks of
+    a tree leaves a tree) and each maps onto a target edge, so k - 1 =
+    ``target.edge_count`` crossings make the target the quotient. A
+    connected block holds the tree path between any two of its members,
+    so the x-y path meets each block in one run, and the images of its
+    cross edges, no block repeated, are the target path: x's row is its
+    heaviest path with cross edges weighing ``1 - stretch`` and the
+    others 1. Any other mapping's rows come from :func:`_block_maxima`.
     """
-    return _path_maxima(m, stretch) if _tree_quotient(m) else _block_maxima(m, stretch)
+    source, target, img = m.source, m.target, m.image
+    if source.is_tree and target.is_tree:
+        parent = _tree_preorder(source)[1]
+        # w[v] weighs v's edge to its parent; the root, 0, has none to count.
+        w = [1 - stretch if img[v] != img[p] else 1 for v, p in enumerate(parent)]
+        w[0] = 1
+        if w.count(1 - stretch) == target.edge_count:
+            return _heaviest_paths(source, w)
+    return _block_maxima(m, stretch)
 
 
 def _first_violation(m: VertexMapping, stretch: int, limit: int) -> CheckResult:

@@ -76,17 +76,13 @@ def weighted_partition_tree(p: Partition) -> tuple[WeightedGraph, VertexMapping]
     """
     require_tree(p.graph)
     pg = build_partition_graph(p)
-    return _cardinality_weighted(pg), pg.mapping
-
-
-def _cardinality_weighted(pg: PartitionGraph) -> WeightedGraph:
-    return WeightedGraph(pg.quotient, tuple(len(blk) for blk in pg.partition.blocks))
+    return WeightedGraph(pg.quotient, tuple(len(blk) for blk in p.blocks)), pg.mapping
 
 
 def _median_blocks(pg: PartitionGraph) -> list[tuple[int, ...]]:
-    """Blocks forming the weighted quotient's median."""
+    """Blocks forming the quotient's median, weighed by block sizes."""
     blocks = pg.partition.blocks
-    return [blocks[b] for b in weighted_median(_cardinality_weighted(pg))]
+    return [blocks[b] for b in _median(pg.quotient, [len(blk) for blk in blocks])]
 
 
 def median_preserved(pg: PartitionGraph, source_median: Sequence[int]) -> bool:

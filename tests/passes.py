@@ -1,11 +1,11 @@
 """Counts of the pair work that ``qiso.quasi`` does for each mapping.
 
-:class:`PassCounter` wraps the primitives behind ``quasi._row_maxima``:
-the tree-quotient test, the block tables, and the two per-pair branches.
-Each call is counted against the mapping it works on, so one in-process
-``qiso.cli.main`` run shows which stretches each mapping was asked for,
-and whether any mapping built its tables or decided it is a tree
-quotient twice. :class:`CallCounter` counts
+:class:`PassCounter` wraps ``quasi._row_maxima``, the one dispatcher of
+the pair layer, and ``quasi._block_maxima``, the block tables it builds
+off tree quotients. Each call is counted against the mapping it works
+on, so one in-process ``qiso.cli.main`` run shows which stretches each
+mapping was asked for, and whether any mapping built its tables twice.
+:class:`CallCounter` counts
 the calls of any one function or method, such as the graphs that go
 through ``Graph.__init__``'s validation, or only those calls that find
 a condition true, such as a graph's eccentricities not yet cached.
@@ -39,46 +39,39 @@ class CallCounter:
 
         monkeypatch.setattr(owner, name, counted)
 
-# Each primitive takes the mapping first; the per-pair branches end with
-# the stretch.
-_WRAPPED = ("_tree_quotient", "_block_extremes", "_path_maxima", "_block_maxima")
-
-
 class PassCounter:
-    """Patch ``quasi``'s pass primitives, through ``monkeypatch``, to count them.
+    """Patch ``quasi``'s row dispatcher and block tables, through ``monkeypatch``.
 
-    ``calls[name][m]`` is how often primitive ``name`` ran on mapping
-    ``m``; ``stretches[m]`` lists every stretch computed for ``m``, in
-    order. Mappings are the keys themselves, kept alive, so no two share
-    an identity. A primitive that the module lacks raises
-    ``AttributeError``, so a renamed one cannot go uncounted.
+    ``stretches[m]`` lists every stretch whose rows were asked of mapping
+    ``m``, in order, and ``tables[m]`` counts the block tables built for
+    it. Mappings are the keys themselves, kept alive, so no two share an
+    identity. A name that the module lacks raises ``AttributeError``, so a
+    renamed one cannot go uncounted.
     """
 
     def __init__(self, monkeypatch):
-        self.calls = {name: Counter() for name in _WRAPPED}
         self.stretches = defaultdict(list)
-        for name in _WRAPPED:
-            monkeypatch.setattr(quasi, name, self._wrap(name, getattr(quasi, name)))
+        self.tables = Counter()
+        rows, tables = quasi._row_maxima, quasi._block_maxima
 
-    def _wrap(self, name, original):
-        def counted(m, *args):
-            self.calls[name][m] += 1
-            if name in ("_path_maxima", "_block_maxima"):
-                self.stretches[m].append(args[-1])
-            return original(m, *args)
+        def counted_rows(m, stretch):
+            self.stretches[m].append(stretch)
+            return rows(m, stretch)
 
-        return counted
+        def counted_tables(m, stretch):
+            self.tables[m] += 1
+            return tables(m, stretch)
+
+        monkeypatch.setattr(quasi, "_row_maxima", counted_rows)
+        monkeypatch.setattr(quasi, "_block_maxima", counted_tables)
 
     def repeats(self):
         """Per mapping that did any work twice, what it did more than once."""
         out = []
-        for m in set(self.stretches).union(*self.calls.values()):
-            again = {
-                name: self.calls[name][m]
-                for name in ("_tree_quotient", "_block_extremes")
-                if self.calls[name][m] > 1
-            }
-            again.update({s: k for s, k in Counter(self.stretches[m]).items() if k > 1})
+        for m in set(self.stretches).union(self.tables):
+            again = {s: k for s, k in Counter(self.stretches[m]).items() if k > 1}
+            if self.tables[m] > 1:
+                again["_block_maxima"] = self.tables[m]
             if again:
                 out.append((repr(m), again))
         return out

@@ -65,8 +65,8 @@ from qiso.partition import (
 from qiso.quasi import (
     QuasiIsometryConstants,
     VertexMapping,
+    _block_maxima,
     _row_maxima,
-    _tree_quotient,
     center_shift,
     identity_mapping,
     minimal_additive_for_stretch,
@@ -101,9 +101,13 @@ def quotient_and_mis_mappings():
     return mappings
 
 
-def rows_of(m, stretches):
-    """``m``'s row maxima for each stretch in ``stretches``, in order."""
-    return [tuple(_row_maxima(m, stretch)) for stretch in stretches]
+def rows_of(m, stretches, rows=_row_maxima):
+    """``m``'s row maxima for each stretch in ``stretches``, in order.
+
+    ``rows`` computes them: the dispatcher, or one kernel such as the
+    block tables.
+    """
+    return [tuple(rows(m, stretch)) for stretch in stretches]
 
 
 def grid_graph(rows, cols):
@@ -344,7 +348,7 @@ class TestMinimalConstants:
             minimal_constants(identity_mapping(cycle_graph(2001)))
 
     @pytest.mark.parametrize("big", [2**62, 2**70])
-    def test_huge_constants_stay_exact(self, big, cached_oracles):
+    def test_huge_constants_stay_exact(self, big, cached_oracles, monkeypatch):
         # int64 arithmetic at these constants would wrap or overflow. The
         # path's quotient takes the tree DP; a cycle's collapse and an
         # independent set of a graph with cycles take the block kernel.
@@ -355,7 +359,7 @@ class TestMinimalConstants:
             mis_derived(g, greedy_mis(g)).mapping,
         ]
         assert not g.is_tree
-        assert [_tree_quotient(m) for m in mappings] == [True, False, False]
+        tables = CallCounter(monkeypatch, qiso.quasi, "_block_maxima")
         assert minimal_additive_for_stretch(mappings[0], big) == 1
         for m in mappings:
             assert minimal_additive_for_stretch(m, big) == minimal_additive(m, big)
@@ -367,6 +371,7 @@ class TestMinimalConstants:
             assert len(witnesses) == 2, m  # (big, 0) fails; the rest pass
             assert verify_ecc_transfer(m, big, 1) == ecc_transfer_holds(m, big, 1)
             assert verify_ecc_transfer(m, 1, big) == ecc_transfer_holds(m, 1, big)
+        assert {id(m) for m, _ in tables.args} == {id(m) for m in mappings[1:]}
 
 
 class TestEccTransfer:
@@ -617,10 +622,6 @@ def no_matrix(*args, **kwargs):
     raise RuntimeError("all-pairs matrix built for a tree quotient")
 
 
-def no_dp(*args, **kwargs):
-    raise RuntimeError("path-weight DP run on a mapping that is no tree quotient")
-
-
 def accepted(candidates):
     """The mappings that ``(source, target, image)`` triples make.
 
@@ -697,12 +698,14 @@ class TestTreeQuotient:
     """The path-weight DP that checks tree quotients without any matrix."""
 
     @pytest.mark.parametrize("kind", list(PARTITIONS))
-    def test_matches_oracles(self, kind, cached_oracles):
+    def test_matches_oracles(self, kind, cached_oracles, monkeypatch):
+        # Every tree quotient's rows are heaviest paths: no block table runs.
+        tables = CallCounter(monkeypatch, qiso.quasi, "_block_maxima")
         verdicts = set()
         for i, t in enumerate(oracle_trees()):
             pg = build_partition_graph(PARTITIONS[kind](t, i))
-            assert _tree_quotient(pg.mapping)
             verdicts |= assert_matches_oracles(pg.mapping)
+            assert tables.count == 0
             # Both eccentricity profiles, as verify_ecc_transfer reads them.
             for tree in (t, pg.quotient):
                 ecc = [max(row) for row in oracles.floyd_warshall(tree)]
@@ -713,11 +716,11 @@ class TestTreeQuotient:
 
     @pytest.mark.parametrize("kind", list(PARTITIONS))
     def test_row_maxima_branches_agree(self, kind, monkeypatch):
-        # The path-weight DP against the matrices, row by row. The clamped
-        # stretch n, and n + 1 beyond it, take the block sums from int8 to
-        # int16 and, as (1 + n) * n > 32767 from n = 181, to int32. Both
-        # calls on the same mapping, and a fresh mapping's, compute every
-        # row from the matrices.
+        # The path-weight DP against the block tables, row by row. The
+        # clamped stretch n, and n + 1 beyond it, take the block sums from
+        # int8 to int16 and, as (1 + n) * n > 32767 from n = 181, to int32.
+        # Both kernels on the same mapping, and the tables of a fresh
+        # mapping, compute every row afresh.
         def stretches(n):
             return [3, n, 1]
 
@@ -730,20 +733,20 @@ class TestTreeQuotient:
             for i, t in enumerate(trees)
         ]
         assert {m.source.vertex_count for m in mappings} >= {1, 2}
-        assert all(_tree_quotient(m) for m in mappings)
+        tables = CallCounter(monkeypatch, qiso.quasi, "_block_maxima")
         by_dp = [
             (rows_of(m, stretches(n)), rows_of(m, more_stretches(n)))
             for m in mappings
             for n in [m.source.vertex_count]
         ]
-        monkeypatch.setattr("qiso.quasi._tree_quotient", lambda m: False)
-        monkeypatch.setattr("qiso.quasi._path_maxima", no_dp)
+        assert tables.count == 0
         for m, (rows, more_rows) in zip(mappings, by_dp):
             n = m.source.vertex_count
-            assert rows_of(m, stretches(n)) == rows
-            assert rows_of(m, more_stretches(n)) == more_rows
+            assert rows_of(m, stretches(n), _block_maxima) == rows
+            assert rows_of(m, more_stretches(n), _block_maxima) == more_rows
             fresh = VertexMapping(m.source, m.target, m.image)
-            assert rows_of(fresh, stretches(n) + more_stretches(n)) == rows + more_rows
+            wanted = stretches(n) + more_stretches(n)
+            assert rows_of(fresh, wanted, _block_maxima) == rows + more_rows
 
     def test_non_quotients_take_the_matrix_path(self, cached_oracles, monkeypatch):
         # Candidates that stretch an edge are refused at construction.
@@ -765,14 +768,17 @@ class TestTreeQuotient:
             # A tree quotient's image set onto a relabelled tree of the same size.
             candidates.append((t, random_tree(len(pg.partition), seed), pg.mapping.image))
         mappings += accepted(candidates)
-        monkeypatch.setattr("qiso.quasi._path_maxima", no_dp)
         non_quotients = [m for m in mappings if not is_tree_quotient(m)]
         assert len(non_quotients) > 100
+        # Every row request of a non-quotient builds its block tables.
+        rows = CallCounter(monkeypatch, qiso.quasi, "_row_maxima")
+        tables = CallCounter(monkeypatch, qiso.quasi, "_block_maxima")
         for m in non_quotients:
-            assert not _tree_quotient(m)
             assert_matches_oracles(m)
+        assert rows.count > 0
+        assert [a[0] for a in tables.args] == [a[0] for a in rows.args]
 
-    def test_block_reduction_matches_oracle(self, cached_oracles, monkeypatch):
+    def test_block_reduction_matches_oracle(self, cached_oracles):
         # Every mapping takes the block tables, trees included, and each
         # row equals the per-pair loop's. Singleton partitions never run a
         # second slot; the whole graph onto one vertex runs n - 1 of them.
@@ -804,12 +810,11 @@ class TestTreeQuotient:
         c8 = cycle_graph(8)
         for blocks in ([[0, 1], [2, 3], [4, 5], [6, 7]], [[0, 1, 2], [3], [4, 5, 6], [7]]):
             mappings.append(build_partition_graph(Partition(c8, blocks)).mapping)
-        monkeypatch.setattr("qiso.quasi._tree_quotient", lambda m: False)
-        monkeypatch.setattr("qiso.quasi._path_maxima", no_dp)
         assert {m.source.vertex_count for m in mappings} >= {1, 2, 3}
         for m in mappings:
             wanted = stretches(m.source.vertex_count)
-            assert rows_of(m, wanted) == [oracles.row_maxima(m, s) for s in wanted], m
+            expected = [oracles.row_maxima(m, s) for s in wanted]
+            assert rows_of(m, wanted, _block_maxima) == expected, m
 
     @pytest.mark.parametrize("kind", ["collapse", "mis"])
     def test_claims_peak_below_one_int32_matrix(self, kind):
@@ -859,13 +864,11 @@ class TestTreeQuotient:
         # claims that take them.
         owners = {
             "astype": {"_median", "_source_bits"},
-            "_path_maxima": {"_row_maxima"},
             "_down_paths": {"sharpness_report", "_heaviest_paths"},
-            "_heaviest_paths": {"_eccentricities", "_path_maxima"},
+            "_heaviest_paths": {"_eccentricities", "_row_maxima"},
             "_ecc": {"_fill", "_eccentricities"},
             "_leaf_removal": set(),
             "_image_distances": set(),
-            "_block_extremes": {"_block_maxima"},
             "_block_maxima": {"_row_maxima"},
             "_preorder": {"_tree_preorder", "_rooted_extents", "_outward_blocks"},
             "_bfs_levels": {"_build_distances", "_induced_diameters", "_within"},
@@ -905,7 +908,25 @@ class TestTreeQuotient:
             for node in ast.walk(tree)
         }
 
-    def test_predicate_matches_quotient_construction(self):
+    def test_predicate_matches_quotient_construction(self, cached_oracles, monkeypatch):
+        # _row_maxima takes the heaviest-path rows exactly on the tree
+        # quotients, which equal the block tables' rows there, and builds
+        # the block tables on every other mapping; both equal the oracle.
+        paths = CallCounter(monkeypatch, qiso.quasi, "_heaviest_paths")
+        tables = CallCounter(monkeypatch, qiso.quasi, "_block_maxima")
+
+        def takes_paths(m):
+            n = m.source.vertex_count
+            before = paths.count, tables.count
+            for stretch in (1, 2, 3, n):
+                expected = list(oracles.row_maxima(m, stretch))
+                assert _row_maxima(m, stretch) == expected
+                assert _block_maxima(m, stretch) == expected
+            # Each stretch's rows ran one kernel; the direct calls go uncounted.
+            dp, blocks = paths.count - before[0], tables.count - before[1]
+            assert (dp, blocks) in ((4, 0), (0, 4)), m
+            return dp > 0
+
         rng = random.Random(5)
         seen = set()
         for seed in range(200):
@@ -926,14 +947,14 @@ class TestTreeQuotient:
             candidates.append((t, relabelled, arbitrary))
             for m in accepted(candidates):
                 expected = is_tree_quotient(m)
-                assert _tree_quotient(m) == expected
+                assert takes_paths(m) == expected
                 seen.add(expected)
         for g in (cycle_graph(6), seeded_graph(3)):
-            assert not _tree_quotient(identity_mapping(g))
+            assert not takes_paths(identity_mapping(g))
         # A path wound around a triangle: one cross edge per target edge,
         # but block 0 is split, which only a tree target rules out.
         wound = VertexMapping(path_graph(4), cycle_graph(3), [0, 1, 2, 0])
-        assert not _tree_quotient(wound) and not is_tree_quotient(wound)
+        assert not takes_paths(wound) and not is_tree_quotient(wound)
         assert seen == {True, False}
 
     def test_no_matrix_and_no_size_guard(self, monkeypatch):
