@@ -11,7 +11,8 @@ composition, for which the center displacement has a closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
+from operator import eq
 from typing import Optional, Sequence
 
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     NotContiguous,
 )
 from .graph import Graph, _bfs, _preorder, bfs_distances, center, require_tree
-from .partition import Partition
+from .partition import Partition, _trusted_partition
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,14 @@ def outward_contraction(t: Graph, root: int) -> Partition:
     """Partition a tree by grouping even-level vertices with deeper neighbors.
 
     Every vertex lands in exactly one block: even-level vertices own a
-    block, odd-level vertices join their parent's. Blocks are singletons,
-    edges or stars, so the partition is 2-sharp.
+    block, odd-level vertices join their parent's. Blocks are stars around
+    their heads, in ascending head order, so connected and 2-sharp.
     """
     require_tree(t)
     t.check_vertex(root)
-    members: list[list[int]] = [[] for _ in t.vertices()]
-    for v, head in enumerate(_outward_blocks(t, root)):
-        members[head].append(v)
-    # Only heads collect members, so blocks come in ascending head order.
-    return Partition(t, [blk for blk in members if blk])
+    head = _outward_blocks(t, root)
+    rank = list(accumulate(map(eq, head, range(t.vertex_count))))  # heads up to v
+    return _trusted_partition(t, [rank[h] - 1 for h in head], rank[-1])
 
 
 def first_center_shifting_root(t: Graph) -> Optional[int]:
@@ -226,16 +225,12 @@ def composition_center_shift(parts: Sequence[int]) -> int:
 
 
 def composition_partition(parts: Sequence[int]) -> tuple[Graph, Partition]:
-    """The path graph and consecutive-block partition a composition encodes."""
+    """The path a composition encodes, partitioned into its runs, each connected."""
     sizes = _composition(parts)
     n = sum(sizes)
     g = Graph(n, ((i, i + 1) for i in range(n - 1)))
-    blocks = []
-    start = 0
-    for size in sizes:
-        blocks.append(list(range(start, start + size)))
-        start += size
-    return g, Partition(g, blocks)
+    block_of = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return g, _trusted_partition(g, block_of, len(sizes))
 
 
 def unbounded_shift_family(t: int) -> tuple[Graph, Partition]:

@@ -13,7 +13,7 @@ from itertools import combinations, compress
 
 from .errors import EmptyGraph, InvalidEdgeCount
 from .graph import Graph
-from .partition import Partition
+from .partition import Partition, _trusted_partition
 
 
 def _require_size(n: int) -> None:
@@ -114,8 +114,8 @@ def random_partition(g: Graph, seed: int) -> Partition:
     """Random connected-block partition from a random edge subset.
 
     Each edge is kept independently with probability 1/2; the blocks are
-    the components of the kept subgraph, so they always induce connected
-    subgraphs.
+    the components of the kept subgraph, in order of smallest member, so
+    each is connected.
     """
     rng = random.Random(seed)
     kept: dict[int, list[int]] = {v: [] for v in g.vertices()}
@@ -124,22 +124,20 @@ def random_partition(g: Graph, seed: int) -> Partition:
             kept[u].append(v)
             kept[v].append(u)
     block_of = [-1] * g.vertex_count
-    blocks = []
+    k = 0
     for s in g.vertices():
         if block_of[s] >= 0:
             continue
-        blk = [s]
-        block_of[s] = len(blocks)
+        block_of[s] = k
         stack = [s]
         while stack:
             v = stack.pop()
             for u in kept[v]:
                 if block_of[u] < 0:
-                    block_of[u] = len(blocks)
-                    blk.append(u)
+                    block_of[u] = k
                     stack.append(u)
-        blocks.append(sorted(blk))
-    return Partition(g, blocks)
+        k += 1
+    return _trusted_partition(g, block_of, k)
 
 
 # Chordal graph violating the uniform-eccentricity property: the center

@@ -43,7 +43,7 @@ def check_maximal_independent(g: Graph, s: Sequence[int]) -> None:
     check_independent(g, s)
     members = set(s)
     for v in g.vertices():
-        if v not in members and not any(u in members for u in g.adjacency[v]):
+        if v not in members and members.isdisjoint(g.adjacency[v]):
             raise NotMaximal(f"vertex {v} could be added to the set")
 
 

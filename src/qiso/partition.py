@@ -1,14 +1,15 @@
 """Partitions into connected blocks and the quotient graph they induce.
 
-Blocks ("super-vertices") must induce connected subgraphs, which
-:class:`Partition` checks, as block validity is what the claims test;
-the quotient joins two blocks whenever some cross edge exists. The
-quotient is simple and connected by construction, so it is built in one
-pass over the adjacency and not validated again. Sharpness bounds block
-diameters from above and drives the distortion of the quotient mapping,
-coarseness bounds them from below and drives compression. Every block
-diameter comes from one pass: longest paths within blocks on a tree,
-else one bit-parallel breadth-first sweep over the intra-block edges.
+Blocks ("super-vertices") must induce connected subgraphs. :class:`Partition`
+checks partitions from outside; the constructions prove theirs connected and
+build them unchecked (:func:`_trusted_partition`). The quotient joins two
+blocks whenever some cross edge exists; it is simple and connected by
+construction, so it is built in one pass over the adjacency and not
+validated again. Sharpness bounds block diameters from above and drives
+the distortion of the quotient mapping, coarseness bounds them from below
+and drives compression. Every block diameter comes from one pass: longest
+paths within blocks on a tree, else one bit-parallel breadth-first sweep
+over the intra-block edges.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class Partition:
     """A cover of the vertex set by disjoint connected blocks.
 
     Blocks keep their given order; members are stored ascending.
-    ``block_of[v]`` is the index of the block containing ``v``.
+    ``block_of[v]`` is the index of the block containing ``v``. Checked
+    here only when from outside: a partition file or a library caller.
     """
 
     __slots__ = ("graph", "blocks", "block_of")
@@ -81,9 +83,25 @@ class Partition:
         return f"Partition({len(self.blocks)} blocks over {self.graph!r})"
 
 
+def _trusted_partition(g: Graph, block_of: Sequence[int], count: int) -> Partition:
+    """A :class:`Partition` from each vertex's block index, unchecked.
+
+    ``block_of`` must hold one Python int in ``0..count-1`` per vertex,
+    every index used, and each block must induce a connected subgraph.
+    Blocks come in index order, members ascending. The caller owns that
+    proof; nothing here checks it.
+    """
+    blocks: list[list[int]] = [[] for _ in range(count)]
+    for v, b in enumerate(block_of):
+        blocks[b].append(v)
+    p = Partition.__new__(Partition)
+    p.graph, p.blocks, p.block_of = g, tuple(map(tuple, blocks)), tuple(block_of)
+    return p
+
+
 def singleton_partition(g: Graph) -> Partition:
-    """One block per vertex; the quotient is the graph itself."""
-    return Partition(g, ([v] for v in g.vertices()))
+    """One block per vertex, so connected; the quotient is the graph itself."""
+    return _trusted_partition(g, range(g.vertex_count), g.vertex_count)
 
 
 @dataclass(frozen=True)
@@ -195,7 +213,7 @@ def _sweep_order(g: Graph, order: Optional[Sequence[int]]) -> Sequence[int]:
 
 
 def _greedy_sweep(g: Graph, order: Optional[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """One greedy sweep: the picks, in sweep order, and each vertex's owner.
+    """One greedy sweep: the picks, in sweep order, and each vertex's owner's index.
 
     A vertex is picked, owning itself, when no earlier pick is adjacent to
     it; any other vertex is owned by the first pick adjacent to it.
@@ -204,28 +222,25 @@ def _greedy_sweep(g: Graph, order: Optional[Sequence[int]]) -> tuple[list[int], 
     picks = []
     for v in _sweep_order(g, order):
         if owner[v] < 0:
+            owner[v] = k = len(picks)
             picks.append(v)
-            owner[v] = v
             for u in g.adjacency[v]:
                 if owner[u] < 0:
-                    owner[u] = v
+                    owner[u] = k
     return picks, owner
 
 
 def collapse_basic(g: Graph, order: Optional[Sequence[int]] = None) -> Partition:
     """The greedy sweep's picks, each with the vertices it owns, in pick order.
 
-    Ascending id by default. Each block is a star around its pick, so of
-    diameter at most two, and holds exactly one of the same sweep's picks,
+    Ascending id by default. Each block is a star around its pick, so
+    connected and of diameter at most two, and holds exactly one of the same sweep's picks,
     ``greedy_mis(g, order)``. Ascending, a vertex's owner is its smallest-id
     neighbour among them, the canonical :func:`qiso.mis.mis_derived`
     image, so the blocks are that mapping's fibers.
     """
     picks, owner = _greedy_sweep(g, order)
-    blocks: dict[int, list[int]] = {v: [] for v in picks}
-    for v, pick in enumerate(owner):
-        blocks[pick].append(v)
-    return Partition(g, blocks.values())
+    return _trusted_partition(g, owner, len(picks))
 
 
 def collapse_modified(g: Graph, order: Optional[Sequence[int]] = None) -> Partition:
@@ -236,7 +251,8 @@ def collapse_modified(g: Graph, order: Optional[Sequence[int]] = None) -> Partit
     Phase two attaches every leftover vertex to the block of its
     smallest-id neighbor assigned during phase one. Anchoring to the
     phase-one snapshot (never to another leftover) keeps every member
-    within two hops of its block's seed, so diameters stay at most four.
+    within two hops of its block's seed, through members, so each block
+    is connected, of diameter at most four.
     """
     sweep = _sweep_order(g, order)
     block_of = [-1] * g.vertex_count
@@ -256,10 +272,7 @@ def collapse_modified(g: Graph, order: Optional[Sequence[int]] = None) -> Partit
     for w in sweep:
         if anchored[w] < 0:
             block_of[w] = anchored[min(u for u in g.adjacency[w] if anchored[u] >= 0)]
-    blocks: list[list[int]] = [[] for _ in range(k)]
-    for v, b in enumerate(block_of):
-        blocks[b].append(v)
-    return Partition(g, blocks)
+    return _trusted_partition(g, block_of, k)
 
 
 def verify_partition_qiso(pg: PartitionGraph) -> bool:

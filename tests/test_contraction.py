@@ -215,6 +215,15 @@ class TestCompositionShift:
         g, p = composition_partition([1, 1, 5])
         assert direct_shift(g, p) == 2
 
+    def test_blocks_are_the_parts_in_order(self):
+        # A path's center shift is the same for a composition and its
+        # reverse, so only the blocks tell the two apart.
+        for parts in ([1], [2, 1], [1, 1, 5], [3, 3, 2, 2, 3, 1]):
+            g, p = composition_partition(parts)
+            ends = [sum(parts[:i]) for i in range(len(parts) + 1)]
+            assert p.blocks == tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
+            assert restrict_to_path(p, g.vertices()) == parts
+
     def test_rejects_empty(self):
         with pytest.raises(EmptyComposition):
             composition_center_shift([])

@@ -33,6 +33,7 @@ from qiso.generators import (
 from qiso.graph import Graph, diameter_path
 from qiso.mis import greedy_mis, mis_derived, verify_mis_bounds
 from qiso.partition import (
+    Partition,
     build_partition_graph,
     collapse_basic,
     collapse_modified,
@@ -1517,6 +1518,20 @@ class TestMappingPasses:
             builds = CallCounter(monkeypatch, Graph, "__init__")
             assert main(argv) in (0, 1), argv
             assert builds.count == 1, argv
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("kind", list(INSTANCES))
+    def test_only_partition_files_are_validated(self, tmp_path, monkeypatch, kind):
+        # Every partition qiso builds is connected by construction; the one
+        # a command validates is a --partition file's.
+        g, commands = self.commands(tmp_path, kind)
+        if g.is_tree:
+            argv = ["simplify", str(tmp_path / "g.el"), "--method", "outward", "--all-roots"]
+            commands.append([*argv, "-o", str(tmp_path / "out")])
+        for argv in commands:
+            builds = CallCounter(monkeypatch, Partition, "__init__")
+            assert main(argv) in (0, 1), argv
+            assert builds.count == ("--partition" in argv), argv
             monkeypatch.undo()
 
 

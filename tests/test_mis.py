@@ -62,6 +62,11 @@ class TestGreedy:
         g = seeded_graph(seed, max_n=30)
         check_maximal_independent(g, greedy_mis(g))
 
+    def test_non_maximal_set_names_its_first_free_vertex(self):
+        # Vertices 2, 3 and 4 could each join {0, 6}; the smallest is named.
+        with pytest.raises(NotMaximal, match=r"^vertex 2 could be added to the set$"):
+            check_maximal_independent(path_graph(7), (0, 6))
+
     @given(seeds)
     def test_permuted_orders_stay_maximal_independent(self, seed):
         g = seeded_graph(seed, max_n=25)

@@ -18,7 +18,7 @@ from oracles import (
     longest_simple_cycle,
     q1_witness,
 )
-from qiso.contraction import outward_contraction
+from qiso.contraction import composition_partition, outward_contraction
 from qiso.errors import BlockNotConnected, InvalidMapping, InvalidVertex, NotAPartition
 from qiso.generators import (
     complete_graph,
@@ -164,8 +164,16 @@ class TestQuotient:
         assert longest_simple_cycle(pg.quotient) <= longest_simple_cycle(g)
 
 
+def _shuffled(g, i):
+    return random.Random(i).sample(range(g.vertex_count), g.vertex_count)
+
+
+def _reversed(g, i):
+    return range(g.vertex_count - 1, -1, -1)
+
+
 class TestTrustedQuotient:
-    """The quotient is built unchecked; it must equal the validated one."""
+    """Partitions and quotients are built unchecked; each must equal the validated one."""
 
     PARTITIONS = {
         "singleton": lambda g, i: singleton_partition(g),
@@ -174,6 +182,13 @@ class TestTrustedQuotient:
         "collapse-modified": lambda g, i: collapse_modified(g),
         "outward": lambda g, i: outward_contraction(g, i % g.vertex_count),
         "random": lambda g, i: random_partition(g, i),
+        "composition": lambda g, i: composition_partition(
+            [random.Random(i).randint(1, 4) for _ in range(1 + g.vertex_count // 4)]
+        )[1],
+        "collapse-shuffled": lambda g, i: collapse_basic(g, _shuffled(g, i)),
+        "collapse-reversed": lambda g, i: collapse_basic(g, _reversed(g, i)),
+        "collapse-modified-shuffled": lambda g, i: collapse_modified(g, _shuffled(g, i)),
+        "collapse-modified-reversed": lambda g, i: collapse_modified(g, _reversed(g, i)),
     }
 
     @pytest.mark.parametrize("kind", list(PARTITIONS))
@@ -185,6 +200,10 @@ class TestTrustedQuotient:
             graphs += [seeded_graph(seed, min_n=1, max_n=60) for seed in range(60)]
         for i, g in enumerate(graphs):
             p = self.PARTITIONS[kind](g, i)
+            g = p.graph  # a composition brings its own path
+            validated = Partition(g, p.blocks)
+            assert (validated.blocks, validated.block_of) == (p.blocks, p.block_of)
+            assert first_disconnected_block(g, p.blocks) is None
             block_of = p.block_of
             cross = {
                 (min(block_of[u], block_of[v]), max(block_of[u], block_of[v]))
@@ -348,6 +367,15 @@ class TestCollapseModified:
         expected = collapse_modified_blocks(g, order)
         got = collapse_modified(g, order if shuffled else None)
         assert got.blocks == Partition(g, expected).blocks
+
+    def test_matches_restart_scan_on_seeded_graphs(self):
+        # The property above on fixed seeds, in ascending, descending and
+        # shuffled sweeps.
+        for seed in range(60):
+            g = seeded_graph(seed, max_n=35)
+            for order in (range(g.vertex_count), _reversed(g, seed), _shuffled(g, seed)):
+                expected = Partition(g, collapse_modified_blocks(g, order))
+                assert collapse_modified(g, order).blocks == expected.blocks, (seed, order)
 
 
 class TestQuasiIsometryGuarantee:

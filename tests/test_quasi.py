@@ -858,6 +858,7 @@ class TestTreeQuotient:
         # the median's Python-int fallback and the byte order of the
         # search's bit words. Only the quotient and the derived graph,
         # valid by construction, skip Graph and VertexMapping validation,
+        # only the six partition constructions skip Partition validation,
         # and a graph's slots are filled in one place. No block table keeps
         # nearest members: every claim bounds d - A*d' from above. The
         # constants are validated and clamped in one place, for the three
@@ -880,6 +881,14 @@ class TestTreeQuotient:
             "preimage": set(),
             "_trusted_graph": {"build_partition_graph", "mis_derived"},
             "_trusted_mapping": {"build_partition_graph", "mis_derived"},
+            "_trusted_partition": {
+                "singleton_partition",
+                "collapse_basic",
+                "collapse_modified",
+                "outward_contraction",
+                "composition_partition",
+                "random_partition",
+            },
             "minimum": set(),
             "_fill": {"__init__", "_trusted_graph"},
             "_clamped": {"verify_q1", "minimal_additive_for_stretch", "verify_ecc_transfer"},
