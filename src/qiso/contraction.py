@@ -11,8 +11,7 @@ composition, for which the center displacement has a closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby
-from operator import eq
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .errors import (
@@ -50,8 +49,9 @@ def outward_contraction(t: Graph, root: int) -> Partition:
     require_tree(t)
     t.check_vertex(root)
     head = _outward_blocks(t, root)
-    rank = list(accumulate(map(eq, head, range(t.vertex_count))))  # heads up to v
-    return _trusted_partition(t, [rank[h] - 1 for h in head], rank[-1])
+    heads = [v for v, h in enumerate(head) if h == v]
+    index = {h: i for i, h in enumerate(heads)}
+    return _trusted_partition(t, [index[h] for h in head], len(heads))
 
 
 def first_center_shifting_root(t: Graph) -> Optional[int]:

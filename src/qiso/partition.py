@@ -215,8 +215,9 @@ def _sweep_order(g: Graph, order: Optional[Sequence[int]]) -> Sequence[int]:
 def _greedy_sweep(g: Graph, order: Optional[Sequence[int]]) -> tuple[list[int], list[int]]:
     """One greedy sweep: the picks, in sweep order, and each vertex's owner's index.
 
-    A vertex is picked, owning itself, when no earlier pick is adjacent to
-    it; any other vertex is owned by the first pick adjacent to it.
+    A vertex is picked, and owned by its own index, when no earlier pick
+    is adjacent to it; any other vertex takes the index of the first pick
+    adjacent to it.
     """
     owner = [-1] * g.vertex_count
     picks = []
@@ -234,10 +235,10 @@ def collapse_basic(g: Graph, order: Optional[Sequence[int]] = None) -> Partition
     """The greedy sweep's picks, each with the vertices it owns, in pick order.
 
     Ascending id by default. Each block is a star around its pick, so
-    connected and of diameter at most two, and holds exactly one of the same sweep's picks,
-    ``greedy_mis(g, order)``. Ascending, a vertex's owner is its smallest-id
-    neighbour among them, the canonical :func:`qiso.mis.mis_derived`
-    image, so the blocks are that mapping's fibers.
+    connected and of diameter at most two; the picks are the same sweep's
+    ``greedy_mis(g, order)``. Ascending, each owner is a vertex's
+    smallest-id neighbour among the picks, the canonical
+    :func:`qiso.mis.mis_derived` image, so the blocks are its fibers.
     """
     picks, owner = _greedy_sweep(g, order)
     return _trusted_partition(g, owner, len(picks))
