@@ -17,8 +17,6 @@ from itertools import chain, count
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .errors import FormatError
 from .graph import Graph
 from .partition import Partition
@@ -112,6 +110,8 @@ def _canonical_ints(path: PathLike) -> Optional[list[int]]:
         data = handle.read()
     if not _CANONICAL.fullmatch(data):
         return None
+    import numpy as np
+
     return np.fromstring(data, dtype=np.int64, sep=" ").tolist()
 
 
@@ -184,8 +184,16 @@ def _parse_weight(token: str, lineno: int) -> Fraction:
         raise FormatError(f"line {lineno}: weight {token!r} is not a rational") from None
 
 
-def read_weights(path: PathLike, g: Graph) -> list[Fraction]:
-    """Parse a weight file of ``vertex weight`` lines covering every vertex."""
+def read_weights(path: PathLike, g: Graph) -> list[Union[int, Fraction]]:
+    """Parse a weight file of ``vertex weight`` lines covering every vertex.
+
+    A canonical file that lists the vertices 0..n-1 in order holds every
+    weight as an int, its second column; any other file is walked line by
+    line into Fractions, which reports the first bad line.
+    """
+    ints = _canonical_ints(path)
+    if ints is not None and ints[0::2] == list(range(g.vertex_count)):
+        return ints[1::2]
     weights: dict[int, Fraction] = {}
     for lineno, fields in _content_lines(path):
         if len(fields) != 2:

@@ -19,6 +19,11 @@ else the matrix's row maxima. Medians, plain and weighted, have one
 owner (:func:`_median`): subtree weights on a tree, else one exact
 integer product with the matrix. Jobs that need only one or a few
 sources run the single breadth-first search :func:`_bfs` instead.
+
+numpy serves only the all-pairs layer (the matrix, the CSR arrays and
+the multi-source search), and each function that computes with it
+imports it on first use: building a graph, :func:`_bfs` and the
+matrix-free tree passes load no numpy.
 """
 
 from __future__ import annotations
@@ -26,9 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     Disconnected,
@@ -39,6 +42,9 @@ from .errors import (
     NotATree,
     TooLarge,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -232,6 +238,8 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
 def _build_distances(g: Graph) -> np.ndarray:
     """The all-pairs matrix: preorder on a tree, else multi-source BFS."""
+    import numpy as np
+
     adj = g.adjacency
     n = len(adj)
     dtype = np.min_scalar_type(-n)
@@ -276,6 +284,8 @@ def _build_distances(g: Graph) -> np.ndarray:
 def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The adjacency lists as read-only CSR arrays, cached per graph."""
     if g._csr is None:
+        import numpy as np
+
         adj = g.adjacency
         indptr = np.zeros(len(adj) + 1, dtype=np.intp)
         np.cumsum([len(a) for a in adj], out=indptr[1:])
@@ -298,6 +308,8 @@ def _bfs_levels(
     vertex no CSR row may be empty: ``reduceat`` returns the entry at an
     empty segment's start, not zero.
     """
+    import numpy as np
+
     if not len(indices):
         return
     bit = np.arange(len(sources), dtype=np.uint64)
@@ -317,6 +329,8 @@ def _bfs_levels(
 
 def _source_bits(words: np.ndarray, k: int) -> np.ndarray:
     """The first k source bits of each row of uint64 words, as 0/1 bytes."""
+    import numpy as np
+
     # Little-endian words list source bits in order on any host.
     octets = words.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(octets, axis=-1, count=k, bitorder="little")
@@ -332,6 +346,8 @@ def _induced_diameters(g: Graph, label: Sequence[int], count: int) -> list[int]:
     vertex's eccentricity in its set is the last level at which its
     source bit newly reaches a vertex; a set's diameter is the largest.
     """
+    import numpy as np
+
     n = g.vertex_count
     indptr, indices = _csr(g)
     lab = np.asarray(label, dtype=np.intp)
@@ -353,6 +369,8 @@ def _induced_diameters(g: Graph, label: Sequence[int], count: int) -> list[int]:
 
 def _within(g: Graph, sources: Sequence[int], radius: int) -> tuple[tuple[int, ...], ...]:
     """For each source, the indices of the other sources within ``radius``, ascending."""
+    import numpy as np
+
     _check_size(g)  # an all-pairs search, like the matrix
     src = np.asarray(sources, dtype=np.intp)  # a tuple would index several axes
     partners: list[tuple[int, ...]] = []
@@ -447,6 +465,8 @@ def _median(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
     """
     if g.is_tree:
         return _tree_median(g, weights)
+    import numpy as np
+
     if (g.vertex_count - 1) * sum(weights) < 2**63:
         # einsum's integer kernel is faster here than matmul's.
         sums = np.einsum("ij,j->i", distance_matrix(g), np.array(weights, dtype=np.int64))
@@ -542,6 +562,8 @@ class EccentricityProfile:
 
 def eccentricity_profile(g: Graph) -> EccentricityProfile:
     """Eccentricity of every vertex, with witnesses read off the distance matrix."""
+    import numpy as np
+
     ecc = _eccentricities(g)
     return EccentricityProfile(
         eccentricity=ecc,

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import InvalidConstants, InvalidMapping, NotSurjective, PreconditionViolated
 from .graph import (
     CheckResult,
@@ -153,6 +151,8 @@ def _block_maxima(m: VertexMapping, stretch: int) -> list[int]:
     that order. The k x n sum takes the smallest signed dtype that holds
     ``(1 + stretch) * n``, a bound on every value.
     """
+    import numpy as np
+
     img = np.asarray(m.image, dtype=np.intp)
     sizes = np.bincount(img)
     blocks = np.argsort(-sizes)
@@ -216,10 +216,10 @@ def _first_violation(m: VertexMapping, stretch: int, limit: int) -> CheckResult:
     x = next((v for v, best in enumerate(row) if best > limit), None)
     if x is None:
         return CheckResult(True)
-    d1 = np.array(_bfs(m.source.adjacency, (x,)))
-    d2 = np.array(_bfs(m.target.adjacency, (m.image[x],)))
-    d2 = d2[np.asarray(m.image, dtype=np.intp)]
-    return CheckResult(False, (x, int((d1 - stretch * d2 > limit).argmax())))
+    d1 = _bfs(m.source.adjacency, (x,))
+    d2 = _bfs(m.target.adjacency, (m.image[x],))
+    y = next(y for y, fy in enumerate(m.image) if d1[y] - stretch * d2[fy] > limit)
+    return CheckResult(False, (x, y))
 
 
 def _clamped(m: VertexMapping, stretch: int, additive: int) -> tuple[int, int]:

@@ -142,7 +142,7 @@ MUTANTS = (
             "tests/test_mis.py::TestDerivedGraph::test_path5",
         ),
     ),
-    # The bit-parallel search and the whole-file reader.
+    # The bit-parallel search and the whole-file readers.
     Mutant(
         "word-index-65",
         "graph.py",
@@ -170,6 +170,26 @@ MUTANTS = (
         "[0-9]{1,19} [0-9]{1,19}",
         (
             "tests/test_fileio_cli.py::TestWholeFilePasses::test_readers_match_references",
+        ),
+    ),
+    Mutant(
+        "weights-order-unchecked",
+        "fileio.py",
+        "ints[0::2] == list(range(g.vertex_count))",
+        "len(ints) == 2 * g.vertex_count",
+        (
+            "tests/test_fileio_cli.py::TestWholeFilePasses::test_readers_match_references",
+        ),
+    ),
+    # numpy loads where qiso first computes with it, not at import.
+    Mutant(
+        "numpy-at-import",
+        "graph.py",
+        "from collections import deque\n",
+        "import numpy\nfrom collections import deque\n",
+        (
+            "tests/test_fileio_cli.py::TestImports::"
+            "test_generate_help_and_usage_errors_load_no_numpy",
         ),
     ),
 )

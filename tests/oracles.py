@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import operator
 import random
+from fractions import Fraction
 from itertools import chain
 
 from qiso.errors import FormatError, TooLarge
@@ -349,10 +350,10 @@ def keeps_center(order, parent, block_of, src_center) -> bool:
     return any(block_of[c] in middle for c in src_center)
 
 
-# The edge-list and mapping readers and writers as they were before
-# qiso's whole-file passes: every file is split into lines in Python and
-# every line written by its own f-string. The new code must accept,
-# reject and write exactly as these do.
+# The edge-list, mapping and weight readers and the writers as they were
+# before qiso's whole-file passes: every file is split into lines in
+# Python and every line written by its own f-string. The new code must
+# accept, reject and write exactly as these do.
 
 
 def _content_lines(path):
@@ -424,6 +425,29 @@ def read_mapping(path, g: Graph) -> list[int]:
     if missing:
         raise FormatError(f"{path}: {missing} vertices have no image")
     return [image[v] for v in range(g.vertex_count)]
+
+
+def read_weights(path, g: Graph) -> list[Fraction]:
+    weights = {}
+    for lineno, fields in _content_lines(path):
+        if len(fields) != 2:
+            raise FormatError(f"line {lineno}: expected 'vertex weight'")
+        (v,) = _ints(fields[:1], lineno)
+        if not (0 <= v < g.vertex_count):
+            raise FormatError(f"line {lineno}: vertex {v} out of range")
+        if v in weights:
+            raise FormatError(f"line {lineno}: duplicate weight for vertex {v}")
+        token = fields[1]
+        if not all(map(_digits, token.split("/", 1))):
+            raise FormatError(f"line {lineno}: weight must be an integer or p/q, got {token!r}")
+        try:
+            weights[v] = Fraction(token)
+        except (ZeroDivisionError, ValueError):
+            raise FormatError(f"line {lineno}: weight {token!r} is not a rational") from None
+    missing = g.vertex_count - len(weights)
+    if missing:
+        raise FormatError(f"{path}: {missing} vertices have no weight")
+    return [weights[v] for v in range(g.vertex_count)]
 
 
 def edge_list_text(g: Graph) -> str:

@@ -19,7 +19,7 @@ from helpers import seeded_graph, seeded_tree
 from passes import CallCounter, PassCounter
 from qiso import cli, contraction, fileio
 from qiso.cli import CLAIMS, main
-from qiso.errors import FormatError, QisoError
+from qiso.errors import FormatError, InvalidWeight, QisoError
 from qiso.generators import (
     complete_graph,
     cycle_graph,
@@ -42,6 +42,7 @@ from qiso.partition import (
     verify_partition_qiso,
 )
 from qiso.quasi import center_shift, verify_ecc_transfer, verify_q1
+from qiso.weighted import WeightedGraph
 
 
 # Malformed edge lists and the error each must report: the first bad
@@ -231,15 +232,17 @@ class TestReadersFuzz:
 
 # Tokens that a canonical file never holds and the line walk must read as
 # the references do: leading zeros, 19 or more digits (2**63 - 1 and up
-# saturate in np.fromstring) and tokens int() alone would take.
+# saturate in np.fromstring), tokens int() alone would take, and the
+# fractions a weight file may hold.
 _ODD_TOKENS = ["007", "0" * 20 + "1", "9" * 19, str(2**63 - 1), str(2**63), "1" + "0" * 25]
-_ODD_TOKENS += ["x", "-1", "+1", "1_0", "#1"]
+_ODD_TOKENS += ["x", "-1", "+1", "1_0", "#1", "2/3", "4/2", "1/0"]
 
 
 @st.composite
 def _two_column_file(draw):
-    """A graph, and an edge list or a mapping onto it written as qiso
-    writes them, then perturbed in content, tokens and layout."""
+    """A graph, and an edge list, a mapping onto it or a weight file
+    written as qiso writes them, then perturbed in content, tokens and
+    layout."""
     g = draw(
         st.one_of(
             st.integers(0, 10**6).map(lambda s: seeded_graph(s, max_n=12)),
@@ -248,19 +251,21 @@ def _two_column_file(draw):
         )
     )
     n = g.vertex_count
-    edge_list = draw(st.booleans())
-    if edge_list:
+    kind = draw(st.sampled_from(["edge_list", "mapping", "weights"]))
+    if kind == "edge_list":
         rows = [list(e) for e in g.edges()]
-    else:
+    elif kind == "mapping":
         rows = [[v, draw(st.integers(0, n - 1))] for v in range(n)]
+    else:  # a zero weight among them, or not
+        rows = [[v, draw(st.integers(0, 9))] for v in range(n)]
     edits = ["drop", "repeat", "swap", "loop", "range", "shuffle"]
     for edit in draw(st.lists(st.sampled_from(edits), max_size=3)) if draw(st.booleans()) else ():
         if not rows:
             break
         k = draw(st.integers(0, len(rows) - 1))
-        if edit == "drop":  # a disconnected graph, a missing image
+        if edit == "drop":  # a disconnected graph, a missing image or weight
             del rows[k]
-        elif edit == "repeat":  # a duplicate edge or image
+        elif edit == "repeat":  # a duplicate edge, image or weight
             rows.insert(draw(st.integers(0, len(rows))), list(rows[k]))
         elif edit == "swap":  # u > v
             rows[k].reverse()
@@ -270,7 +275,7 @@ def _two_column_file(draw):
             rows[k][draw(st.integers(0, 1))] = n + draw(st.integers(0, 2))
         else:  # lines in another order
             rows = draw(st.permutations(rows))
-    if edge_list:  # a header that agrees with the body, or does not
+    if kind == "edge_list":  # a header that agrees with the body, or does not
         rows.insert(0, [n, max(len(rows) + draw(st.sampled_from([0, -1, 1])), 0)])
     for _ in range(draw(st.integers(1, 2)) if rows and draw(st.booleans()) else 0):
         k = draw(st.integers(0, len(rows) - 1))
@@ -298,7 +303,7 @@ def _two_column_file(draw):
         text = text.rstrip("\n")
     if draw(st.sampled_from(range(16))) == 15:
         text = draw(st.sampled_from(["", "\n", "\n\n", " \n", "0\n", "0 0"]))
-    return g, edge_list, text.encode()
+    return g, kind, text.encode()
 
 
 def _outcome(read, *args):
@@ -318,22 +323,29 @@ def _write_edges(path, n, edges, header_m=None):
 class TestWholeFilePasses:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_two_column_file())
-    @example((path_graph(3), True, b"3 2\n0 1\n2 1\n"))
-    @example((path_graph(3), True, b"9223372036854775808 2\n0 1\n1 2\n"))
-    @example((path_graph(3), True, b"\n"))
-    @example((path_graph(3), False, b"0 0\n1 3\n2 2\n"))
-    @example((path_graph(3), False, b"0 0\n2 2\n1 1\n2 1\n"))
+    @example((path_graph(3), "edge_list", b"3 2\n0 1\n2 1\n"))
+    @example((path_graph(3), "edge_list", b"9223372036854775808 2\n0 1\n1 2\n"))
+    @example((path_graph(3), "edge_list", b"\n"))
+    @example((path_graph(3), "mapping", b"0 0\n1 3\n2 2\n"))
+    @example((path_graph(3), "mapping", b"0 0\n2 2\n1 1\n2 1\n"))
+    @example((path_graph(3), "weights", b"1 5\n0 3\n2 4\n"))
+    @example((path_graph(3), "weights", b"0 5\n0 3\n2 4\n"))
+    @example((path_graph(3), "weights", b"0 5\n1 3\n"))
+    @example((path_graph(3), "weights", b"0 5\n1 3\n2 4\n3 1\n"))
+    @example((path_graph(3), "weights", b"0 5\n1 0\n2 4\n"))
+    @example((path_graph(3), "weights", b"0 5\n1 2/3\n2 4\n"))
+    @example((path_graph(3), "weights", b"0 5\n1 1234567890123456789\n2 4\n"))
+    @example((path_graph(3), "weights", b"# w\n0 5\n1 3\n2 4\n"))
+    @example((path_graph(3), "weights", b"0 5\r\n1 3\r\n2 4\r\n"))
     def test_readers_match_references(self, tmp_path, case):
-        # Same graph or image list, or the same exception and message,
-        # as the line-by-line readers on every perturbed file.
-        g, edge_list, data = case
+        # Same graph, image list or weights, or the same exception and
+        # message, as the line-by-line readers on every perturbed file.
+        g, kind, data = case
         path = tmp_path / "in.txt"
         path.write_bytes(data)
-        if edge_list:
-            assert _outcome(fileio.read_edge_list, path) == _outcome(oracles.read_edge_list, path)
-        else:
-            got = _outcome(fileio.read_mapping, path, g)
-            assert got == _outcome(oracles.read_mapping, path, g)
+        args = (path,) if kind == "edge_list" else (path, g)
+        read = "read_" + kind
+        assert _outcome(getattr(fileio, read), *args) == _outcome(getattr(oracles, read), *args)
 
     def test_canonical_files_skip_the_line_walk(self, tmp_path, monkeypatch):
         def walk(path):
@@ -343,13 +355,17 @@ class TestWholeFilePasses:
         graphs = [path_graph(1), path_graph(2), star_graph(9)]
         graphs += [seeded_graph(s) for s in range(8)] + [seeded_tree(s) for s in range(8)]
         for i, g in enumerate(graphs):
-            ours, theirs, mapping = (tmp_path / f"{name}{i}" for name in ("g.el", "w.el", "m.txt"))
+            files = (tmp_path / f"{name}{i}" for name in ("g.el", "w.el", "m.txt", "w.txt"))
+            ours, theirs, mapping, weight_file = files
             fileio.write_edge_list(g, ours)
             _write_edges(theirs, g.vertex_count, g.edges())
             image = [random.Random(i).randrange(g.vertex_count) for _ in g.vertices()]
             fileio.write_mapping(image, mapping)
+            weights = random.Random(i).sample(range(1, 10**18), g.vertex_count)
+            fileio.write_weights(weights, weight_file)
             assert fileio.read_edge_list(ours) == fileio.read_edge_list(theirs) == g
             assert fileio.read_mapping(mapping, g) == image
+            assert fileio.read_weights(weight_file, g) == weights
         # The corrupted canonical files of the small-tree workload, and
         # canonical mappings that fail, are rejected without a walk too.
         t = seeded_tree(3, min_n=8)
@@ -371,6 +387,10 @@ class TestWholeFilePasses:
             bad.write_text(text)
             with pytest.raises(FormatError, match=message):
                 fileio.read_mapping(bad, path_graph(3))
+        # A zero weight read as an int is refused as a Fraction one is.
+        fileio.write_weights([3, 0, 1], bad)
+        with pytest.raises(InvalidWeight, match="^weight of vertex 1 is 0, must be positive$"):
+            WeightedGraph(path_graph(3), tuple(fileio.read_weights(bad, path_graph(3))))
 
     def test_writers_match_references(self, tmp_path):
         graphs = [path_graph(1), path_graph(2), star_graph(12)]
@@ -1559,6 +1579,32 @@ class TestImports:
         run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, run.stderr
         assert run.stdout == "[]\n"
+
+    def test_generate_help_and_usage_errors_load_no_numpy(self, tmp_path):
+        # numpy loads where qiso first computes with it: the all-pairs
+        # layer and the canonical reader, never at import.
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys, qiso, qiso.cli\n"
+            "values = {'n': '12', 'm': '20', 'seed': '3', 't': '2'}\n"
+            "codes = []\n"
+            "for family, (flags, _, _) in qiso.cli._FAMILIES.items():\n"
+            "    argv = ['generate', family, '-o', family + '.el']\n"
+            "    for flag in flags:\n"
+            "        argv += ['--' + flag, values[flag]]\n"
+            "    codes.append(qiso.cli.main(argv))\n"
+            "codes += [qiso.cli.main(['--help']), qiso.cli.main(['frobnicate'])]\n"
+            "print(codes, 'numpy' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-c", code]
+        run = subprocess.run(
+            argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        families = len(cli._FAMILIES)
+        assert run.stdout.splitlines()[-1] == f"{[0] * families + [0, 2]} False"
+        assert len(list(tmp_path.glob("*.el"))) == families
 
 
 class TestEntry:
