@@ -166,18 +166,6 @@ class _Subject:
     def mis(self) -> MisResult:
         return mis_derived(self.g, greedy_mis(self.g))
 
-    def proven(self) -> bool:
-        """The verdict of a claim that is a theorem at the guarantee: True.
-
-        A theorem checks only the outside input its proof rests on, and
-        that is checked before any claim runs: a partition when it is read
-        (``Partition``), a ``--mapping`` file when its ``MisResult`` is
-        built (independence, maximality, adjacent images). The greedy set
-        meets those premises by construction (``partition._greedy_sweep``,
-        ``mis.MisResult``), so no theorem builds it.
-        """
-        return True
-
     def guaranteed(self) -> tuple[VertexMapping, str]:
         """The mapping under test and the side of its center-shift bound
         (one-sided: a quotient never stretches).
@@ -206,16 +194,20 @@ class _Subject:
 
 
 # q1, q2 and ecc-transfer at the mapping's guarantee, and mis-bounds, are
-# theorems (SharpnessReport.guarantee, MisResult, quasi.verify_q2) whose
-# premises are checked as the subject is built, so their entries build
-# nothing (_Subject.proven); their exhaustive forms are library calls.
-# Entries look the library up by its module-global name at call time, so
-# rebinding one (as tracing does) reaches its checks.
+# theorems (SharpnessReport.guarantee, MisResult, quasi.verify_q2): their
+# verdict is True, and their exhaustive forms are library calls. A theorem
+# rests only on outside input, which is checked as the subject is built: a
+# partition when it is read (Partition), a --mapping file when its
+# MisResult is built (independence, maximality, adjacent images). The
+# greedy set meets those premises by construction (partition._greedy_sweep,
+# mis.MisResult), so no theorem builds it. Entries look the library up by
+# its module-global name at call time, so rebinding one (as tracing does)
+# reaches its checks.
 _CHECKS = {
-    "q1": lambda s: s.proven(),
-    "q2": lambda s: s.proven(),
-    "ecc-transfer": lambda s: s.proven(),
-    "mis-bounds": lambda s: s.proven(),
+    "q1": lambda s: True,
+    "q2": lambda s: True,
+    "ecc-transfer": lambda s: True,
+    "mis-bounds": lambda s: True,
     "tree-retention": lambda s: s.pg.retains_tree(),
     "compression": lambda s: s.sharp.compresses(),
     "shift-bounds": lambda s: center_shift(s.guaranteed()[0]).within()[s.guaranteed()[1]],

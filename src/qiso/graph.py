@@ -6,12 +6,13 @@ and cached read-only in the smallest signed integer type that holds n;
 every all-pairs metric here, and every pair claim in :mod:`qiso.quasi`,
 reads that one store in place. A tree also caches its preorder from
 vertex 0 (:func:`_tree_preorder`), which every tree pass rooted there
-reads. A tree's matrix is filled row by row in that preorder, any other
-graph's by a bit-parallel multi-source breadth-first search over the
-graph's cached CSR arrays. Its level loop (:func:`_bfs_levels`), from
-any sources, also measures in one sweep the diameter of every subgraph
-that a labelling of the vertices induces (:func:`_induced_diameters`),
-and gives each source the others within a radius (:func:`_within`). Each
+reads. A tree's matrix is filled row by row in that preorder, each row
+its parent's plus 1, minus 2 on its own subtree; any other graph's by a
+bit-parallel multi-source breadth-first search over the graph's cached
+CSR arrays. Its level loop (:func:`_bfs_levels`), from any sources, also
+measures in one sweep the diameter of every subgraph that a labelling of
+the vertices induces (:func:`_induced_diameters`), and gives each source
+the others within a radius (:func:`_within`). Each
 graph caches its eccentricities (:func:`_eccentricities`), which give
 its center, radius and diameter: on a tree, every vertex's heaviest path
 from one top-two pass (:func:`_heaviest_paths`), without any matrix,
@@ -237,7 +238,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
 
 def _build_distances(g: Graph) -> np.ndarray:
-    """The all-pairs matrix: preorder on a tree, else multi-source BFS."""
+    """The all-pairs matrix: parent rows on a tree, else multi-source BFS."""
     import numpy as np
 
     adj = g.adjacency
@@ -248,19 +249,14 @@ def _build_distances(g: Graph) -> np.ndarray:
         size = [1] * n
         for v in order[:0:-1]:
             size[parent[v]] += size[v]
-        # rows[v, i] is the distance from v to order[i]; a subtree is the
-        # contiguous preorder range starting at its root.
+        pre = np.array(order)  # v's subtree is pre[i : i + size[v]], i its preorder position
         rows = np.empty((n, n), dtype=dtype)
-        depth = _bfs(adj, (0,))
-        rows[0] = [depth[v] for v in order]
+        rows[0] = _bfs(adj, (0,))
         for i in range(1, n):
             v = order[i]
             row = rows[v]
             np.add(rows[parent[v]], 1, out=row)  # may wrap at n; the modular -= 2 restores it
-            row[i : i + size[v]] -= 2
-        pos = np.argsort(order)  # each vertex's preorder position
-        for lo in range(0, n, _CHUNK):  # columns back to vertex order, a chunk at a time
-            rows[lo : lo + _CHUNK] = rows[lo : lo + _CHUNK].take(pos, axis=1)
+            row[pre[i : i + size[v]]] -= 2
         return rows
     # Level d is OR-ed into bit plane i for every set bit i of d, which
     # writes each distance in binary.

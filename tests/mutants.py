@@ -142,6 +142,33 @@ MUTANTS = (
             "tests/test_mis.py::TestDerivedGraph::test_path5",
         ),
     ),
+    # The tree kernel: each row its parent's plus 1, minus 2 on its subtree.
+    Mutant(
+        "tree-subtree-one-short",
+        "graph.py",
+        "row[pre[i : i + size[v]]] -= 2",
+        "row[pre[i : i + size[v] - 1]] -= 2",
+        ("tests/test_quasi.py::TestDistanceMatrix::test_tree_kernel_matches_floyd_warshall",),
+    ),
+    # The block tables of quasi._block_maxima.
+    Mutant(
+        "block-slot-at-least",
+        "quasi.py",
+        "sizes > j",
+        "sizes >= j",
+        (
+            "tests/test_quasi.py::TestTreeQuotient::test_predicate_matches_quotient_construction",
+        ),
+    ),
+    Mutant(
+        "block-slots-skipped",
+        "quasi.py",
+        "for j in range(1, sizes[0]):",
+        "for j in range(1, 1):",
+        (
+            "tests/test_quasi.py::TestTreeQuotient::test_predicate_matches_quotient_construction",
+        ),
+    ),
     # The bit-parallel search and the whole-file readers.
     Mutant(
         "word-index-65",
@@ -179,6 +206,28 @@ MUTANTS = (
         "len(ints) == 2 * g.vertex_count",
         (
             "tests/test_fileio_cli.py::TestWholeFilePasses::test_readers_match_references",
+        ),
+    ),
+    # Every integer read is ASCII 0-9 alone; pytest escapes the other
+    # scripts' digits in these ids.
+    Mutant(
+        "digits-any-script",
+        "fileio.py",
+        "return token.isascii() and token.isdigit()",
+        "return token.isdigit()",
+        tuple(
+            f"tests/test_fileio_cli.py::Test{kind}Format::test_only_ascii_digits[{token}]"
+            for kind, token in [
+                ("EdgeList", "\\u0662"),
+                ("EdgeList", "\\uff13"),
+                ("Partition", "\\u0662"),
+                ("Partition", "\\uff13"),
+                ("Weights", "\\u0662"),
+                ("Weights", "\\uff13"),
+                ("Weights", "\\u0661/\\u0662"),
+                ("Mapping", "\\u0662"),
+                ("Mapping", "\\uff13"),
+            ]
         ),
     ),
     # numpy loads where qiso first computes with it, not at import.

@@ -359,7 +359,9 @@ class TestWholeFilePasses:
             ours, theirs, mapping, weight_file = files
             fileio.write_edge_list(g, ours)
             _write_edges(theirs, g.vertex_count, g.edges())
-            image = [random.Random(i).randrange(g.vertex_count) for _ in g.vertices()]
+            rng = random.Random(i)  # one generator per file, so the images vary
+            image = [rng.randrange(g.vertex_count) for _ in g.vertices()]
+            assert g.vertex_count < 3 or len(set(image)) > 1, image
             fileio.write_mapping(image, mapping)
             weights = random.Random(i).sample(range(1, 10**18), g.vertex_count)
             fileio.write_weights(weights, weight_file)
