@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import operator
 import os
-import re
 import tempfile
 from fractions import Fraction
 from itertools import chain, count
@@ -95,24 +94,30 @@ def _ints(fields: list[str], lineno: int, expect: Optional[int] = None) -> list[
 
 # Two-column files in the canonical form qiso writes them: one "a b"
 # pair per line, ASCII digits and one space, "\n" after every line, no
-# blank or comment line. At most 18 digits keeps each value below 2**63,
-# where np.fromstring would saturate; one pair or more excludes b"" and
-# b"\n", which it reads as [] and [0].
-_CANONICAL = re.compile(rb"(?:[0-9]{1,18} [0-9]{1,18}\n)+")
+# blank or comment line. A file is taken as canonical when it ends in
+# "\n", its digits deleted leave " \n" repeated and nothing else, and
+# the standard library's C-level JSON scanner reads it, a comma at each
+# separator, as one array of exact ints. JSON refuses an empty field and
+# a leading zero, and CPython a token longer than its int-string limit.
+_COMMAS = bytes.maketrans(b" \n", b",,")
 
 
 def _canonical_ints(path: PathLike) -> Optional[list[int]]:
-    """Every integer of a canonical file, in order, from one C-level call.
+    """Every integer of a canonical file, in order, from one C-level JSON scan.
 
     None for any other file, which only the line walk reads and reports on.
+    Without the final-newline test, ``b"3 2\\n0 1\\n12"`` would pass the
+    separator test and be read, less its last byte, as [3, 2, 0, 1, 1].
     """
     with open(path, "rb") as handle:
         data = handle.read()
-    if not _CANONICAL.fullmatch(data):
+    seps = data.translate(None, b"0123456789")
+    if not data.endswith(b"\n") or seps != b" \n" * (len(seps) // 2):
         return None
-    import numpy as np
-
-    return np.fromstring(data, dtype=np.int64, sep=" ").tolist()
+    try:
+        return json.loads("[%s]" % data[:-1].translate(_COMMAS).decode())
+    except ValueError:  # an empty field, a leading zero, too many digits
+        return None
 
 
 def read_edge_list(path: PathLike) -> Graph:

@@ -190,11 +190,35 @@ MUTANTS = (
             "tests/test_mis.py::TestDerivedGraph::test_derived_connected_on_ensemble",
         ),
     ),
+    # The canonical pass. Each entry is caught by the example of the reader
+    # differential named above it.
+    # b"3 2\n0 1\n12": a last line of one field, read as a pair.
     Mutant(
-        "canonical-19-digits",
+        "canonical-final-newline-unchecked",
         "fileio.py",
-        "[0-9]{1,18} [0-9]{1,18}",
-        "[0-9]{1,19} [0-9]{1,19}",
+        'not data.endswith(b"\\n") or ',
+        "",
+        (
+            "tests/test_fileio_cli.py::TestWholeFilePasses::test_readers_match_references",
+        ),
+    ),
+    # b"3 2\n0 1 1\n2\n": three fields, then one, read as two pairs.
+    Mutant(
+        "canonical-separators-unchecked",
+        "fileio.py",
+        ' or seps != b" \\n" * (len(seps) // 2)',
+        "",
+        (
+            "tests/test_fileio_cli.py::TestWholeFilePasses::test_readers_match_references",
+        ),
+    ),
+    # b"3 2\n0 01\n1 2\n": JSON refuses the leading zero, and the error
+    # escapes where the line walk reads 1.
+    Mutant(
+        "canonical-json-errors-escape",
+        "fileio.py",
+        "except ValueError:",
+        "except TypeError:",
         (
             "tests/test_fileio_cli.py::TestWholeFilePasses::test_readers_match_references",
         ),
@@ -230,7 +254,8 @@ MUTANTS = (
             ]
         ),
     ),
-    # numpy loads where qiso first computes with it, not at import.
+    # numpy loads where qiso first computes with it, in the all-pairs
+    # layer: not at import, and not to read a file.
     Mutant(
         "numpy-at-import",
         "graph.py",
@@ -240,6 +265,13 @@ MUTANTS = (
             "tests/test_fileio_cli.py::TestImports::"
             "test_generate_help_and_usage_errors_load_no_numpy",
         ),
+    ),
+    Mutant(
+        "numpy-in-reader",
+        "fileio.py",
+        'with open(path, "rb") as handle:',
+        'import numpy\n\n    with open(path, "rb") as handle:',
+        ("tests/test_fileio_cli.py::TestImports::test_tree_commands_load_no_numpy",),
     ),
 )
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -231,9 +232,9 @@ class TestReadersFuzz:
 
 
 # Tokens that a canonical file never holds and the line walk must read as
-# the references do: leading zeros, 19 or more digits (2**63 - 1 and up
-# saturate in np.fromstring), tokens int() alone would take, and the
-# fractions a weight file may hold.
+# the references do (leading zeros, tokens int() alone would take, and the
+# fractions a weight file may hold), and long ones that the canonical pass
+# must read exactly: 19 digits and more, 2**63 - 1 and 2**63 among them.
 _ODD_TOKENS = ["007", "0" * 20 + "1", "9" * 19, str(2**63 - 1), str(2**63), "1" + "0" * 25]
 _ODD_TOKENS += ["x", "-1", "+1", "1_0", "#1", "2/3", "4/2", "1/0"]
 
@@ -326,6 +327,17 @@ class TestWholeFilePasses:
     @example((path_graph(3), "edge_list", b"3 2\n0 1\n2 1\n"))
     @example((path_graph(3), "edge_list", b"9223372036854775808 2\n0 1\n1 2\n"))
     @example((path_graph(3), "edge_list", b"\n"))
+    # A last line of one field, with no final newline: "line 3: expected 2
+    # fields, got 1", not an edge count from "12" read as 1.
+    @example((path_graph(3), "edge_list", b"3 2\n0 1\n12"))
+    # A leading zero: the canonical pass refuses it, the line walk reads 1.
+    @example((path_graph(3), "edge_list", b"3 2\n0 01\n1 2\n"))
+    # Three fields, then one: as many spaces and newlines as three pairs.
+    @example((path_graph(3), "edge_list", b"3 2\n0 1 1\n2\n"))
+    # A canonical file whose vertex count has 19 digits, past 2**63.
+    @example((path_graph(3), "edge_list", b"9999999999999999999 2\n0 1\n1 2\n"))
+    # A token past CPython's default int-string limit of 4300 digits.
+    @example((path_graph(3), "edge_list", b"1" * 5000 + b" 2\n0 1\n1 2\n"))
     @example((path_graph(3), "mapping", b"0 0\n1 3\n2 2\n"))
     @example((path_graph(3), "mapping", b"0 0\n2 2\n1 1\n2 1\n"))
     @example((path_graph(3), "weights", b"1 5\n0 3\n2 4\n"))
@@ -381,6 +393,10 @@ class TestWholeFilePasses:
             _write_edges(bad, t.vertex_count, edges, m)
             with pytest.raises(FormatError):
                 fileio.read_edge_list(bad)
+        # A vertex count past 2**63 is read exactly, without a walk.
+        bad.write_text(f"{10**19} 1\n0 1\n")
+        with pytest.raises(FormatError, match=f": 1 edges cannot connect {10**19} vertices$"):
+            fileio.read_edge_list(bad)
         for text, message in [
             ("0 0\n1 0\n", ": 1 vertices have no image$"),
             ("0 0\n0 1\n1 1\n2 2\n", "^line 2: duplicate image for vertex 0$"),
@@ -1583,8 +1599,8 @@ class TestImports:
         assert run.stdout == "[]\n"
 
     def test_generate_help_and_usage_errors_load_no_numpy(self, tmp_path):
-        # numpy loads where qiso first computes with it: the all-pairs
-        # layer and the canonical reader, never at import.
+        # numpy loads where qiso first computes with it, in the all-pairs
+        # layer, never at import.
         src = Path(cli.__file__).resolve().parents[1]
         code = (
             "import sys, qiso, qiso.cli\n"
@@ -1607,6 +1623,47 @@ class TestImports:
         families = len(cli._FAMILIES)
         assert run.stdout.splitlines()[-1] == f"{[0] * families + [0, 2]} False"
         assert len(list(tmp_path.glob("*.el"))) == families
+
+    def test_tree_commands_load_no_numpy(self, tmp_path):
+        # Every command that checks the paper's tree claims runs matrix-free
+        # and reads through the standard library, so it loads no numpy;
+        # the within-3 search of --method mis does.
+        src = Path(cli.__file__).resolve().parents[1]
+        code = textwrap.dedent(
+            r"""
+            import sys
+            from qiso.cli import CLAIMS, main
+            codes = [main("generate random-tree --n 40 --seed 3 -o t.el".split())]
+            edges = open("t.el").read().splitlines()
+            open("bad.el", "w").write("\n".join(edges[:-1]) + "\n")
+            open("w.txt", "w").write("".join(f"{v} {v % 3 + 1}\n" for v in range(40)))
+            open("f.txt", "w").write("".join(f"{v} {v % 3 + 1}/2\n" for v in range(40)))
+            runs = [
+                "simplify t.el --method outward -o s",
+                "simplify t.el --method outward --all-roots -o r",
+                "simplify t.el --method collapse -o c",
+                "simplify t.el --method collapse-modified -o cm",
+                "analyze t.el -o a.json",
+                "analyze t.el --partition s.partition.txt -o ap.json",
+                "analyze t.el --weights w.txt -o aw.json",
+                "analyze t.el --weights f.txt -o af.json",
+                "verify t.el --partition s.partition.txt -o v.json --claims " + ",".join(CLAIMS),
+                "verify t.el --claims q1,q2,ecc-transfer,mis-bounds -o vt.json",
+                "simplify bad.el --method outward -o bad",
+            ]
+            codes += [main(argv.split()) for argv in runs]
+            print(codes, "numpy" in sys.modules)
+            print(main("simplify t.el --method mis -o m".split()), "numpy" in sys.modules)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-c", code]
+        run = subprocess.run(
+            argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [f"{[0] * 11 + [2]} False", "0 True"]
+        assert run.stderr == "error: bad.el: header says 39 edges, found 38\n"
 
 
 class TestEntry:
