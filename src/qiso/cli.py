@@ -8,6 +8,7 @@ deterministic for fixed arguments, so reruns can be byte-compared.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache, cached_property
 from pathlib import Path
@@ -356,6 +357,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entry() -> None:
+    # qiso makes no BLAS call (its one matrix product is on object dtype),
+    # so OpenBLAS's thread pool, started when numpy loads, only burns a
+    # second core. A user's own setting wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

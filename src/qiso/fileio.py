@@ -92,30 +92,40 @@ def _ints(fields: list[str], lineno: int, expect: Optional[int] = None) -> list[
         raise FormatError(f"line {lineno}: {exc}") from None
 
 
-# Two-column files in the canonical form qiso writes them: one "a b"
-# pair per line, ASCII digits and one space, "\n" after every line, no
-# blank or comment line. A file is taken as canonical when it ends in
-# "\n", its digits deleted leave " \n" repeated and nothing else, and
-# the standard library's C-level JSON scanner reads it, a comma at each
-# separator, as one array of exact ints. JSON refuses an empty field and
-# a leading zero, and CPython a token longer than its int-string limit.
+# Files in the canonical form qiso writes them: ASCII digits, one space
+# between the fields of a line, "\n" after every line, no blank or
+# comment line. The standard library's C-level JSON scanner reads such a
+# file as exact ints once each space is a comma and each line break a
+# comma (one flat list) or "],[" (one list per line). JSON refuses an
+# empty field (a doubled, leading or trailing space) and a leading zero,
+# and CPython a token longer than its int-string limit.
 _COMMAS = bytes.maketrans(b" \n", b",,")
 
 
-def _canonical_ints(path: PathLike) -> Optional[list[int]]:
-    """Every integer of a canonical file, in order, from one C-level JSON scan.
+def _canonical_ints(path: PathLike, rows: bool = False) -> Optional[list]:
+    """A canonical file's integers from one C-level JSON scan, else None.
 
-    None for any other file, which only the line walk reads and reports on.
-    Without the final-newline test, ``b"3 2\\n0 1\\n12"`` would pass the
-    separator test and be read, less its last byte, as [3, 2, 0, 1, 1].
+    With ``rows``, one list per line, any number of fields each; else
+    every integer in order, for a file of ``a b`` pairs, whose digits
+    deleted leave " \\n" repeated and nothing else. Any other file gives
+    None, and only the line walk reads and reports on it. Without the
+    final-newline test, ``b"3 2\\n0 1\\n12"`` would pass the pair test and
+    be read, less its last byte, as [3, 2, 0, 1, 1].
     """
     with open(path, "rb") as handle:
         data = handle.read()
     seps = data.translate(None, b"0123456789")
-    if not data.endswith(b"\n") or seps != b" \n" * (len(seps) // 2):
+    if rows:
+        form = not seps.translate(None, b" \n") and not data.startswith(b"\n")
+        form = form and b"\n\n" not in data  # a blank line would be an empty row
+    else:
+        form = seps == b" \n" * (len(seps) // 2)
+    if not data.endswith(b"\n") or not form:
         return None
+    body = data[:-1]
+    text = b"[[%s]]" % body.replace(b"\n", b"],[") if rows else b"[%s]" % body
     try:
-        return json.loads("[%s]" % data[:-1].translate(_COMMAS).decode())
+        return json.loads(text.translate(_COMMAS).decode())
     except ValueError:  # an empty field, a leading zero, too many digits
         return None
 
@@ -161,13 +171,20 @@ def write_edge_list(g: Graph, path: PathLike) -> None:
 
 
 def read_partition(path: PathLike, g: Graph) -> Partition:
-    """Parse a partition file: line ``i`` lists block ``i``, ids ascending."""
-    blocks = []
-    for lineno, fields in _content_lines(path):
-        members = _ints(fields, lineno)
-        if any(a >= b for a, b in zip(members, members[1:])):
-            raise FormatError(f"line {lineno}: ids must be strictly increasing")
-        blocks.append(members)
+    """Parse a partition file: line ``i`` lists block ``i``, ids ascending.
+
+    A canonical file whose every line ascends strictly is read in one
+    JSON scan; any other is walked line by line, which reports the first
+    bad line.
+    """
+    blocks = _canonical_ints(path, rows=True)
+    if blocks is None or not all(all(map(operator.lt, r, r[1:])) for r in blocks):
+        blocks = []
+        for lineno, fields in _content_lines(path):
+            members = _ints(fields, lineno)
+            if any(a >= b for a, b in zip(members, members[1:])):
+                raise FormatError(f"line {lineno}: ids must be strictly increasing")
+            blocks.append(members)
     return Partition(g, blocks)
 
 

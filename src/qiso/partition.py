@@ -1,22 +1,23 @@
 """Partitions into connected blocks and the quotient graph they induce.
 
 Blocks ("super-vertices") must induce connected subgraphs. :class:`Partition`
-checks partitions from outside; the constructions prove theirs connected and
-build them unchecked (:func:`_trusted_partition`). The quotient joins two
-blocks whenever some cross edge exists; it is simple and connected by
-construction, so it is built in one pass over the adjacency and not
-validated again. Sharpness bounds block diameters from above and drives
-the distortion of the quotient mapping, coarseness bounds them from below
-and drives compression. Every block diameter comes from one pass: longest
-paths within blocks on a tree, else one bit-parallel breadth-first sweep
-over the intra-block edges.
+checks partitions from outside: on a tree by one count of the edges inside
+blocks, else by one search over them. The constructions prove theirs
+connected and build them unchecked (:func:`_trusted_partition`). The
+quotient joins two blocks whenever some cross edge exists; it is simple
+and connected by construction, so it is built in one pass over the
+adjacency and not validated again. Sharpness bounds block diameters from
+above and drives the distortion of the quotient mapping, coarseness
+bounds them from below and drives compression. Every block diameter
+comes from one pass: longest paths within blocks on a tree, else one
+bit-parallel breadth-first sweep over the intra-block edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, eq
 from typing import Iterable, Optional, Sequence
 
 from .errors import BlockNotConnected, InvalidVertex, NotAPartition
@@ -37,6 +38,11 @@ class Partition:
     Blocks keep their given order; members are stored ascending.
     ``block_of[v]`` is the index of the block containing ``v``. Checked
     here only when from outside: a partition file or a library caller.
+    On a tree the k blocks are all connected exactly when n - k tree
+    edges lie inside blocks, counted against the cached preorder's
+    parents; a count that falls short, and any graph with cycles, runs
+    one search over the intra-block edges, which names the first
+    disconnected block.
     """
 
     __slots__ = ("graph", "blocks", "block_of")
@@ -61,17 +67,27 @@ class Partition:
         missing = block_of.count(-1)
         if missing:
             raise NotAPartition(f"{missing} vertices not covered by any block")
-        # One search over the intra-block edges, from every block's first
-        # member: those edges never leave a block, so a vertex stays
-        # unreached exactly when its block is disconnected.
-        inner = [
-            [u for u in nbrs if block_of[u] == b]
-            for nbrs, b in zip(graph.adjacency, block_of)
-        ]
-        reached = _bfs(inner, [members[0] for members in cleaned])
-        if -1 in reached:
-            first = min(block_of[v] for v, d in enumerate(reached) if d < 0)
-            raise BlockNotConnected(f"block {first} does not induce a connected subgraph")
+        # On a tree the e edges inside blocks form a forest of n - e trees,
+        # and each block holds at least one of them, so the k blocks are
+        # all connected exactly when e = n - k. Each tree edge joins a
+        # vertex other than the root, vertex 0, to its parent.
+        connected = False
+        if graph.is_tree:
+            parent = _tree_preorder(graph)[1]
+            inside = sum(map(eq, block_of[1:], map(block_of.__getitem__, parent[1:])))
+            connected = inside == n - len(cleaned)
+        if not connected:
+            # One search over the intra-block edges, from every block's
+            # first member: those edges never leave a block, so a vertex
+            # stays unreached exactly when its block is disconnected.
+            inner = [
+                [u for u in nbrs if block_of[u] == b]
+                for nbrs, b in zip(graph.adjacency, block_of)
+            ]
+            reached = _bfs(inner, [members[0] for members in cleaned])
+            if -1 in reached:
+                first = min(block_of[v] for v, d in enumerate(reached) if d < 0)
+                raise BlockNotConnected(f"block {first} does not induce a connected subgraph")
         self.graph = graph
         self.blocks: tuple[tuple[int, ...], ...] = tuple(cleaned)
         self.block_of: tuple[int, ...] = tuple(block_of)

@@ -131,6 +131,29 @@ MUTANTS = (
             "tests/test_quasi.py::TestTreeQuotient::test_row_maxima_branches_agree[outward]",
         ),
     ),
+    # The tree count of Partition: n - k edges inside blocks, the root,
+    # which has no parent edge, left out.
+    Mutant(
+        "tree-count-one-short",
+        "partition.py",
+        "inside == n - len(cleaned)",
+        "inside >= n - len(cleaned) - 1",
+        (
+            "tests/test_partition.py::TestPartitionValidation::test_rejects_disconnected_block",
+            "tests/test_partition.py::TestPartitionValidation::"
+            "test_tree_count_matches_per_block_oracle",
+        ),
+    ),
+    Mutant(
+        "tree-count-root-included",
+        "partition.py",
+        "block_of[1:], map(block_of.__getitem__, parent[1:])",
+        "block_of, map(block_of.__getitem__, parent)",
+        (
+            "tests/test_partition.py::TestPartitionValidation::"
+            "test_tree_count_matches_per_block_oracle",
+        ),
+    ),
     # The independent-set checks.
     Mutant(
         "maximality-negated",
@@ -206,8 +229,8 @@ MUTANTS = (
     Mutant(
         "canonical-separators-unchecked",
         "fileio.py",
-        ' or seps != b" \\n" * (len(seps) // 2)',
-        "",
+        'seps == b" \\n" * (len(seps) // 2)',
+        "True",
         (
             "tests/test_fileio_cli.py::TestWholeFilePasses::test_readers_match_references",
         ),
@@ -219,6 +242,46 @@ MUTANTS = (
         "fileio.py",
         "except ValueError:",
         "except TypeError:",
+        (
+            "tests/test_fileio_cli.py::TestWholeFilePasses::test_readers_match_references",
+        ),
+    ),
+    # b"0 1\n\n2\n": a blank line, parsed as an empty block.
+    Mutant(
+        "partition-blank-line-parsed",
+        "fileio.py",
+        ' and b"\\n\\n" not in data',
+        "",
+        (
+            "tests/test_fileio_cli.py::TestWholeFilePasses::test_readers_match_references",
+        ),
+    ),
+    # b"\n": a leading blank line, parsed as an empty block.
+    Mutant(
+        "partition-leading-newline-parsed",
+        "fileio.py",
+        ' and not data.startswith(b"\\n")',
+        "",
+        (
+            "tests/test_fileio_cli.py::TestWholeFilePasses::test_readers_match_references",
+        ),
+    ),
+    # b"0 1\n\t\n2\n": a line of whitespace, which JSON reads as an empty block.
+    Mutant(
+        "partition-any-separator",
+        "fileio.py",
+        'not seps.translate(None, b" \\n")',
+        "True",
+        (
+            "tests/test_fileio_cli.py::TestWholeFilePasses::test_readers_match_references",
+        ),
+    ),
+    # b"0 2 1\n": ids out of order, which Partition would sort.
+    Mutant(
+        "partition-rows-unordered",
+        "fileio.py",
+        "blocks is None or not all(all(map(operator.lt, r, r[1:])) for r in blocks)",
+        "blocks is None",
         (
             "tests/test_fileio_cli.py::TestWholeFilePasses::test_readers_match_references",
         ),
@@ -265,6 +328,13 @@ MUTANTS = (
             "tests/test_fileio_cli.py::TestImports::"
             "test_generate_help_and_usage_errors_load_no_numpy",
         ),
+    ),
+    Mutant(
+        "blas-pool-default-dropped",
+        "cli.py",
+        '    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n',
+        "",
+        ("tests/test_fileio_cli.py::TestEntry::test_blas_pool_defaults_to_one_thread[None-1]",),
     ),
     Mutant(
         "numpy-in-reader",

@@ -350,10 +350,10 @@ def keeps_center(order, parent, block_of, src_center) -> bool:
     return any(block_of[c] in middle for c in src_center)
 
 
-# The edge-list, mapping and weight readers and the writers as they were
-# before qiso's whole-file passes: every file is split into lines in
-# Python and every line written by its own f-string. The new code must
-# accept, reject and write exactly as these do.
+# The edge-list, partition, mapping and weight readers and the writers as
+# they were before qiso's whole-file passes: every file is split into
+# lines in Python and every line written by its own f-string. The new
+# code must accept, reject and write exactly as these do.
 
 
 def _content_lines(path):
@@ -410,6 +410,16 @@ def read_edge_list(path) -> Graph:
             if not u < v:
                 raise FormatError(f"line {lineno}: edges must satisfy u < v, got {u} {v}")
     return Graph(n, zip(us, vs))
+
+
+def read_partition(path, g: Graph) -> Partition:
+    blocks = []
+    for lineno, fields in _content_lines(path):
+        members = _ints(fields, lineno)
+        if any(a >= b for a, b in zip(members, members[1:])):
+            raise FormatError(f"line {lineno}: ids must be strictly increasing")
+        blocks.append(members)
+    return Partition(g, blocks)
 
 
 def read_mapping(path, g: Graph) -> list[int]:

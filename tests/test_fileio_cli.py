@@ -1,4 +1,5 @@
 import ast
+import bisect
 import json
 import os
 import random
@@ -20,7 +21,13 @@ from helpers import seeded_graph, seeded_tree
 from passes import CallCounter, PassCounter
 from qiso import cli, contraction, fileio
 from qiso.cli import CLAIMS, main
-from qiso.errors import FormatError, InvalidWeight, QisoError
+from qiso.errors import (
+    BlockNotConnected,
+    FormatError,
+    InvalidWeight,
+    NotAPartition,
+    QisoError,
+)
 from qiso.generators import (
     complete_graph,
     cycle_graph,
@@ -240,10 +247,10 @@ _ODD_TOKENS += ["x", "-1", "+1", "1_0", "#1", "2/3", "4/2", "1/0"]
 
 
 @st.composite
-def _two_column_file(draw):
-    """A graph, and an edge list, a mapping onto it or a weight file
-    written as qiso writes them, then perturbed in content, tokens and
-    layout."""
+def _input_file(draw):
+    """A graph, and an edge list, a partition of it, a mapping onto it or
+    a weight file written as qiso writes them, then perturbed in content,
+    tokens and layout."""
     g = draw(
         st.one_of(
             st.integers(0, 10**6).map(lambda s: seeded_graph(s, max_n=12)),
@@ -252,7 +259,9 @@ def _two_column_file(draw):
         )
     )
     n = g.vertex_count
-    kind = draw(st.sampled_from(["edge_list", "mapping", "weights"]))
+    kind = draw(st.sampled_from(["edge_list", "partition", "mapping", "weights"]))
+    if kind == "partition":
+        return g, kind, draw(_partition_file(g))
     if kind == "edge_list":
         rows = [list(e) for e in g.edges()]
     elif kind == "mapping":
@@ -285,6 +294,56 @@ def _two_column_file(draw):
         else:
             rows[k] = list(rows[k])
             rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+    return g, kind, draw(_layout(rows))
+
+
+@st.composite
+def _partition_file(draw, g):
+    """A partition file for ``g``: an outward contraction of a tree, or a
+    collapse, written as qiso writes it, then perturbed in content, tokens
+    and layout."""
+    n = g.vertex_count
+    methods = ["collapse", "collapse-modified"] + ["outward"] * g.is_tree
+    method = draw(st.sampled_from(methods))
+    if method == "outward":
+        p = contraction.outward_contraction(g, draw(st.integers(0, n - 1)))
+    else:
+        p = (collapse_basic if method == "collapse" else collapse_modified)(g)
+    rows = [list(blk) for blk in p.blocks]
+    for _ in range(draw(st.integers(0, 2))):  # a vertex moved: either block may fall apart
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if len(row) > 1:
+            v = row.pop(draw(st.integers(0, len(row) - 1)))
+            to = draw(st.integers(0, len(rows)))
+            if to == len(rows):
+                rows.append([])
+            bisect.insort(rows[to], v)
+    edits = ["drop", "repeat", "swap", "range", "shuffle"]
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=3)) if draw(st.booleans()) else ():
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        j = draw(st.integers(0, max(len(row) - 1, 0)))
+        if edit == "drop" and row:  # a vertex in no block, or an empty line
+            del row[j]
+        elif edit == "repeat":  # a vertex in two blocks, or twice in one
+            other = rows[draw(st.integers(0, len(rows) - 1))]
+            other.insert(draw(st.integers(0, len(other))), draw(st.integers(0, n - 1)))
+        elif edit == "swap" and len(row) > 1:  # ids out of order
+            i = draw(st.integers(0, len(row) - 1))
+            row[i], row[j] = row[j], row[i]
+        elif edit == "range":
+            row.insert(j, n + draw(st.integers(0, 2)))
+        elif edit == "shuffle":  # blocks in another order
+            rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(1, 2)) if draw(st.booleans()) else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+    return draw(_layout(rows))
+
+
+@st.composite
+def _layout(draw, rows):
+    """``rows`` as text, one line each, in qiso's layout or another."""
     layouts = ["separators", "margins", "crlf", "blanks and comments", "no final newline"]
     layout = draw(st.sets(st.sampled_from(layouts), min_size=1)) if draw(st.booleans()) else ()
     lines = []
@@ -304,15 +363,17 @@ def _two_column_file(draw):
         text = text.rstrip("\n")
     if draw(st.sampled_from(range(16))) == 15:
         text = draw(st.sampled_from(["", "\n", "\n\n", " \n", "0\n", "0 0"]))
-    return g, kind, text.encode()
+    return text.encode()
 
 
 def _outcome(read, *args):
-    """What ``read`` returns, or the type and message of what it raises."""
+    """What ``read`` returns, a partition as its blocks and block indices,
+    or the type and message of what it raises."""
     try:
-        return read(*args)
+        got = read(*args)
     except Exception as exc:
         return type(exc), str(exc)
+    return (got.blocks, got.block_of) if isinstance(got, Partition) else got
 
 
 def _write_edges(path, n, edges, header_m=None):
@@ -323,7 +384,7 @@ def _write_edges(path, n, edges, header_m=None):
 
 class TestWholeFilePasses:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(_two_column_file())
+    @given(_input_file())
     @example((path_graph(3), "edge_list", b"3 2\n0 1\n2 1\n"))
     @example((path_graph(3), "edge_list", b"9223372036854775808 2\n0 1\n1 2\n"))
     @example((path_graph(3), "edge_list", b"\n"))
@@ -338,6 +399,24 @@ class TestWholeFilePasses:
     @example((path_graph(3), "edge_list", b"9999999999999999999 2\n0 1\n1 2\n"))
     # A token past CPython's default int-string limit of 4300 digits.
     @example((path_graph(3), "edge_list", b"1" * 5000 + b" 2\n0 1\n1 2\n"))
+    # Partition files the one-pass parse refuses, which the line walk
+    # reads or reports on: a blank line, a comment, a leading zero, a tab
+    # (between ids, or alone on a line), CRLF, a trailing space, no final
+    # newline, a token past the int-string limit, and an empty file.
+    @example((path_graph(3), "partition", b"0 1\n\n2\n"))
+    @example((path_graph(3), "partition", b"# c\n0 1 2\n"))
+    @example((path_graph(3), "partition", b"0 01 2\n"))
+    @example((path_graph(3), "partition", b"0\t1 2\n"))
+    @example((path_graph(3), "partition", b"0 1\n\t\n2\n"))
+    @example((path_graph(3), "partition", b"0 1\r\n2\r\n"))
+    @example((path_graph(3), "partition", b"0 1 \n2\n"))
+    @example((path_graph(3), "partition", b"0 1\n2"))
+    @example((path_graph(3), "partition", b"0 1\n" + b"1" * 5000 + b"\n"))
+    @example((path_graph(3), "partition", b""))
+    @example((path_graph(3), "partition", b"\n"))
+    # Rows it parses but must not pass on: ids out of order, an id twice.
+    @example((path_graph(3), "partition", b"0 2 1\n"))
+    @example((path_graph(3), "partition", b"1 1\n0 2\n"))
     @example((path_graph(3), "mapping", b"0 0\n1 3\n2 2\n"))
     @example((path_graph(3), "mapping", b"0 0\n2 2\n1 1\n2 1\n"))
     @example((path_graph(3), "weights", b"1 5\n0 3\n2 4\n"))
@@ -367,8 +446,8 @@ class TestWholeFilePasses:
         graphs = [path_graph(1), path_graph(2), star_graph(9)]
         graphs += [seeded_graph(s) for s in range(8)] + [seeded_tree(s) for s in range(8)]
         for i, g in enumerate(graphs):
-            files = (tmp_path / f"{name}{i}" for name in ("g.el", "w.el", "m.txt", "w.txt"))
-            ours, theirs, mapping, weight_file = files
+            files = (tmp_path / f"{name}{i}" for name in ("g.el", "w.el", "m.txt", "w.txt", "p.txt"))
+            ours, theirs, mapping, weight_file, partition_file = files
             fileio.write_edge_list(g, ours)
             _write_edges(theirs, g.vertex_count, g.edges())
             rng = random.Random(i)  # one generator per file, so the images vary
@@ -380,6 +459,13 @@ class TestWholeFilePasses:
             assert fileio.read_edge_list(ours) == fileio.read_edge_list(theirs) == g
             assert fileio.read_mapping(mapping, g) == image
             assert fileio.read_weights(weight_file, g) == weights
+            if g.is_tree:
+                p = contraction.outward_contraction(g, i % g.vertex_count)
+            else:
+                p = collapse_modified(g)
+            fileio.write_partition(p, partition_file)
+            q = fileio.read_partition(partition_file, g)
+            assert (q.blocks, q.block_of) == (p.blocks, p.block_of)
         # The corrupted canonical files of the small-tree workload, and
         # canonical mappings that fail, are rejected without a walk too.
         t = seeded_tree(3, min_n=8)
@@ -405,6 +491,22 @@ class TestWholeFilePasses:
             bad.write_text(text)
             with pytest.raises(FormatError, match=message):
                 fileio.read_mapping(bad, path_graph(3))
+        # Canonical partition files that fail do so as the line walk does:
+        # a vertex in two blocks, one in none, and a disconnected block on
+        # trees and on a cycle.
+        hub = next(v for v in t.vertices() if len(t.adjacency[v]) > 1)
+        rest = " ".join(str(v) for v in t.vertices() if v != hub)
+        for graph, text, error in [
+            (path_graph(3), "0 1\n1 2\n", NotAPartition),
+            (path_graph(3), "0 1\n", NotAPartition),
+            (path_graph(5), "0 1\n2 4\n3\n", BlockNotConnected),
+            (t, f"{hub}\n{rest}\n", BlockNotConnected),
+            (cycle_graph(5), "0 2\n1\n3 4\n", BlockNotConnected),
+        ]:
+            bad.write_text(text)
+            want = _outcome(oracles.read_partition, bad, graph)
+            assert want[0] is error, want
+            assert _outcome(fileio.read_partition, bad, graph) == want
         # A zero weight read as an int is refused as a Fraction one is.
         fileio.write_weights([3, 0, 1], bad)
         with pytest.raises(InvalidWeight, match="^weight of vertex 1 is 0, must be positive$"):
@@ -1668,6 +1770,33 @@ class TestImports:
 
 class TestEntry:
     """``python -m qiso.cli``: the console entry point's exit status."""
+
+    @pytest.mark.parametrize("preset, threads", [(None, "1"), ("2", "2")])
+    def test_blas_pool_defaults_to_one_thread(self, tmp_path, preset, threads):
+        # qiso makes no BLAS call, so the entry point asks OpenBLAS for one
+        # thread before numpy can load; a user's own setting wins.
+        fileio.write_edge_list(seeded_graph(3), tmp_path / "g.el")
+        code = textwrap.dedent(
+            """
+            import os, sys
+            from qiso.cli import entry
+            sys.argv = "qiso simplify g.el --method collapse -o s".split()
+            try:
+                entry()
+            except SystemExit as exc:
+                print(exc.code, "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"))
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        argv = [sys.executable, "-c", code]
+        run = subprocess.run(
+            argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == f"0 True {threads}\n"
 
     def run(self, tmp_path, *argv):
         src = Path(cli.__file__).resolve().parents[1]

@@ -18,6 +18,7 @@ from oracles import (
     longest_simple_cycle,
     q1_witness,
 )
+from qiso import partition
 from qiso.contraction import composition_partition, outward_contraction
 from qiso.errors import BlockNotConnected, InvalidMapping, InvalidVertex, NotAPartition
 from qiso.generators import (
@@ -115,6 +116,46 @@ class TestPartitionValidation:
                     Partition(g, blocks)
                 message = f"block {first} does not induce a connected subgraph"
                 assert str(exc.value) == message
+        assert outcomes == {True, False}
+
+    def test_tree_count_matches_per_block_oracle(self, monkeypatch):
+        # A tree's blocks are checked by one count of the edges inside
+        # them; the search over them runs only to name a disconnected one.
+        searches = []
+        search = partition._bfs
+        monkeypatch.setattr(partition, "_bfs", lambda *a: searches.append(a) or search(*a))
+        trees = [path_graph(n) for n in (1, 2, 3, 8)] + [star_graph(n) for n in (3, 9)]
+        trees += [seeded_tree(seed) for seed in range(80)]
+        outcomes = set()
+        for i, t in enumerate(trees):
+            rng = random.Random(i)
+            n = t.vertex_count
+            dist = bfs_distances(t, 0)
+            route = [n - 1]  # from n - 1 to the root, vertex 0
+            while route[-1]:
+                route.append(next(u for u in t.adjacency[route[-1]] if dist[u] < dist[route[-1]]))
+            # Vertices 0 and n - 1 share a block in the first three: a count
+            # that took the root's missing parent for index -1 would read
+            # one edge too many there.
+            cases = [
+                [list(t.vertices())],
+                [route] + [[v] for v in t.vertices() if v not in route],
+                [sorted({0, n - 1})] + [[v] for v in range(1, n - 1)],
+                outward_contraction(t, rng.randrange(n)).blocks,
+                self._labelled_blocks(t, rng),
+                self._labelled_blocks(t, rng),
+            ]
+            for blocks in cases:
+                first = first_disconnected_block(t, blocks)
+                outcomes.add(first is None)
+                searches.clear()
+                if first is None:
+                    assert Partition(t, blocks).blocks == tuple(map(tuple, map(sorted, blocks)))
+                    assert not searches
+                else:
+                    message = f"^block {first} does not induce a connected subgraph$"
+                    with pytest.raises(BlockNotConnected, match=message):
+                        Partition(t, blocks)
         assert outcomes == {True, False}
 
     def test_block_of_is_consistent(self):
