@@ -30,7 +30,7 @@ from .generators import (
     star_graph,
 )
 from .graph import Graph, _extremes, median
-from .mis import MisResult, greedy_mis, mis_derived
+from .mis import MisResult, mis_derived
 from .partition import (
     Partition,
     build_partition_graph,
@@ -165,7 +165,7 @@ class _Subject:
 
     @cached_property
     def mis(self) -> MisResult:
-        return mis_derived(self.g, greedy_mis(self.g))
+        return mis_derived(self.g)
 
     def guaranteed(self) -> tuple[VertexMapping, str]:
         """The mapping under test and the side of its center-shift bound

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import operator
 import os
-import tempfile
 from fractions import Fraction
 from itertools import chain, count
 from pathlib import Path
@@ -26,22 +25,25 @@ PathLike = Union[str, Path]
 def _atomic_write(files: Sequence[tuple[PathLike, str]]) -> None:
     """Write every ``(path, text)`` file or none of them.
 
-    Each text goes to a temp file beside its path before the first
-    rename. If a write or rename fails, the files already renamed and
-    the temp files left over are removed.
+    Each text is encoded first, then written to a new temp file beside
+    its path before the first rename. The temp file is created
+    exclusively with mode 0o666, which the kernel narrows by the umask,
+    as ``open()`` would. If a write or rename fails, the files already
+    renamed and the temp files left over are removed.
     """
-    # mkstemp makes files 0600; give them the mode open() would.
-    umask = os.umask(0)
-    os.umask(umask)
+    blobs = [text.encode() for _, text in files]
     temps: list[str] = []
     done = 0
     try:
-        for path, text in files:
-            fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=Path(path).name)
+        for (path, _), blob in zip(files, blobs):
+            fd, tmp = _create_temp(path)
             temps.append(tmp)
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                os.fchmod(fd, 0o666 & ~umask)
-                handle.write(text)
+            try:
+                view = memoryview(blob)
+                while view:
+                    view = view[os.write(fd, view) :]
+            finally:
+                os.close(fd)
         for tmp, (path, _) in zip(temps, files):
             os.replace(tmp, path)
             done += 1
@@ -49,6 +51,26 @@ def _atomic_write(files: Sequence[tuple[PathLike, str]]) -> None:
         for leftover in [path for path, _ in files[:done]] + temps[done:]:
             Path(leftover).unlink(missing_ok=True)
         raise
+
+
+def _create_temp(path: PathLike) -> tuple[int, str]:
+    """A new file beside ``path``, open for writing, and its name.
+
+    The name is ``path`` plus a random suffix, drawn again while the
+    name exists, at most 100 times.
+    """
+    for _ in range(100):
+        tmp = f"{path}.{_token()}"
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            pass
+    raise FileExistsError(f"no free temp file name beside {path}")
+
+
+def _token() -> str:
+    """A random temp file suffix."""
+    return os.urandom(6).hex()
 
 
 def _content_lines(path: PathLike) -> list[tuple[int, list[str]]]:

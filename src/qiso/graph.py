@@ -238,7 +238,12 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
 
 def _build_distances(g: Graph) -> np.ndarray:
-    """The all-pairs matrix: parent rows on a tree, else multi-source BFS."""
+    """The all-pairs matrix: parent rows on a tree, else multi-source BFS.
+
+    The search writes each distance in binary across bit planes, which
+    are joined eight to a byte before each byte is widened into the
+    matrix, so no plane is widened alone.
+    """
     import numpy as np
 
     adj = g.adjacency
@@ -258,8 +263,10 @@ def _build_distances(g: Graph) -> np.ndarray:
             np.add(rows[parent[v]], 1, out=row)  # may wrap at n; the modular -= 2 restores it
             row[pre[i : i + size[v]]] -= 2
         return rows
-    # Level d is OR-ed into bit plane i for every set bit i of d, which
-    # writes each distance in binary.
+    # Level d is OR-ed into bit plane i for every set bit i of d. The
+    # first eight planes' byte is copied into the still-zero block; the
+    # planes past the eighth, which only distances above 255 need, are
+    # OR-ed in shifted.
     indptr, indices = _csr(g)
     dist = np.zeros((n, n), dtype=dtype)
     for lo in range(0, n, _CHUNK):
@@ -272,8 +279,17 @@ def _build_distances(g: Graph) -> np.ndarray:
                 if d >> i & 1:
                     plane |= nxt
         # By symmetry the sources' columns equal their rows.
-        for i, plane in enumerate(planes):
-            dist[:, lo : lo + k] |= np.left_shift(_source_bits(plane, k), i, dtype=dtype)
+        block = dist[:, lo : lo + k]
+        for first in range(0, len(planes), 8):
+            octet = _source_bits(planes[first], k)
+            for i, plane in enumerate(planes[first + 1 : first + 8], start=1):
+                bits = _source_bits(plane, k)
+                bits *= 1 << i  # a left shift of 0/1 bytes, which numpy multiplies faster
+                octet |= bits
+            if first:
+                block |= np.left_shift(octet, first, dtype=dtype)
+            else:
+                block[...] = octet
     return dist
 
 
@@ -311,14 +327,14 @@ def _bfs_levels(
     bit = np.arange(len(sources), dtype=np.uint64)
     frontier = np.zeros((len(indptr) - 1, -(-len(bit) // 64)), dtype=np.uint64)
     frontier[sources, bit // 64] = np.uint64(1) << bit % 64
-    seen = frontier.copy()
+    unseen = ~frontier
     starts = indptr[:-1]
     while True:
         nxt = np.bitwise_or.reduceat(frontier.take(indices, axis=0), starts, axis=0)
-        nxt &= ~seen
+        nxt &= unseen
         if not nxt.any():
             return
-        seen |= nxt
+        unseen ^= nxt
         yield nxt
         frontier = nxt
 

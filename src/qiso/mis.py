@@ -6,7 +6,9 @@ The canonical mapping fixes set members and sends every other vertex to
 its smallest-id neighbor inside the set. The derived graph of a maximal
 independent set is simple and connected by construction, so its
 adjacency, the members within 3 of each member, comes from a bounded
-search (:func:`qiso.graph._within`) and is not validated again.
+search (:func:`qiso.graph._within`) and is not validated again. The
+ascending greedy set and its canonical mapping come straight from the
+greedy sweep, whose construction proves them, so neither is checked.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class MisResult:
     ``derived`` uses dense ids; its vertex ``i`` stands for ``mis[i]``.
     The mapping goes from the original graph onto ``derived`` and sends
     every vertex to itself or to an adjacent member, as
-    :func:`mis_derived` validates. Like every
+    :func:`mis_derived` validates, or proves for the greedy set. Like every
     :class:`~qiso.quasi.VertexMapping`, it never stretches an edge.
 
     Its guarantee (3, 1) is a theorem: x and y lie within 1 of f(x) and
@@ -75,14 +77,23 @@ class MisResult:
 
 
 def mis_derived(
-    g: Graph, s: Sequence[int], image: Optional[Sequence[int]] = None
+    g: Graph, s: Optional[Sequence[int]] = None, image: Optional[Sequence[int]] = None
 ) -> MisResult:
     """Build the derived graph of a maximal independent set.
 
     Set members become the vertices; members at original distance 1 to 3
     become adjacent. ``image`` may override the canonical mapping with
     any per-vertex choice of adjacent set member (fixed on the set
-    itself); it is validated, not trusted.
+    itself); it is validated, not trusted, and so is ``s``.
+
+    With ``s`` omitted, the set is the ascending greedy sweep's
+    (:func:`greedy_mis`), built from that sweep and not checked: its
+    picks come in ascending id, no pick is adjacent to an earlier one,
+    so they are independent, and every other vertex has an adjacent pick,
+    so they are maximal. A non-pick's owner is the first pick adjacent
+    to it, its smallest-id adjacent member, which is the canonical
+    image, already as an index into the sorted set. ``image`` is read
+    only with ``s``.
 
     The derived graph is built unchecked
     (:func:`qiso.graph._trusted_graph`). Each member's partners, the
@@ -99,6 +110,11 @@ def mis_derived(
     within 1 of them, so within 3 of each other: the same member or
     adjacent ones, and no edge is stretched.
     """
+    if s is None:
+        picks, owner = _greedy_sweep(g, None)
+        derived = _trusted_graph(_within(g, picks, 3))
+        mapping = _trusted_mapping(g, derived, tuple(owner))
+        return MisResult(mis=tuple(picks), derived=derived, mapping=mapping)
     check_maximal_independent(g, s)
     mis = tuple(sorted(set(s)))
     index = {v: i for i, v in enumerate(mis)}

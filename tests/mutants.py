@@ -213,6 +213,55 @@ MUTANTS = (
             "tests/test_mis.py::TestDerivedGraph::test_derived_connected_on_ensemble",
         ),
     ),
+    # Bit planes joined eight to a byte, and the search's unseen mask.
+    Mutant(
+        "plane-shift-off-by-one",
+        "graph.py",
+        "bits *= 1 << i  #",
+        "bits *= 1 << i + 1  #",
+        (
+            "tests/test_quasi.py::TestDistanceMatrix::test_bfs_kernel_matches_floyd_warshall[1]",
+            "tests/test_quasi.py::TestDistanceMatrix::test_bfs_kernel_at_the_ninth_plane[64]",
+        ),
+    ),
+    Mutant(
+        "plane-group-of-nine",
+        "graph.py",
+        "range(0, len(planes), 8)",
+        "range(0, len(planes), 9)",
+        (
+            "tests/test_quasi.py::TestDistanceMatrix::test_bfs_kernel_at_the_ninth_plane[64]",
+            "tests/test_quasi.py::TestDistanceMatrix::test_bfs_kernel_at_the_ninth_plane[n-1]",
+            "tests/test_quasi.py::TestDistanceMatrix::test_bfs_kernel_long_distances",
+        ),
+    ),
+    # A search that never clears what it reached does not stop; this test
+    # takes at most n levels.
+    Mutant(
+        "unseen-not-updated",
+        "graph.py",
+        "        unseen ^= nxt\n",
+        "",
+        ("tests/test_quasi.py::TestDistanceMatrix::test_bfs_levels_reach_each_vertex_once",),
+    ),
+    # The greedy set's image, the sweep's owners, taken unchecked.
+    Mutant(
+        "greedy-image-reversed",
+        "mis.py",
+        "tuple(owner)",
+        "tuple(len(picks) - 1 - b for b in owner)",
+        ("tests/test_mis.py::TestDerivedGraph::test_greedy_default_equals_checked_build",),
+    ),
+    Mutant(
+        "writer-temps-kept",
+        "fileio.py",
+        " + temps[done:]",
+        "",
+        (
+            "tests/test_fileio_cli.py::TestCliGenerate::test_failed_write_leaves_no_file",
+            "tests/test_fileio_cli.py::TestReports::test_failed_second_write_leaves_no_temp",
+        ),
+    ),
     # The canonical pass. Each entry is caught by the example of the reader
     # differential named above it.
     # b"3 2\n0 1\n12": a last line of one field, read as a pair.

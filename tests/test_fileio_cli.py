@@ -1,5 +1,6 @@
 import ast
 import bisect
+import errno
 import json
 import os
 import random
@@ -561,6 +562,55 @@ class TestReports:
             fileio._atomic_write([(first, "new\n"), (second, "\udc80")])
         assert first.read_text() == "old\n"
         assert sorted(tmp_path.iterdir()) == [first]
+
+    def test_failed_second_write_leaves_no_temp(self, tmp_path, monkeypatch):
+        first, second = tmp_path / "a.el", tmp_path / "b.txt"
+        first.write_text("old\n")
+        write, calls = os.write, []
+
+        def second_fails(fd, data):
+            calls.append(fd)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", second_fails)
+        with pytest.raises(OSError, match="No space left"):
+            fileio._atomic_write([(first, "new\n"), (second, "text\n")])
+        monkeypatch.undo()
+        assert first.read_text() == "old\n"
+        assert sorted(tmp_path.iterdir()) == [first]
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        # os.write may take fewer bytes than it is given.
+        out, text = tmp_path / "g.el", "3 2\n0 1\n1 2\n\u00e9\n"
+        write, sizes = os.write, []
+
+        def short(fd, data):
+            sizes.append(len(data))
+            return write(fd, data[:3])
+
+        monkeypatch.setattr(os, "write", short)
+        fileio._atomic_write([(out, text)])
+        monkeypatch.undo()
+        assert out.read_bytes() == text.encode()
+        assert sizes == list(range(len(text.encode()), 0, -3))
+
+    def test_taken_temp_name_is_drawn_again(self, tmp_path, monkeypatch):
+        # An existing file is never opened as a temp file; after 100 taken
+        # names the write gives up.
+        out, taken = tmp_path / "g.el", tmp_path / "g.el.taken"
+        taken.write_text("keep\n")
+        tokens = iter(["taken", "fresh"])
+        monkeypatch.setattr(fileio, "_token", lambda: next(tokens))
+        fileio._atomic_write([(out, "new\n")])
+        assert (out.read_text(), taken.read_text()) == ("new\n", "keep\n")
+        assert sorted(tmp_path.iterdir()) == [out, taken]
+        monkeypatch.setattr(fileio, "_token", lambda: "taken")
+        with pytest.raises(FileExistsError, match="no free temp file name"):
+            fileio._atomic_write([(out, "newer\n")])
+        assert (out.read_text(), taken.read_text()) == ("new\n", "keep\n")
+        assert sorted(tmp_path.iterdir()) == [out, taken]
 
 
 class TestCliGenerate:
@@ -1566,7 +1616,7 @@ class TestProvenClaims:
             for claims in claim_sets:
                 counts = [
                     CallCounter(monkeypatch, owner, name)
-                    for owner, name in ((cli, "greedy_mis"), (cli, "mis_derived"),
+                    for owner, name in ((qiso.mis, "_greedy_sweep"), (cli, "mis_derived"),
                                         (qiso.mis, "_within"))
                 ]
                 argv = ["verify", str(gfile), *flags.get(given, []), "--claims", claims]

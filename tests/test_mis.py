@@ -9,6 +9,7 @@ from oracles import first_stretched_edge, floyd_warshall, mis_bounds_witness
 from qiso.errors import InvalidMapping, InvalidVertex, NotIndependent, NotMaximal
 from qiso.generators import (
     complete_graph,
+    cycle_graph,
     path_graph,
     random_connected_graph,
     random_tree,
@@ -137,6 +138,32 @@ class TestDerivedGraph:
                     monkeypatch.setattr("qiso.graph._CHUNK", chunk)
                     for r in (mis_derived(g, s), mis_derived(g, s, image)):
                         assert_validated_equal(r.derived, near)
+
+    def test_greedy_default_equals_checked_build(self, monkeypatch):
+        # With the set omitted, the ascending greedy set and its canonical
+        # image come from the sweep unchecked: they equal the checked build
+        # of greedy_mis(g), and the maximality check never runs. A given
+        # set, as --mapping supplies, is still checked.
+        graphs = [seeded_graph(seed, min_n=1, max_n=60) for seed in range(40)]
+        graphs += [seeded_tree(seed) for seed in range(40)]
+        graphs += [f(n) for f in (path_graph, star_graph, complete_graph) for n in (1, 2, 3, 12)]
+        graphs += [cycle_graph(n) for n in (3, 4, 5, 12)] + [hub_last_star(6)]
+        expected = [mis_derived(g, greedy_mis(g)) for g in graphs]
+
+        class Checked(Exception):
+            pass
+
+        def checked(*args):
+            raise Checked
+
+        monkeypatch.setattr("qiso.mis.check_maximal_independent", checked)
+        for g, ref in zip(graphs, expected):
+            r = mis_derived(g)
+            assert r.mis == ref.mis, g
+            assert r.derived.adjacency == ref.derived.adjacency, g
+            assert r.mapping.image == ref.mapping.image, g
+        with pytest.raises(Checked):
+            mis_derived(path_graph(5), (0, 2, 4), [0, 2, 2, 4, 4])
 
     def test_builds_no_matrix(self, monkeypatch):
         # Members within 3 come from a bounded search, never the matrix.

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,10 @@ from qiso.generators import (
 )
 from qiso.graph import (
     Graph,
+    _bfs_levels,
+    _csr,
     _eccentricities,
+    _source_bits,
     bfs_distances,
     center,
     distance_matrix,
@@ -525,6 +529,30 @@ class TestDistanceMatrix:
             assert [mat[v].tolist() for v in g.vertices()] == [
                 bfs_distances(g, v) for v in g.vertices()
             ]
+
+    @pytest.mark.parametrize("chunk", [64, "n-1"])
+    def test_bfs_kernel_at_the_ninth_plane(self, monkeypatch, chunk):
+        # Cycles of diameter 255 (510, 511) fill eight bit planes, one
+        # byte; those of diameter 256 (512, 513) need a ninth.
+        for n in range(510, 514):
+            g = cycle_graph(n)
+            monkeypatch.setattr("qiso.graph._CHUNK", n - 1 if chunk == "n-1" else chunk)
+            mat = distance_matrix(g)
+            assert mat.tolist() == [bfs_distances(g, v) for v in g.vertices()], (n, chunk)
+
+    def test_bfs_levels_reach_each_vertex_once(self):
+        # Level d sets source j's bit at v exactly when v lies at distance
+        # d from j, and the search stops after the last level. At most n
+        # levels are taken, so a search that never stops fails, not hangs.
+        for g in (cycle_graph(9), grid_graph(3, 4), seeded_graph(3), complete_graph(4)):
+            n = g.vertex_count
+            dist = [bfs_distances(g, v) for v in g.vertices()]
+            levels = list(islice(_bfs_levels(*_csr(g), range(n)), n))
+            assert len(levels) == max(map(max, dist)), g
+            for d, nxt in enumerate(levels, start=1):
+                # _source_bits(nxt, n)[v, j]: j's search reaches v at level d
+                expected = [[int(dist[j][v] == d) for j in range(n)] for v in range(n)]
+                assert _source_bits(nxt, n).tolist() == expected, (g, d)
 
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129])
     def test_both_kernels_across_the_narrow_types(self, n):
